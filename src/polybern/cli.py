@@ -40,6 +40,10 @@ class RunConfig:
     output: str | None = None
 
 
+# header, rows, and named trailer records (name -> field -> value)
+_Table = tuple[list[str], list[list[object]], dict[str, dict[str, object]]]
+
+
 def _span(text: str) -> tuple[int, int]:
     try:
         if ".." in text:
@@ -130,16 +134,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _run_exact(cfg: RunConfig) -> tuple[list[str], list[list[object]], list[str]]:
+def _run_exact(cfg: RunConfig) -> _Table:
     fn = {"B": poly_bernoulli, "C": c_relative, "D": ml_degree}[cfg.selector]
     rows: list[list[object]] = []
     for n in range(cfg.n[0], cfg.n[1] + 1):
         for k in range(cfg.k[0], cfg.k[1] + 1):
             rows.append([n, k, str(fn(n, k))])
-    return ["n", "k", "value"], rows, []
+    return ["n", "k", "value"], rows, {}
 
 
-def _run_oracle(cfg: RunConfig) -> tuple[list[str], list[list[object]], list[str]]:
+def _run_oracle(cfg: RunConfig) -> _Table:
     oracle_fn = {
         "lonesum": oracle.count_lonesum,
         "gamma": oracle.count_gamma_free,
@@ -154,7 +158,14 @@ def _run_oracle(cfg: RunConfig) -> tuple[list[str], list[list[object]], list[str
             got = oracle_fn(n, k)
             expected = formula_fn(n, k)
             rows.append([n, k, str(got), str(expected), 1 if got == expected else 0])
-    return ["n", "k", "oracle", "formula", "match"], rows, []
+    return ["n", "k", "oracle", "formula", "match"], rows, {}
+
+
+# target -> (exact count, bivariate estimator) for the off-diagonal targets
+_BIVARIATE = {
+    "ML": (ml_degree, saddle.ml_asym_log),
+    "EXC": (c_relative, saddle.excedance_asym_log),
+}
 
 
 def _asym_pair(target: str, order: int, n: int, k: int) -> tuple[float, float]:
@@ -171,22 +182,21 @@ def _asym_pair(target: str, order: int, n: int, k: int) -> tuple[float, float]:
         if n != k:
             raise ValueError("target D is the corrected diagonal; needs n == k")
         return log_of_count(ml_degree(n, k)), saddle.d_diag_asym_log(k)
-    if target == "ML":
-        return log_of_count(ml_degree(n, k)), saddle.ml_asym_log(n, k)
-    return log_of_count(c_relative(n, k)), saddle.excedance_asym_log(n, k)
+    exact_fn, estimate_fn = _BIVARIATE[target]
+    return log_of_count(exact_fn(n, k)), estimate_fn(n, k)
 
 
-def _run_asym(cfg: RunConfig) -> tuple[list[str], list[list[object]], list[str]]:
+def _run_asym(cfg: RunConfig) -> _Table:
     rows: list[list[object]] = []
     for n in range(cfg.n[0], cfg.n[1] + 1):
         for k in range(cfg.k[0], cfg.k[1] + 1):
             log_exact, log_estimate = _asym_pair(cfg.selector, cfg.order, n, k)
             relative = math.exp(log_exact - log_estimate) - 1.0
             rows.append([n, k, log_exact, log_estimate, relative])
-    return ["n", "k", "log_exact", "log_estimate", "relative_error"], rows, []
+    return ["n", "k", "log_exact", "log_estimate", "relative_error"], rows, {}
 
 
-def _run_quad(cfg: RunConfig) -> tuple[list[str], list[list[object]], list[str]]:
+def _run_quad(cfg: RunConfig) -> _Table:
     spec = quad.QuadratureSpec(nodes=cfg.nodes, radius=cfg.radius)
     rows: list[list[object]] = []
     if cfg.selector == "parseval":
@@ -194,23 +204,22 @@ def _run_quad(cfg: RunConfig) -> tuple[list[str], list[list[object]], list[str]]
             value = quad.parseval_b(k, spec)
             exact = poly_bernoulli(k, k)
             rows.append([k, value, str(exact), value / exact - 1.0])
-        return ["k", "value", "exact", "relative_defect"], rows, []
+        return ["k", "value", "exact", "relative_defect"], rows, {}
     if cfg.selector == "laplace":
         for k in range(cfg.k[0], cfg.k[1] + 1):
-            result = quad.laplace_integral_diag(k, spec)
-            log_integral = math.log(result) if k <= 40 else result
+            log_integral = quad.laplace_integral_diag(k, spec)
             log_prediction = saddle.diag_asym_log(k, 1) - 2.0 * math.lgamma(k + 1)
             rows.append([k, log_integral, log_prediction, math.exp(log_integral - log_prediction) - 1.0])
-        return ["k", "log_integral", "log_prediction", "ratio_defect"], rows, []
+        return ["k", "log_integral", "log_prediction", "ratio_defect"], rows, {}
     for n in range(cfg.n[0], cfg.n[1] + 1):
         for k in range(cfg.k[0], cfg.k[1] + 1):
             log_integral = quad.residue_integral_b(n, k, spec)
             log_exact = log_of_count(poly_bernoulli(n, k))
             rows.append([n, k, log_integral, log_exact, log_integral - log_exact])
-    return ["n", "k", "log_integral", "log_exact", "log_defect"], rows, []
+    return ["n", "k", "log_integral", "log_exact", "log_defect"], rows, {}
 
 
-def _run_lclt(cfg: RunConfig) -> tuple[list[str], list[list[object]], list[str]]:
+def _run_lclt(cfg: RunConfig) -> _Table:
     n = cfg.n[0]
     rows: list[list[object]] = []
     if cfg.selector in ("B", "D"):
@@ -225,8 +234,8 @@ def _run_lclt(cfg: RunConfig) -> tuple[list[str], list[list[object]], list[str]]
         lo, hi = lclt.ml_window(n, cfg.window)
         for k in range(lo, hi + 1):
             rows.append([k, lclt.ml_scaled_coefficient(n, k), lclt.ml_limit_shape(n, k)])
-    comment = f"# discrepancy,n={report.n},sup={report.sup!r},argmax_k={report.argmax_k}"
-    return ["k", "scaled", "reference"], rows, [comment]
+    trailer = {"n": report.n, "sup": report.sup, "argmax_k": report.argmax_k}
+    return ["k", "scaled", "reference"], rows, {"discrepancy": trailer}
 
 
 def _cell(value: object) -> str:
@@ -235,20 +244,19 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _emit(cfg: RunConfig, header: list[str], rows: list[list[object]], comments: list[str]) -> str:
+def _emit(cfg: RunConfig, table: _Table) -> str:
+    header, rows, trailers = table
     if cfg.fmt == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_cell(v) for v in row) for row in rows)
-        lines.extend(comments)
+        for name, fields in trailers.items():
+            lines.append(",".join([f"# {name}"] + [f"{key}={_cell(v)}" for key, v in fields.items()]))
         return "\n".join(lines) + "\n"
     payload: dict[str, object] = {
         "header": header,
         "rows": [dict(zip(header, row)) for row in rows],
+        **trailers,
     }
-    for comment in comments:
-        body = comment.lstrip("# ")
-        name, _, fields = body.partition(",")
-        payload[name] = dict(field.split("=", 1) for field in fields.split(","))
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -286,8 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         if cfg.command == "verify":
             return _run_verify()
-        header, rows, comments = _RUNNERS[cfg.command](cfg)
-        _write(cfg, _emit(cfg, header, rows, comments))
+        _write(cfg, _emit(cfg, _RUNNERS[cfg.command](cfg)))
     except GuardError as exc:
         sys.stderr.write(f"guard violation: {exc}\n")
         return EXIT_GUARD

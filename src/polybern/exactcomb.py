@@ -136,18 +136,32 @@ def factorial(n: int) -> Count:
     return _ensure(n).factorial(n)
 
 
+def _shifted_sum(n: int, k: int, dn: int, dk: int) -> Count:
+    # sum_m (m!)^2 S(n+dn, m+dn) S(k+dk, m+dk): B, C and D are the shift
+    # pairs (1,1), (1,0) and (0,0) (Kaneko 1997).
+    if n < 0 or k < 0:
+        raise ValueError("indices must be nonnegative")
+    t = _ensure(max(n + dn, k + dk))
+    total = 0
+    for m in range(min(n, k) + 1):
+        total += t.factorial(m) ** 2 * t.entry(n + dn, m + dn) * t.entry(k + dk, m + dk)
+    return total
+
+
 def poly_bernoulli(n: int, k: int) -> Count:
     """Number of n x k lonesum 0-1 matrices, B(n,k).
 
     B(n,k) = sum_m (m!)^2 S(n+1,m+1) S(k+1,m+1); symmetric in (n,k).
     """
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    t = _ensure(max(n, k) + 1)
-    total = 0
-    for m in range(min(n, k) + 1):
-        total += t.factorial(m) ** 2 * t.entry(n + 1, m + 1) * t.entry(k + 1, m + 1)
-    return total
+    return _shifted_sum(n, k, 1, 1)
+
+
+def c_relative(n: int, k: int) -> Count:
+    """C(n,k): lonesum n x k matrices with no all-zero column.
+
+    C(n,k) = sum_m (m!)^2 S(n+1,m+1) S(k,m); not symmetric in general.
+    """
+    return _shifted_sum(n, k, 1, 0)
 
 
 def ml_degree(n: int, k: int) -> Count:
@@ -156,13 +170,7 @@ def ml_degree(n: int, k: int) -> Count:
     Equals the maximum likelihood degree of the n x k missing-data
     multinomial model; D(n,k) = sum_m (m!)^2 S(n,m) S(k,m), symmetric.
     """
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    t = _ensure(max(n, k))
-    total = 0
-    for m in range(min(n, k) + 1):
-        total += t.factorial(m) ** 2 * t.entry(n, m) * t.entry(k, m)
-    return total
+    return _shifted_sum(n, k, 0, 0)
 
 
 def ml_degree_inclusion_exclusion(n: int, k: int) -> Count:
@@ -180,22 +188,6 @@ def ml_degree_inclusion_exclusion(n: int, k: int) -> Count:
             total += -term if (m + ell) % 2 else term
     if total < 0:
         raise ArithmeticError(f"inclusion-exclusion for D({n},{k}) came out negative")
-    return total
-
-
-def c_relative(n: int, k: int) -> Count:
-    """C(n,k): lonesum n x k matrices with no all-zero column.
-
-    Computed by column inclusion-exclusion over B; not symmetric in general.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    total = 0
-    for j in range(k + 1):
-        term = math.comb(k, j) * poly_bernoulli(n, k - j)
-        total += -term if j % 2 else term
-    if total < 0:
-        raise ArithmeticError(f"column inclusion-exclusion for C({n},{k}) came out negative")
     return total
 
 

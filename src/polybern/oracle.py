@@ -77,28 +77,20 @@ def _rows_gamma_free(rows: list[int]) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _lonesum_census(n: int, k: int) -> tuple[Count, Count, Count, Count]:
-    # One sweep returns (all, no zero row, no zero col, neither) counts.
+def _lonesum_census(n: int, k: int) -> dict[tuple[bool, bool], Count]:
+    # One sweep counts lonesum matrices by (no zero row, no zero column).
     full = (1 << k) - 1
     row_range = range(n)
-    total = no_zrow = no_zcol = neither = 0
+    census = dict.fromkeys(itertools.product((False, True), repeat=2), 0)
     for mask in range(1 << (n * k)):
         rows = [(mask >> (i * k)) & full for i in row_range]
         if not _rows_lonesum(rows):
             continue
-        total += 1
-        all_rows_nonzero = all(rows) if n else True
         union = 0
         for r in rows:
             union |= r
-        all_cols_nonzero = union == full
-        if all_rows_nonzero:
-            no_zrow += 1
-        if all_cols_nonzero:
-            no_zcol += 1
-        if all_rows_nonzero and all_cols_nonzero:
-            neither += 1
-    return total, no_zrow, no_zcol, neither
+        census[all(rows), union == full] += 1
+    return census
 
 
 def _check_matrix_guard(n: int, k: int, guard: int) -> None:
@@ -111,7 +103,7 @@ def _check_matrix_guard(n: int, k: int, guard: int) -> None:
 def count_lonesum(n: int, k: int) -> Count:
     """Number of n x k lonesum matrices by exhaustive sweep (n*k <= 24)."""
     _check_matrix_guard(n, k, MATRIX_GUARD)
-    return _lonesum_census(n, k)[0]
+    return sum(_lonesum_census(n, k).values())
 
 
 def count_lonesum_restricted(n: int, k: int, forbid_zero_rows: bool, forbid_zero_cols: bool) -> Count:
@@ -120,14 +112,11 @@ def count_lonesum_restricted(n: int, k: int, forbid_zero_rows: bool, forbid_zero
     (False, True) matches c_relative; (True, True) matches ml_degree.
     """
     _check_matrix_guard(n, k, MATRIX_GUARD)
-    census = _lonesum_census(n, k)
-    if forbid_zero_rows and forbid_zero_cols:
-        return census[3]
-    if forbid_zero_rows:
-        return census[1]
-    if forbid_zero_cols:
-        return census[2]
-    return census[0]
+    return sum(
+        count
+        for (rows_ok, cols_ok), count in _lonesum_census(n, k).items()
+        if rows_ok >= forbid_zero_rows and cols_ok >= forbid_zero_cols
+    )
 
 
 def count_gamma_free(n: int, k: int) -> Count:

@@ -104,20 +104,13 @@ def _laplace_integral_log(k: int, nodes: int) -> float:
     return top + math.log(mean)
 
 
-def laplace_integral_diag(k: int, spec: QuadratureSpec) -> float:
-    """Trapezoid value of the diagonal contour integral.
-
-    Returns the plain value for k <= 40 and its natural log for k > 40,
-    where the value itself would overflow a float.
-    """
+def laplace_integral_diag(k: int, spec: QuadratureSpec) -> LogEstimate:
+    """Natural log of the trapezoid value of the diagonal contour integral."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > LAPLACE_GUARD:
         raise GuardError(f"k={k} exceeds laplace guard {LAPLACE_GUARD}")
-    log_value = _laplace_integral_log(k, spec.nodes)
-    if k <= 40:
-        return math.exp(log_value)
-    return log_value
+    return _laplace_integral_log(k, spec.nodes)
 
 
 def _residue_trapezoid(n: int, k: int, spec: QuadratureSpec) -> tuple[float, complex]:

@@ -6,8 +6,8 @@ quantities overflow machine floats almost immediately.
 
 from __future__ import annotations
 
-import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -28,7 +28,6 @@ DIAG_RATIO_C = SECOND_ORDER_C - 0.5
 # degrades into subnormals and the quotient loses all precision.
 F_T_MAX = 700.0
 
-_BRACKET_STEPS = 200
 _BISECTION_STEPS = 120
 
 
@@ -49,33 +48,11 @@ class SaddlePoint:
     ratio: float
 
 
-class GFKind(enum.Enum):
-    POLY_BERNOULLI = "poly_bernoulli"
-    ML_DEGREE = "ml_degree"
-
-
-@dataclass(frozen=True)
-class GFDescriptor:
-    """A generating function with denominator H = exp(-x) + exp(-y) - 1.
-
-    The numerator at a point is 1 for POLY_BERNOULLI and exp(-x-y) for
-    ML_DEGREE; both are positive everywhere, so log are finite.
-    """
-
-    kind: GFKind
-
-    def g_log(self, x: float, y: float) -> float:
-        if self.kind is GFKind.ML_DEGREE:
-            return -x - y
-        return 0.0
-
-    @staticmethod
-    def h(x: float, y: float) -> float:
-        return math.exp(-x) + math.exp(-y) - 1.0
-
-
-POLY_BERNOULLI_GF = GFDescriptor(GFKind.POLY_BERNOULLI)
-ML_DEGREE_GF = GFDescriptor(GFKind.ML_DEGREE)
+# Numerator shifts (dn, dk) of the shared denominator exp(-x) + exp(-y) - 1:
+# the numerator is exp(-(1-dn) x - (1-dk) y), so B is (1, 1), C is (1, 0)
+# and D = ML is (0, 0), the same pairs as in exactcomb.
+POLY_BERNOULLI_GF = (1, 1)
+ML_DEGREE_GF = (0, 0)
 
 
 def _log1mexp(t: float) -> float:
@@ -102,55 +79,55 @@ def f_dir(t: float) -> float:
 def f_inverse(r: float) -> float:
     """Unique t > 0 with f(t) = r, by bracketed bisection.
 
-    Seeded at [2^-40, 1]; the bracket end is doubled (or halved, for very
-    flat directions) until the sign changes, then bisected 120 times.
+    Solves f(t) = max(r, 1/r) >= 1 from the bracket [2^-40, 1], whose upper
+    end is doubled until the sign changes, then bisected 120 times; for
+    r < 1 the answer comes from the variety, -log(1 - exp(-f^{-1}(1/r))).
+    Defined for 1/R <= r <= R with R = f(F_T_MAX (1 - 2^-20)), about 700;
+    raises ValueError outside.
     """
     if r <= 0:
         raise ValueError("f_inverse is defined for r > 0")
+    target = max(r, 1.0 / r)
+    cap = F_T_MAX * (1 - 2**-20)
     lo, hi = 2.0**-40, 1.0
-    if f_dir(lo) > r:
-        for _ in range(_BRACKET_STEPS):
-            hi = lo
-            lo *= 0.5
-            if f_dir(lo) <= r:
-                break
-        else:
-            raise ArithmeticError(f"bracket shrink failed for r={r}")
-    elif f_dir(hi) < r:
-        for _ in range(_BRACKET_STEPS):
-            lo = hi
-            hi = min(2.0 * hi, F_T_MAX * (1 - 2**-20))
-            if f_dir(hi) >= r:
-                break
-            if hi >= F_T_MAX * (1 - 2**-20):
-                raise ValueError(f"r={r} outside the stable range of f")
-        else:
-            raise ArithmeticError(f"bracket expansion exceeded {_BRACKET_STEPS} doublings for r={r}")
+    while f_dir(hi) < target:
+        if hi >= cap:
+            raise ValueError(f"r={r} outside the stable range of f, about [1/700, 700]")
+        lo = hi
+        hi = min(2.0 * hi, cap)
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if f_dir(mid) < r:
+        if f_dir(mid) < target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    t = 0.5 * (lo + hi)
+    return t if r >= 1.0 else -_log1mexp(t)
 
 
 def saddle_point(n: int, k: int) -> SaddlePoint:
     """Critical point (a, b) = (f^{-1}(n/k), f^{-1}(k/n)) for direction (n, k).
 
-    b is recovered from the variety equation exp(-b) = 1 - exp(-a), which
-    coincides with f^{-1}(k/n) and keeps the on-variety identity exact.
+    Solved on the side whose ratio is >= 1; the other coordinate comes from
+    the variety equation exp(-a) + exp(-b) = 1, which keeps the on-variety
+    identity exact and makes swapping (n, k) swap (a, b) bit for bit.
     """
     if n < 1 or k < 1:
         raise ValueError("saddle_point needs n, k >= 1")
-    a = f_inverse(n / k)
-    b = -_log1mexp(a)
+    if n >= k:
+        a = f_inverse(n / k)
+        b = -_log1mexp(a)
+    else:
+        b = f_inverse(k / n)
+        a = -_log1mexp(b)
     return SaddlePoint(a=a, b=b, ratio=n / k)
 
 
-def _bivar_parts(n: int, k: int) -> tuple[LogEstimate, SaddlePoint]:
+def _smooth_log(n: int, k: int, dn: int, dk: int) -> LogEstimate:
+    # Leading-order smooth-point estimate of the coefficient n! k! [x^n y^k]
+    # of exp(-(1-dn) x - (1-dk) y) / (exp(-x) + exp(-y) - 1).
     if n < 1 or k < 1:
         raise ValueError("estimate needs n, k >= 1")
     ratio = n / k
@@ -168,20 +145,26 @@ def _bivar_parts(n: int, k: int) -> tuple[LogEstimate, SaddlePoint]:
     bracket = beb + aea - a * b
     if bracket <= 0:
         raise ArithmeticError(f"variance bracket {bracket} <= 0 at direction ({n},{k})")
+    variance = 2.0 * math.pi * aea * bracket
+    if variance < sys.float_info.min:
+        raise ValueError(
+            f"direction n/k = {ratio:.6g} outside the representable cone, about "
+            "[1/355, 358], where the variance term leaves the normal float range"
+        )
     value = (
         math.lgamma(n + 1)
         + math.lgamma(k + 1)
         - n * math.log(a)
         - k * math.log(b)
         - 0.5 * math.log(k)
-        - 0.5 * math.log(2.0 * math.pi * aea * bracket)
+        - 0.5 * math.log(variance)
     )
-    return value, sp
+    return value - (1 - dn) * a - (1 - dk) * b
 
 
 def bivar_asym_log(n: int, k: int) -> LogEstimate:
     """Log of the leading-order bivariate estimate of B(n,k)."""
-    return _bivar_parts(n, k)[0]
+    return _smooth_log(n, k, 1, 1)
 
 
 def diag_asym_log(k: int, order: int = 1) -> LogEstimate:
@@ -211,43 +194,32 @@ def ml_asym_log(n: int, k: int) -> LogEstimate:
 
     Exactly bivar_asym_log(n,k) - a - b at the shared saddle point.
     """
-    value, sp = _bivar_parts(n, k)
-    return value - sp.a - sp.b
+    return _smooth_log(n, k, 0, 0)
 
 
 def excedance_asym_log(r: int, s: int) -> LogEstimate:
-    """Log of the estimate for the excedance-word bracket count at (r, s)."""
-    if r < 1 or s < 1:
-        raise ValueError("excedance_asym_log needs r, s >= 1")
-    x = f_inverse(r / s)
-    y = -_log1mexp(x)
-    xex = x * math.exp(-x)
-    yey = y * math.exp(-y)
-    bracket = yey + xex - x * y
-    if bracket <= 0:
-        raise ArithmeticError(f"variance bracket {bracket} <= 0 at direction ({r},{s})")
-    return (
-        math.lgamma(r + 1)
-        + math.lgamma(s + 1)
-        - r * math.log(x)
-        - s * math.log(y)
-        - 0.5 * math.log(2.0 * math.pi * s)
-        - y
-        - 0.5 * math.log(xex * bracket)
-    )
+    """Log of the estimate for the excedance-word bracket count at (r, s).
+
+    Exactly bivar_asym_log(r,s) - b at the shared saddle point.
+    """
+    return _smooth_log(r, s, 1, 0)
 
 
-def acsv_general_log(g: GFDescriptor, n: int, k: int) -> LogEstimate:
+def acsv_general_log(shift: tuple[int, int], n: int, k: int) -> LogEstimate:
     """Log of the general smooth-point estimate for the coefficient count.
 
-    Evaluates G(x,y) sqrt(-y H_y / (2 pi k Q)) x^{-n} y^{-k} n! k! at the
-    saddle point, with the H partials taken analytically and Q assembled
-    from them literally; must reproduce the closed-form estimators.
+    The numerator shift (dn, dk) gives log G = -(1-dn) x - (1-dk) y over
+    H = exp(-x) + exp(-y) - 1. Evaluates G(x,y) sqrt(-y H_y / (2 pi k Q))
+    x^{-n} y^{-k} n! k! at the saddle point, with the H partials taken
+    analytically and Q assembled from them literally; must reproduce the
+    closed-form estimators.
     """
     if n < 1 or k < 1:
         raise ValueError("acsv_general_log needs n, k >= 1")
+    dn, dk = shift
     sp = saddle_point(n, k)
     x, y = sp.a, sp.b
+    g_log = -(1 - dn) * x - (1 - dk) * y
     hx = -math.exp(-x)
     hy = -math.exp(-y)
     hxx = math.exp(-x)
@@ -266,7 +238,7 @@ def acsv_general_log(g: GFDescriptor, n: int, k: int) -> LogEstimate:
     return (
         math.lgamma(n + 1)
         + math.lgamma(k + 1)
-        + g.g_log(x, y)
+        + g_log
         - 0.5 * math.log(2.0 * math.pi)
         - n * math.log(x)
         - k * math.log(y)

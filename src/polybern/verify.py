@@ -126,18 +126,14 @@ def criterion_specialization() -> CriterionResult:
         warnings.simplefilter("ignore", saddle.CompactnessWarning)
         for n in range(1, 31):
             for k in range(1, 31):
-                gap_b = abs(
-                    saddle.acsv_general_log(saddle.POLY_BERNOULLI_GF, n, k)
-                    - saddle.bivar_asym_log(n, k)
-                )
-                if gap_b > 1e-9:
-                    failures.append(f"acsv vs bivar at ({n},{k}): {gap_b:.3e}")
-                gap_d = abs(
-                    saddle.acsv_general_log(saddle.ML_DEGREE_GF, n, k)
-                    - saddle.ml_asym_log(n, k)
-                )
-                if gap_d > 1e-9:
-                    failures.append(f"acsv vs ml at ({n},{k}): {gap_d:.3e}")
+                for label, shift, closed_form in (
+                    ("bivar", saddle.POLY_BERNOULLI_GF, saddle.bivar_asym_log),
+                    ("ml", saddle.ML_DEGREE_GF, saddle.ml_asym_log),
+                    ("excedance", (1, 0), saddle.excedance_asym_log),
+                ):
+                    gap = abs(saddle.acsv_general_log(shift, n, k) - closed_form(n, k))
+                    if gap > 1e-9:
+                        failures.append(f"acsv vs {label} at ({n},{k}): {gap:.3e}")
         for k in range(1, 51):
             if abs(saddle.bivar_asym_log(k, k) - saddle.diag_asym_log(k, 1)) > 1e-10:
                 failures.append(f"bivar vs diagonal at k={k}")

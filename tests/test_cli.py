@@ -124,7 +124,7 @@ def test_lclt_json_discrepancy_field(capsys):
     code, out, _ = run_cli(capsys, "lclt", "--which", "B", "--n", "10", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["discrepancy"]["argmax_k"] == "18"
+    assert payload["discrepancy"]["argmax_k"] == 18
 
 
 def test_asym_diagonal_smoke(capsys):

@@ -108,6 +108,29 @@ def test_saddle_point_critical_equation():
             assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs))
 
 
+def test_saddle_point_far_off_diagonal_is_mirror_image():
+    sp = saddle_point(1, 200)
+    sq = saddle_point(200, 1)
+    assert (sp.a, sp.b) == (sq.b, sq.a)
+    assert math.exp(-sp.a) + math.exp(-sp.b) == pytest.approx(1.0, abs=1e-11)
+
+
+def test_saddle_point_beyond_stable_range_is_value_error():
+    with pytest.raises(ValueError, match="stable range"):
+        saddle_point(1, 10**6)
+    with pytest.raises(ValueError, match="stable range"):
+        f_inverse(1e-6)
+
+
+def test_estimators_outside_representable_cone_raise_value_error():
+    for estimator in (bivar_asym_log, ml_asym_log, excedance_asym_log):
+        for n, k in ((400, 1), (1, 400)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CompactnessWarning)
+                with pytest.raises(ValueError, match="representable cone"):
+                    estimator(n, k)
+
+
 def test_saddle_point_swap_swaps_components():
     sp = saddle_point(5, 9)
     sq = saddle_point(9, 5)
@@ -241,6 +264,9 @@ def test_acsv_reproduces_closed_forms():
                 assert abs(
                     acsv_general_log(ML_DEGREE_GF, n, k) - ml_asym_log(n, k)
                 ) <= 1e-9
+                assert abs(
+                    acsv_general_log((1, 0), n, k) - excedance_asym_log(n, k)
+                ) <= 1e-9
 
 
 def test_acsv_ml_diagonal_is_corrected_form():
@@ -273,6 +299,8 @@ def test_estimators_reject_nonpositive_indices():
 def test_compactness_warning_fires_off_cone():
     with pytest.warns(CompactnessWarning):
         bivar_asym_log(1, 50)
+    with pytest.warns(CompactnessWarning):
+        excedance_asym_log(50, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bivar_asym_log(10, 12)
