@@ -1,8 +1,8 @@
 """Exact arbitrary-precision combinatorics.
 
-Stirling numbers of the second kind, factorials, poly-Bernoulli numbers
-B(n,k), and the relatives C(n,k) and D(n,k) = ML(n,k), all as exact
-integers, plus a lossless conversion of huge counts to natural logs.
+Stirling numbers of the second kind, poly-Bernoulli numbers B(n,k), and
+the relatives C(n,k) and D(n,k) = ML(n,k), all as exact integers, plus a
+lossless conversion of huge counts to natural logs.
 """
 
 from __future__ import annotations
@@ -26,48 +26,6 @@ class GuardError(ValueError):
     """A size guard was exceeded (table bound or enumeration bound)."""
 
 
-class StirlingTable:
-    """Triangle of Stirling numbers of the second kind up to max_n.
-
-    Built once by the two-term recurrence and never mutated afterwards;
-    safe for concurrent reads. Factorials up to max_n are cached alongside.
-    """
-
-    def __init__(self, max_n: int):
-        if max_n < 0:
-            raise ValueError("max_n must be nonnegative")
-        self.max_n = max_n
-        rows = [[1]]
-        for n in range(1, max_n + 1):
-            prev = rows[n - 1]
-            row = [0] * (n + 1)
-            for m in range(1, n):
-                row[m] = m * prev[m] + prev[m - 1]
-            row[n] = 1
-            rows.append(row)
-        self._rows = rows
-        fact = [1] * (max_n + 1)
-        for i in range(1, max_n + 1):
-            fact[i] = fact[i - 1] * i
-        self._fact = fact
-
-    def entry(self, n: int, m: int) -> Count:
-        if n < 0 or m < 0:
-            raise ValueError("indices must be nonnegative")
-        if n > self.max_n:
-            raise GuardError(f"n={n} exceeds table bound {self.max_n}")
-        if m > n:
-            return 0
-        return self._rows[n][m]
-
-    def factorial(self, n: int) -> Count:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if n > self.max_n:
-            raise GuardError(f"n={n} exceeds table bound {self.max_n}")
-        return self._fact[n]
-
-
 def table_bound() -> int:
     """Hard cap on table growth, overridable via POLYBERN_MAX_N."""
     raw = os.environ.get(_ENV_MAX_N)
@@ -82,19 +40,28 @@ def table_bound() -> int:
     return bound
 
 
-_table: StirlingTable = StirlingTable(64)
+# _rows[n] is the row S(n, 0..n). Growth extends a copy and rebinds the
+# name instead of mutating the list, so a reader holding the old list
+# keeps a valid triangle.
+_rows: list[list[Count]] = [[1]]
 
 
-def _ensure(n: int) -> StirlingTable:
-    # Swap in a larger table instead of mutating the current one, so
-    # concurrent readers of the old table stay valid.
-    global _table
-    if n > _table.max_n:
-        cap = table_bound()
-        if n > cap:
-            raise GuardError(f"n={n} exceeds table bound {cap} (set {_ENV_MAX_N} to raise it)")
-        _table = StirlingTable(min(cap, max(n, 2 * _table.max_n)))
-    return _table
+def _stirling_rows(n: int) -> list[list[Count]]:
+    # The triangle through row n, grown by the two-term recurrence within
+    # table_bound(); the guard trips before any row is built.
+    global _rows
+    rows = _rows
+    if n < len(rows):
+        return rows
+    cap = table_bound()
+    if n > cap:
+        raise GuardError(f"n={n} exceeds table bound {cap} (set {_ENV_MAX_N} to raise it)")
+    rows = rows.copy()
+    for size in range(len(rows), n + 1):
+        prev = rows[-1]
+        rows.append([0] + [m * prev[m] + prev[m - 1] for m in range(1, size)] + [1])
+    _rows = rows
+    return rows
 
 
 def stirling2(n: int, m: int) -> Count:
@@ -103,14 +70,14 @@ def stirling2(n: int, m: int) -> Count:
         raise ValueError("indices must be nonnegative")
     if m > n:
         return 0
-    return _ensure(n).entry(n, m)
+    return _stirling_rows(n)[n][m]
 
 
 def stirling2_explicit(n: int, m: int) -> Count:
     """Independent evaluation of stirling2 by the alternating-sum formula.
 
     Uses m! * S(n,m) = sum_j (-1)^j binom(m,j) (m-j)^n and divides out m!.
-    Exists as a cross-check oracle for the recurrence table; never used by
+    Exists as a cross-check oracle for the recurrence rows; never used by
     the other formulas.
     """
     if n < 0 or m < 0:
@@ -129,22 +96,18 @@ def stirling2_explicit(n: int, m: int) -> Count:
     return q
 
 
-def factorial(n: int) -> Count:
-    """n!, served from the shared table."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _ensure(n).factorial(n)
-
-
 def _shifted_sum(n: int, k: int, dn: int, dk: int) -> Count:
     # sum_m (m!)^2 S(n+dn, m+dn) S(k+dk, m+dk): B, C and D are the shift
     # pairs (1,1), (1,0) and (0,0) (Kaneko 1997).
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    t = _ensure(max(n + dn, k + dk))
+    rows = _stirling_rows(max(n + dn, k + dk))
+    top, side = rows[n + dn], rows[k + dk]
     total = 0
+    fact = 1  # m!
     for m in range(min(n, k) + 1):
-        total += t.factorial(m) ** 2 * t.entry(n + dn, m + dn) * t.entry(k + dk, m + dk)
+        total += fact * fact * top[m + dn] * side[m + dk]
+        fact *= m + 1
     return total
 
 

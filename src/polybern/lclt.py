@@ -40,14 +40,6 @@ class GaussianParams:
 
 
 @dataclass(frozen=True)
-class MLShapeParams:
-    """Constants of the near-diagonal ML limit shape."""
-
-    c2: float
-    sigma2: float
-
-
-@dataclass(frozen=True)
 class DiscrepancyReport:
     """Sup-norm discrepancy over the truncated window and where it occurred."""
 
@@ -74,10 +66,6 @@ def gaussian_params(which: str) -> GaussianParams:
         variance_rate=variance_rate,
         prefactor=prefactor,
     )
-
-
-def ml_shape_params() -> MLShapeParams:
-    return MLShapeParams(c2=1.0 / (4.0 * LOG2), sigma2=(1.0 - LOG2) / 4.0)
 
 
 def nu_density(n: int, k: float, p: GaussianParams) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 from .exactcomb import Count, GuardError
 
@@ -19,33 +19,11 @@ VESZTERGOMBI_GUARD = 9
 EXCEDANCE_GUARD = 10
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """An n x k 0-1 matrix packed row-major into an int (bit i*k+j = entry (i,j))."""
+def is_lonesum(rows: Sequence[int]) -> bool:
+    """True iff no 2x2 submatrix equals (1,0 / 0,1) or (0,1 / 1,0).
 
-    n: int
-    k: int
-    bits: int
-
-    def __post_init__(self):
-        if self.n < 0 or self.k < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if self.n * self.k > MATRIX_GUARD:
-            raise GuardError(f"n*k={self.n * self.k} exceeds enumeration guard {MATRIX_GUARD}")
-        if not 0 <= self.bits < 1 << (self.n * self.k):
-            raise ValueError("bits outside the n*k-bit range")
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.n and 0 <= j < self.k):
-            raise ValueError("entry index out of range")
-        return (self.bits >> (i * self.k + j)) & 1
-
-    def rows(self) -> list[int]:
-        full = (1 << self.k) - 1
-        return [(self.bits >> (i * self.k)) & full for i in range(self.n)]
-
-
-def _rows_lonesum(rows: list[int]) -> bool:
+    The matrix is given as its rows, each a bitmask of its set columns.
+    """
     # A column where only the upper row is set plus a column where only the
     # lower row is set give one of the two forbidden 2x2 patterns in one
     # column order or the other, so a row pair is safe iff either
@@ -58,12 +36,7 @@ def _rows_lonesum(rows: list[int]) -> bool:
     return True
 
 
-def is_lonesum(m: BitMatrix) -> bool:
-    """True iff no 2x2 submatrix equals (1,0 / 0,1) or (0,1 / 1,0)."""
-    return _rows_lonesum(m.rows())
-
-
-def _rows_gamma_free(rows: list[int]) -> bool:
+def _rows_gamma_free(rows: Sequence[int]) -> bool:
     # Violation: entries (i,j), (i,j'), (i',j) all 1 with i<i', j<j'.
     # For a row pair, take the lowest shared column j; any higher set bit
     # of the upper row completes the pattern.
@@ -80,11 +53,9 @@ def _rows_gamma_free(rows: list[int]) -> bool:
 def _lonesum_census(n: int, k: int) -> dict[tuple[bool, bool], Count]:
     # One sweep counts lonesum matrices by (no zero row, no zero column).
     full = (1 << k) - 1
-    row_range = range(n)
     census = dict.fromkeys(itertools.product((False, True), repeat=2), 0)
-    for mask in range(1 << (n * k)):
-        rows = [(mask >> (i * k)) & full for i in row_range]
-        if not _rows_lonesum(rows):
+    for rows in itertools.product(range(1 << k), repeat=n):
+        if not is_lonesum(rows):
             continue
         union = 0
         for r in rows:
@@ -122,11 +93,9 @@ def count_lonesum_restricted(n: int, k: int, forbid_zero_rows: bool, forbid_zero
 def count_gamma_free(n: int, k: int) -> Count:
     """Number of n x k matrices avoiding (1,1 / 1,0) and (1,1 / 1,1) (n*k <= 24)."""
     _check_matrix_guard(n, k, MATRIX_GUARD)
-    full = (1 << k) - 1
-    row_range = range(n)
     total = 0
-    for mask in range(1 << (n * k)):
-        if _rows_gamma_free([(mask >> (i * k)) & full for i in row_range]):
+    for rows in itertools.product(range(1 << k), repeat=n):
+        if _rows_gamma_free(rows):
             total += 1
     return total
 
@@ -139,15 +108,13 @@ def count_acyclic_orientations(n: int, k: int) -> Count:
     submatrix or four-cycle criterion.
     """
     _check_matrix_guard(n, k, ORIENTATION_GUARD)
-    full = (1 << k) - 1
     nv = n + k
     row_range = range(n)
     col_range = range(k)
     vertex_range = range(nv)
     total = 0
-    for mask in range(1 << (n * k)):
-        # bit (i,j) = 1 orients row i -> col j, otherwise col j -> row i
-        rows = [(mask >> (i * k)) & full for i in row_range]
+    for rows in itertools.product(range(1 << k), repeat=n):
+        # bit j of row i set orients row i -> col j, otherwise col j -> row i
         adj: list[list[int]] = [None] * nv  # type: ignore[list-item]
         for i in row_range:
             out = []

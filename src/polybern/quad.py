@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .exactcomb import GuardError, LogEstimate, factorial, log_of_count, poly_bernoulli, stirling2
+from .exactcomb import GuardError, LogEstimate, log_of_count, poly_bernoulli, stirling2
 from .saddle import saddle_point
 
 TWO_PI = 2.0 * math.pi
@@ -47,7 +47,7 @@ def u_poly(k: int, phi: float) -> complex:
     if k > U_POLY_GUARD:
         raise GuardError(f"k={k} exceeds float-coefficient guard {U_POLY_GUARD}")
     try:
-        coeffs = [float(factorial(m) * stirling2(k + 1, m + 1)) for m in range(k + 1)]
+        coeffs = [float(math.factorial(m) * stirling2(k + 1, m + 1)) for m in range(k + 1)]
     except OverflowError as exc:
         raise GuardError(f"coefficient overflow at k={k}") from exc
     y = cmath.exp(1j * phi)

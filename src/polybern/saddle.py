@@ -30,6 +30,10 @@ F_T_MAX = 700.0
 
 _BISECTION_STEPS = 120
 
+# Largest n or k the estimators take. lgamma(n + 1) leaves the float range
+# from n of about 2.5e305; below 10**300 every sum they form stays finite.
+MAX_ESTIMATE_SIZE = 10**300
+
 
 class CompactnessWarning(UserWarning):
     """Direction n/k left the policy band [1/10, 10] where the estimates are trusted."""
@@ -125,11 +129,20 @@ def saddle_point(n: int, k: int) -> SaddlePoint:
     return SaddlePoint(a=a, b=b, ratio=n / k)
 
 
+def _check_size(*sizes: int) -> None:
+    if max(sizes) > MAX_ESTIMATE_SIZE:
+        raise ValueError(
+            "estimates need n, k <= 10**300; lgamma(n + 1) leaves the float range "
+            "from about 2.5e305"
+        )
+
+
 def _smooth_log(n: int, k: int, dn: int, dk: int) -> LogEstimate:
     # Leading-order smooth-point estimate of the coefficient n! k! [x^n y^k]
     # of exp(-(1-dn) x - (1-dk) y) / (exp(-x) + exp(-y) - 1).
     if n < 1 or k < 1:
         raise ValueError("estimate needs n, k >= 1")
+    _check_size(n, k)
     ratio = n / k
     if not 0.1 <= ratio <= 10.0:
         warnings.warn(
@@ -178,6 +191,7 @@ def diag_asym_log(k: int, order: int = 1) -> LogEstimate:
         raise ValueError("diag_asym_log needs k >= 1")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+    _check_size(k)
     base = 2.0 * math.lgamma(k + 1) - (2 * k + 1) * math.log(LOG2)
     if order == 1:
         return base - 0.5 * math.log(k * math.pi * (1 - LOG2))
@@ -212,10 +226,12 @@ def acsv_general_log(shift: tuple[int, int], n: int, k: int) -> LogEstimate:
     H = exp(-x) + exp(-y) - 1. Evaluates G(x,y) sqrt(-y H_y / (2 pi k Q))
     x^{-n} y^{-k} n! k! at the saddle point, with the H partials taken
     analytically and Q assembled from them literally; must reproduce the
-    closed-form estimators.
+    closed-form estimators. Raises ValueError where Q cancels, outside
+    about 1/250 <= n/k <= 250.
     """
     if n < 1 or k < 1:
         raise ValueError("acsv_general_log needs n, k >= 1")
+    _check_size(n, k)
     dn, dk = shift
     sp = saddle_point(n, k)
     x, y = sp.a, sp.b
@@ -231,7 +247,12 @@ def acsv_general_log(shift: tuple[int, int], n: int, k: int) -> LogEstimate:
         - x**2 * y**2 * (hy**2 * hxx + hx**2 * hyy - 2.0 * hx * hy * hxy)
     )
     if q <= 0:
-        raise ArithmeticError(f"Q = {q} <= 0 at direction ({n},{k})")
+        # Q > 0 analytically; its terms cancel in floating point once n/k
+        # leaves about [1/250, 250].
+        raise ValueError(
+            f"Q = {q} at direction ({n},{k}) cancels in floating point; "
+            "acsv_general_log needs n/k within about [1/250, 250]"
+        )
     inner = -y * hy / (k * q)
     if inner <= 0:
         raise ArithmeticError(f"radicand {inner} <= 0 at direction ({n},{k})")

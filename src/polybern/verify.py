@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from . import lclt, oracle, quad, saddle
 from .exactcomb import (
     c_relative,
-    factorial,
     log_of_count,
     ml_degree,
     ml_degree_inclusion_exclusion,
@@ -87,7 +86,7 @@ def criterion_formula_identities() -> CriterionResult:
                 failures.append(f"S({n},{m}) mismatch")
     for k in range(41):
         square_sum = sum(
-            (factorial(m) * stirling2(k + 1, m + 1)) ** 2 for m in range(k + 1)
+            (math.factorial(m) * stirling2(k + 1, m + 1)) ** 2 for m in range(k + 1)
         )
         if square_sum != poly_bernoulli(k, k):
             failures.append(f"diagonal square sum k={k}")

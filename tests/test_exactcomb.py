@@ -8,7 +8,6 @@ from polybern import exactcomb
 from polybern.exactcomb import (
     GuardError,
     c_relative,
-    factorial,
     log_of_count,
     ml_degree,
     ml_degree_inclusion_exclusion,
@@ -89,11 +88,6 @@ def test_stirling2_explicit_agrees_on_triangle():
             assert stirling2_explicit(n, k) == stirling2(n, k)
 
 
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(10) == math.factorial(10)
-
-
 def test_symmetry_b_and_d():
     for n in range(31):
         for k in range(n, 31):
@@ -119,7 +113,7 @@ def test_row_inclusion_exclusion_ties_c_to_d():
 def test_diagonal_square_sum():
     for k in range(41):
         expected = sum(
-            (factorial(m) * stirling2(k + 1, m + 1)) ** 2 for m in range(k + 1)
+            (math.factorial(m) * stirling2(k + 1, m + 1)) ** 2 for m in range(k + 1)
         )
         assert poly_bernoulli(k, k) == expected
 
@@ -173,6 +167,16 @@ def test_table_guard_trips_beyond_bound():
     bound = exactcomb.table_bound()
     with pytest.raises(GuardError):
         poly_bernoulli(bound + 1, 0)
+
+
+def test_guard_trip_leaves_rows_unchanged(monkeypatch):
+    rows = exactcomb._rows
+    size = len(rows)
+    monkeypatch.setenv("POLYBERN_MAX_N", str(size + 3))
+    with pytest.raises(GuardError, match="exceeds table bound"):
+        stirling2(size + 4, 1)
+    assert exactcomb._rows is rows
+    assert len(rows) == size
 
 
 def test_table_bound_env_override(monkeypatch):

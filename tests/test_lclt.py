@@ -11,7 +11,6 @@ from polybern.lclt import (
     ml_limit_discrepancy,
     ml_limit_shape,
     ml_scaled_coefficient,
-    ml_shape_params,
     ml_window,
     nu_density,
     scaled_coefficient,
@@ -149,12 +148,6 @@ def test_discrepancy_decreases_raw_and_scaled(which):
     assert sups[0] > sups[1] > sups[2] > sups[3]
     scaled = [s * math.sqrt(n) for s, n in zip(sups, (10, 20, 40, 80))]
     assert scaled[0] > scaled[1] > scaled[2] > scaled[3]
-
-
-def test_ml_shape_params():
-    p = ml_shape_params()
-    assert p.c2 == pytest.approx(1.0 / (4.0 * math.log(2.0)), rel=1e-15)
-    assert p.sigma2 == pytest.approx((1.0 - math.log(2.0)) / 4.0, rel=1e-15)
 
 
 def test_ml_limit_shape_peak():

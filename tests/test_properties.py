@@ -1,16 +1,43 @@
 """Property-based checks of the exact counts and the saddle layer."""
 
 import math
+import warnings
+from decimal import Decimal
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polybern.exactcomb import c_relative, factorial, ml_degree, poly_bernoulli, stirling2
-from polybern.saddle import f_dir, f_inverse
+from polybern import exactcomb
+from polybern.exactcomb import (
+    c_relative,
+    ml_degree,
+    poly_bernoulli,
+    stirling2,
+    stirling2_explicit,
+)
+from polybern.saddle import (
+    CompactnessWarning,
+    acsv_general_log,
+    bivar_asym_log,
+    d_diag_asym_log,
+    diag_asym_log,
+    excedance_asym_log,
+    f_dir,
+    f_inverse,
+    ml_asym_log,
+)
 
 sizes = st.integers(min_value=0, max_value=60)
 # log-uniform ratios r in [1/500, 500]
 ratios = st.floats(min_value=-math.log(500.0), max_value=math.log(500.0)).map(math.exp)
+# log-uniform integers in [1, 10**400]
+huge_sizes = st.floats(min_value=0.0, max_value=400.0).map(
+    lambda d: int(Decimal(10) ** Decimal(d))
+)
+# Stirling indices (n, m) with m <= n <= 200
+triangle_points = st.integers(min_value=0, max_value=200).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n))
+)
 
 
 @settings(deadline=None)
@@ -37,7 +64,7 @@ def test_c_is_column_inclusion_exclusion_over_b(n, k):
 @given(sizes, sizes)
 def test_b_matches_kaneko_one_row_form(n, k):
     expected = sum(
-        (-1) ** (m + n) * factorial(m) * stirling2(n, m) * (m + 1) ** k for m in range(n + 1)
+        (-1) ** (m + n) * math.factorial(m) * stirling2(n, m) * (m + 1) ** k for m in range(n + 1)
     )
     assert poly_bernoulli(n, k) == expected
 
@@ -52,3 +79,44 @@ def test_f_inverse_round_trip(r):
 @given(ratios)
 def test_f_inverse_variety_identity(r):
     assert abs(math.exp(-f_inverse(r)) + math.exp(-f_inverse(1.0 / r)) - 1.0) <= 1e-11
+
+
+@settings(deadline=None)
+@given(st.lists(triangle_points, min_size=1, max_size=8))
+def test_stirling_rows_grown_in_any_order_match_explicit(points):
+    saved = exactcomb._rows
+    exactcomb._rows = [[1]]
+    try:
+        for n, m in points:
+            assert stirling2(n, m) == stirling2_explicit(n, m)
+    finally:
+        exactcomb._rows = saved
+
+
+@settings(deadline=None)
+@given(huge_sizes, huge_sizes)
+@example(10**300, 10**300)
+@example(10**308, 10**308)
+@example(10**400, 10**400)
+@example(1, 260)
+@example(260, 1)
+def test_every_estimator_is_finite_or_value_error(n, k):
+    estimates = (
+        lambda: bivar_asym_log(n, k),
+        lambda: ml_asym_log(n, k),
+        lambda: excedance_asym_log(n, k),
+        lambda: acsv_general_log((1, 1), n, k),
+        lambda: acsv_general_log((1, 0), n, k),
+        lambda: acsv_general_log((0, 0), n, k),
+        lambda: diag_asym_log(n, 1),
+        lambda: diag_asym_log(k, 2),
+        lambda: d_diag_asym_log(n),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CompactnessWarning)
+        for estimate in estimates:
+            try:
+                value = estimate()
+            except ValueError:
+                continue
+            assert isinstance(value, float) and math.isfinite(value)

@@ -131,6 +131,31 @@ def test_estimators_outside_representable_cone_raise_value_error():
                     estimator(n, k)
 
 
+def test_acsv_cancellation_is_value_error_on_both_sides():
+    for shift in (POLY_BERNOULLI_GF, ML_DEGREE_GF, (1, 0)):
+        for n, k in ((260, 1), (1, 260)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CompactnessWarning)
+                with pytest.raises(ValueError, match=rf"direction \({n},{k}\)"):
+                    acsv_general_log(shift, n, k)
+
+
+def test_estimators_past_float_range_raise_value_error():
+    for size in (10**308, 10**400):
+        for estimate in (
+            lambda: bivar_asym_log(size, size),
+            lambda: ml_asym_log(size, size),
+            lambda: excedance_asym_log(size, size),
+            lambda: acsv_general_log(POLY_BERNOULLI_GF, size, size),
+            lambda: diag_asym_log(size, 2),
+            lambda: d_diag_asym_log(size),
+        ):
+            with pytest.raises(ValueError, match=r"n, k <= 10\*\*300"):
+                estimate()
+    assert math.isfinite(bivar_asym_log(10**300, 10**300))
+    assert math.isfinite(diag_asym_log(10**300, 2))
+
+
 def test_saddle_point_swap_swaps_components():
     sp = saddle_point(5, 9)
     sq = saddle_point(9, 5)
