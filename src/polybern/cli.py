@@ -110,9 +110,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if command == "verify":
         return RunConfig(command="verify")
     selector = getattr(args, "seq", None) or getattr(args, "which", None) or getattr(args, "target", "")
-    nodes = getattr(args, "nodes", 4096)
-    if nodes < 8 or nodes & (nodes - 1):
-        raise ValueError(f"nodes must be a power of two >= 8, got {nodes}")
     n_span = getattr(args, "n", None)
     if command == "lclt":
         n_span = (args.n, args.n)
@@ -126,7 +123,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         n=n_span,
         k=getattr(args, "k", (0, 0)),
         order=getattr(args, "order", 1),
-        nodes=nodes,
+        nodes=getattr(args, "nodes", 4096),
         radius=getattr(args, "radius", None),
         window=getattr(args, "window", 2.0),
         fmt=args.format,

@@ -46,16 +46,21 @@ def table_bound() -> int:
 _rows: list[list[Count]] = [[1]]
 
 
+def _check_table_bound(n: int, k: int = 0) -> None:
+    # The caller's own indices, on every call: rows already cached do not
+    # lift the bound. The shifted sums may then read row table_bound() + 1.
+    cap = table_bound()
+    if n > cap or k > cap:
+        name, value = ("n", n) if n > cap else ("k", k)
+        raise GuardError(f"{name}={value} exceeds table bound {cap} (set {_ENV_MAX_N} to raise it)")
+
+
 def _stirling_rows(n: int) -> list[list[Count]]:
-    # The triangle through row n, grown by the two-term recurrence within
-    # table_bound(); the guard trips before any row is built.
+    # The triangle through row n, grown by the two-term recurrence.
     global _rows
     rows = _rows
     if n < len(rows):
         return rows
-    cap = table_bound()
-    if n > cap:
-        raise GuardError(f"n={n} exceeds table bound {cap} (set {_ENV_MAX_N} to raise it)")
     rows = rows.copy()
     for size in range(len(rows), n + 1):
         prev = rows[-1]
@@ -68,6 +73,7 @@ def stirling2(n: int, m: int) -> Count:
     """Stirling number of the second kind: partitions of an n-set into m blocks."""
     if n < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
+    _check_table_bound(n)
     if m > n:
         return 0
     return _stirling_rows(n)[n][m]
@@ -101,13 +107,14 @@ def _shifted_sum(n: int, k: int, dn: int, dk: int) -> Count:
     # pairs (1,1), (1,0) and (0,0) (Kaneko 1997).
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
+    _check_table_bound(n, k)
     rows = _stirling_rows(max(n + dn, k + dk))
     top, side = rows[n + dn], rows[k + dk]
     total = 0
-    fact = 1  # m!
+    square = 1  # (m!)^2
     for m in range(min(n, k) + 1):
-        total += fact * fact * top[m + dn] * side[m + dk]
-        fact *= m + 1
+        total += square * top[m + dn] * side[m + dk]
+        square *= (m + 1) * (m + 1)
     return total
 
 

@@ -40,21 +40,29 @@ class QuadratureSpec:
             raise ValueError(f"radius must be positive, got {self.radius}")
 
 
-def u_poly(k: int, phi: float) -> complex:
-    """Coefficient polynomial sum_m m! S(k+1,m+1) y^m at y = exp(i phi)."""
+def _u_coefficients(k: int) -> list[float]:
+    # m! S(k+1,m+1) for m = 0..k; parseval_b reads them once for all nodes.
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > U_POLY_GUARD:
         raise GuardError(f"k={k} exceeds float-coefficient guard {U_POLY_GUARD}")
     try:
-        coeffs = [float(math.factorial(m) * stirling2(k + 1, m + 1)) for m in range(k + 1)]
+        return [float(math.factorial(m) * stirling2(k + 1, m + 1)) for m in range(k + 1)]
     except OverflowError as exc:
         raise GuardError(f"coefficient overflow at k={k}") from exc
+
+
+def _horner(coeffs: list[float], phi: float) -> complex:
     y = cmath.exp(1j * phi)
     acc = complex(0.0)
     for c in reversed(coeffs):
         acc = acc * y + c
     return acc
+
+
+def u_poly(k: int, phi: float) -> complex:
+    """Coefficient polynomial sum_m m! S(k+1,m+1) y^m at y = exp(i phi)."""
+    return _horner(_u_coefficients(k), phi)
 
 
 def parseval_b(k: int, spec: QuadratureSpec) -> float:
@@ -69,9 +77,10 @@ def parseval_b(k: int, spec: QuadratureSpec) -> float:
         raise GuardError(f"k={k} exceeds parseval guard {PARSEVAL_GUARD}")
     if spec.nodes < 2 * k + 4:
         raise GuardError(f"nodes={spec.nodes} below exactness bound {2 * k + 4}")
+    coeffs = _u_coefficients(k)
     total = 0.0
     for j in range(spec.nodes):
-        total += abs(u_poly(k, TWO_PI * j / spec.nodes)) ** 2
+        total += abs(_horner(coeffs, TWO_PI * j / spec.nodes)) ** 2
     return total / spec.nodes
 
 

@@ -94,11 +94,16 @@ def test_quad_residue_requires_n(capsys):
     assert code == 2 and "--n" in err
 
 
-def test_nodes_must_be_power_of_two(capsys):
-    code, _, err = run_cli(
+def test_nodes_follow_the_quadrature_rule(capsys):
+    # The library's rule (even, >= 8) is the only one: 100 is accepted.
+    code, out, _ = run_cli(
         capsys, "quad", "--which", "parseval", "--k", "3", "--nodes", "100"
     )
-    assert code == 2 and "power of two" in err
+    assert code == 0 and out.startswith("k,value,exact,relative_defect")
+    code, _, err = run_cli(
+        capsys, "quad", "--which", "parseval", "--k", "3", "--nodes", "9"
+    )
+    assert code == 2 and "even" in err
 
 
 def test_guard_exit_code(capsys):

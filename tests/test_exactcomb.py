@@ -179,6 +179,26 @@ def test_guard_trip_leaves_rows_unchanged(monkeypatch):
     assert len(rows) == size
 
 
+def test_table_guard_bounds_the_callers_indices(monkeypatch):
+    # B(n, k) and C(n, k) read row n + 1; n = table_bound() is still in range.
+    monkeypatch.delenv("POLYBERN_MAX_N", raising=False)
+    bound = exactcomb.table_bound()
+    assert poly_bernoulli(bound, 3) == poly_bernoulli(3, bound)
+    expected = sum((-1) ** j * math.comb(3, j) * poly_bernoulli(bound, 3 - j) for j in range(4))
+    assert c_relative(bound, 3) == expected
+
+
+def test_table_guard_holds_once_rows_exist(monkeypatch):
+    assert poly_bernoulli(200, 0) == 1
+    monkeypatch.setenv("POLYBERN_MAX_N", "100")
+    with pytest.raises(GuardError, match="n=150 exceeds table bound 100"):
+        poly_bernoulli(150, 0)
+    with pytest.raises(GuardError, match="k=150 exceeds table bound 100"):
+        ml_degree(0, 150)
+    with pytest.raises(GuardError, match="n=150 exceeds table bound 100"):
+        stirling2(150, 3)
+
+
 def test_table_bound_env_override(monkeypatch):
     monkeypatch.setenv("POLYBERN_MAX_N", "100")
     assert exactcomb.table_bound() == 100

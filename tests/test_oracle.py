@@ -44,12 +44,14 @@ def test_is_lonesum_nested_rows():
     assert is_lonesum(from_rows([[1, 1], [1, 0]]))
 
 
-@pytest.mark.parametrize("n,k", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 2), (2, 3), (3, 3), (4, 4)])
+@pytest.mark.parametrize(
+    "n,k", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (4, 6), (6, 4)]
+)
 def test_lonesum_matches_closed_form(n, k):
     assert count_lonesum(n, k) == poly_bernoulli(n, k)
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 3), (2, 4), (4, 3)])
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 3), (2, 4), (4, 3), (6, 4)])
 def test_gamma_free_matches_closed_form(n, k):
     assert count_gamma_free(n, k) == poly_bernoulli(n, k)
 
@@ -59,13 +61,13 @@ def test_gamma_free_single_row_is_unconstrained():
         assert count_gamma_free(1, k) == 2**k
 
 
-@pytest.mark.parametrize("n,k", [(0, 0), (1, 1), (2, 2), (2, 3), (3, 3), (4, 4)])
+@pytest.mark.parametrize("n,k", [(0, 0), (1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (4, 5), (5, 4)])
 def test_acyclic_orientations_match_closed_form(n, k):
     assert count_acyclic_orientations(n, k) == poly_bernoulli(n, k)
 
 
 @pytest.mark.parametrize(
-    "n,k", [(0, 0), (1, 1), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
+    "n,k", [(0, 0), (1, 1), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (5, 4)]
 )
 def test_vesztergombi_matches_closed_form(n, k):
     assert count_vesztergombi(n, k) == poly_bernoulli(n, k)
@@ -138,6 +140,34 @@ def test_matrix_guard():
         count_lonesum(5, 6)
     with pytest.raises(GuardError):
         count_gamma_free(25, 1)
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        count_lonesum,
+        count_gamma_free,
+        count_acyclic_orientations,
+        lambda n, k: count_lonesum_restricted(n, k, True, True),
+    ],
+)
+@pytest.mark.parametrize("n,k", [(10**6, 0), (0, 10**6)])
+def test_matrix_guard_bounds_each_side(count, n, k):
+    # n*k = 0 here, but the row sweep would still be n rows deep.
+    with pytest.raises(GuardError):
+        count(n, k)
+
+
+@pytest.mark.parametrize("n,k", [(4, 6), (6, 4)])
+def test_restricted_census_at_guard_edge(n, k):
+    assert count_lonesum_restricted(n, k, False, True) == c_relative(n, k)
+    assert count_lonesum_restricted(n, k, True, False) == c_relative(k, n)
+    assert count_lonesum_restricted(n, k, True, True) == ml_degree(n, k)
+
+
+def test_excedance_word_at_guard_edge():
+    for r in range(1, 11):
+        assert count_excedance_word(r, 10 - r) == c_relative(r, 10 - r)
 
 
 def test_orientation_guard():
