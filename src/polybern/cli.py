@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 from . import lclt, oracle, quad, saddle, verify
 from .exactcomb import GuardError, c_relative, log_of_count, ml_degree, poly_bernoulli
@@ -24,27 +24,11 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; ranges are inclusive (lo, hi) pairs."""
-
-    command: str
-    selector: str = ""
-    n: tuple[int, int] = (0, 0)
-    k: tuple[int, int] = (0, 0)
-    order: int = 1
-    nodes: int = 4096
-    radius: float | None = None
-    window: float = 2.0
-    fmt: str = "csv"
-    output: str | None = None
-
-
 # header, rows, and named trailer records (name -> field -> value)
-_Table = tuple[list[str], list[list[object]], dict[str, dict[str, object]]]
+_Table = tuple[list[str], list[Sequence[object]], dict[str, dict[str, object]]]
 
 
-def _span(text: str) -> tuple[int, int]:
+def _span(text: str) -> range:
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
@@ -55,7 +39,7 @@ def _span(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected INT or LO..HI, got {text!r}") from None
     if lo < 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"empty or negative range {text!r}")
-    return lo, hi
+    return range(lo, hi + 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,6 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--n", type=_span, required=True)
     p_exact.add_argument("--k", type=_span, required=True)
     add_output(p_exact)
+    p_exact.set_defaults(run=_run_exact)
 
     p_oracle = sub.add_parser("oracle", help="brute-force counts against the formula layer")
     p_oracle.add_argument(
@@ -79,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--n", type=_span, required=True)
     p_oracle.add_argument("--k", type=_span, required=True)
     add_output(p_oracle)
+    p_oracle.set_defaults(run=_run_oracle)
 
     p_asym = sub.add_parser("asym", help="log-space estimates against exact counts")
     p_asym.add_argument("--target", choices=("B", "D", "ML", "EXC"), required=True)
@@ -86,72 +72,51 @@ def _build_parser() -> argparse.ArgumentParser:
     p_asym.add_argument("--n", type=_span, required=True)
     p_asym.add_argument("--k", type=_span, required=True)
     add_output(p_asym)
+    p_asym.set_defaults(run=_run_asym)
 
     p_quad = sub.add_parser("quad", help="quadrature values and defects")
     p_quad.add_argument("--which", choices=("parseval", "laplace", "residue"), required=True)
     p_quad.add_argument("--nodes", type=int, default=4096)
-    p_quad.add_argument("--radius", type=float, default=None)
-    p_quad.add_argument("--n", type=_span, default=None)
+    p_quad.add_argument("--radius", type=float, default=None, help="residue only")
+    p_quad.add_argument("--n", type=_span, default=None, help="residue only, required there")
     p_quad.add_argument("--k", type=_span, required=True)
     add_output(p_quad)
+    p_quad.set_defaults(run=_run_quad)
 
     p_lclt = sub.add_parser("lclt", help="figure data and discrepancy report for one row")
     p_lclt.add_argument("--which", choices=("B", "D", "ML"), required=True)
     p_lclt.add_argument("--n", type=int, required=True)
-    p_lclt.add_argument("--window", type=float, default=2.0)
+    p_lclt.add_argument("--window", type=float, default=None, help="ML only; 2.0 when omitted")
     add_output(p_lclt)
+    p_lclt.set_defaults(run=_run_lclt)
 
     sub.add_parser("verify", help="run the acceptance suite; nonzero exit on failure")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    if command == "verify":
-        return RunConfig(command="verify")
-    selector = getattr(args, "seq", None) or getattr(args, "which", None) or getattr(args, "target", "")
-    n_span = getattr(args, "n", None)
-    if command == "lclt":
-        n_span = (args.n, args.n)
-    elif command == "quad" and n_span is None:
-        if selector == "residue":
-            raise ValueError("quad --which residue needs --n")
-        n_span = (0, 0)
-    return RunConfig(
-        command=command,
-        selector=selector,
-        n=n_span,
-        k=getattr(args, "k", (0, 0)),
-        order=getattr(args, "order", 1),
-        nodes=getattr(args, "nodes", 4096),
-        radius=getattr(args, "radius", None),
-        window=getattr(args, "window", 2.0),
-        fmt=args.format,
-        output=args.output,
-    )
+def _refuse_unused(args: argparse.Namespace, *flags: str) -> None:
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"{args.command} --which {args.which} takes no --{flag}")
 
 
-def _run_exact(cfg: RunConfig) -> _Table:
-    fn = {"B": poly_bernoulli, "C": c_relative, "D": ml_degree}[cfg.selector]
-    rows: list[list[object]] = []
-    for n in range(cfg.n[0], cfg.n[1] + 1):
-        for k in range(cfg.k[0], cfg.k[1] + 1):
-            rows.append([n, k, str(fn(n, k))])
-    return ["n", "k", "value"], rows, {}
+def _run_exact(args: argparse.Namespace) -> _Table:
+    fn = {"B": poly_bernoulli, "C": c_relative, "D": ml_degree}[args.seq]
+    return ["n", "k", "value"], [[n, k, str(fn(n, k))] for n in args.n for k in args.k], {}
 
 
-def _run_oracle(cfg: RunConfig) -> _Table:
+def _run_oracle(args: argparse.Namespace) -> _Table:
     oracle_fn = {
         "lonesum": oracle.count_lonesum,
         "gamma": oracle.count_gamma_free,
         "orient": oracle.count_acyclic_orientations,
         "veszt": oracle.count_vesztergombi,
         "excedance": oracle.count_excedance_word,
-    }[cfg.selector]
-    formula_fn = c_relative if cfg.selector == "excedance" else poly_bernoulli
-    rows: list[list[object]] = []
-    for n in range(cfg.n[0], cfg.n[1] + 1):
-        for k in range(cfg.k[0], cfg.k[1] + 1):
+    }[args.which]
+    formula_fn = c_relative if args.which == "excedance" else poly_bernoulli
+    rows: list[Sequence[object]] = []
+    for n in args.n:
+        for k in args.k:
             got = oracle_fn(n, k)
             expected = formula_fn(n, k)
             rows.append([n, k, str(got), str(expected), 1 if got == expected else 0])
@@ -183,54 +148,48 @@ def _asym_pair(target: str, order: int, n: int, k: int) -> tuple[float, float]:
     return log_of_count(exact_fn(n, k)), estimate_fn(n, k)
 
 
-def _run_asym(cfg: RunConfig) -> _Table:
-    rows: list[list[object]] = []
-    for n in range(cfg.n[0], cfg.n[1] + 1):
-        for k in range(cfg.k[0], cfg.k[1] + 1):
-            log_exact, log_estimate = _asym_pair(cfg.selector, cfg.order, n, k)
+def _run_asym(args: argparse.Namespace) -> _Table:
+    rows: list[Sequence[object]] = []
+    for n in args.n:
+        for k in args.k:
+            log_exact, log_estimate = _asym_pair(args.target, args.order, n, k)
             relative = math.exp(log_exact - log_estimate) - 1.0
             rows.append([n, k, log_exact, log_estimate, relative])
     return ["n", "k", "log_exact", "log_estimate", "relative_error"], rows, {}
 
 
-def _run_quad(cfg: RunConfig) -> _Table:
-    spec = quad.QuadratureSpec(nodes=cfg.nodes, radius=cfg.radius)
-    rows: list[list[object]] = []
-    if cfg.selector == "parseval":
-        for k in range(cfg.k[0], cfg.k[1] + 1):
+def _run_quad(args: argparse.Namespace) -> _Table:
+    if args.which != "residue":
+        _refuse_unused(args, "n", "radius")
+    elif args.n is None:
+        raise ValueError("quad --which residue needs --n")
+    spec = quad.QuadratureSpec(nodes=args.nodes, radius=args.radius)
+    rows: list[Sequence[object]] = []
+    if args.which == "parseval":
+        for k in args.k:
             value = quad.parseval_b(k, spec)
             exact = poly_bernoulli(k, k)
             rows.append([k, value, str(exact), value / exact - 1.0])
         return ["k", "value", "exact", "relative_defect"], rows, {}
-    if cfg.selector == "laplace":
-        for k in range(cfg.k[0], cfg.k[1] + 1):
+    if args.which == "laplace":
+        for k in args.k:
             log_integral = quad.laplace_integral_diag(k, spec)
             log_prediction = saddle.diag_asym_log(k, 1) - 2.0 * math.lgamma(k + 1)
             rows.append([k, log_integral, log_prediction, math.exp(log_integral - log_prediction) - 1.0])
         return ["k", "log_integral", "log_prediction", "ratio_defect"], rows, {}
-    for n in range(cfg.n[0], cfg.n[1] + 1):
-        for k in range(cfg.k[0], cfg.k[1] + 1):
+    for n in args.n:
+        for k in args.k:
             log_integral = quad.residue_integral_b(n, k, spec)
             log_exact = log_of_count(poly_bernoulli(n, k))
             rows.append([n, k, log_integral, log_exact, log_integral - log_exact])
     return ["n", "k", "log_integral", "log_exact", "log_defect"], rows, {}
 
 
-def _run_lclt(cfg: RunConfig) -> _Table:
-    n = cfg.n[0]
-    rows: list[list[object]] = []
-    if cfg.selector in ("B", "D"):
-        p = lclt.gaussian_params(cfg.selector)
-        report = lclt.lclt_discrepancy(n, cfg.selector)
-        for k in range(lclt.window_limit(n, p) + 1):
-            rows.append(
-                [k, lclt.scaled_coefficient(n, k, cfg.selector), p.prefactor * lclt.nu_density(n, k, p)]
-            )
-    else:
-        report = lclt.ml_limit_discrepancy(n, cfg.window)
-        lo, hi = lclt.ml_window(n, cfg.window)
-        for k in range(lo, hi + 1):
-            rows.append([k, lclt.ml_scaled_coefficient(n, k), lclt.ml_limit_shape(n, k)])
+def _run_lclt(args: argparse.Namespace) -> _Table:
+    if args.which != "ML":
+        _refuse_unused(args, "window")
+    window = 2.0 if args.window is None else args.window
+    rows, report = lclt.lclt_rows(args.n, args.which, window)
     trailer = {"n": report.n, "sup": report.sup, "argmax_k": report.argmax_k}
     return ["k", "scaled", "reference"], rows, {"discrepancy": trailer}
 
@@ -241,9 +200,9 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _emit(cfg: RunConfig, table: _Table) -> str:
+def _emit(fmt: str, table: _Table) -> str:
     header, rows, trailers = table
-    if cfg.fmt == "csv":
+    if fmt == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_cell(v) for v in row) for row in rows)
         for name, fields in trailers.items():
@@ -257,11 +216,11 @@ def _emit(cfg: RunConfig, table: _Table) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _write(cfg: RunConfig, text: str) -> None:
-    if cfg.output is None:
+def _write(output: str | None, text: str) -> None:
+    if output is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.output, "w", encoding="utf-8") as sink:
+        with open(output, "w", encoding="utf-8") as sink:
             sink.write(text)
 
 
@@ -272,15 +231,6 @@ def _run_verify() -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
-_RUNNERS = {
-    "exact": _run_exact,
-    "oracle": _run_oracle,
-    "asym": _run_asym,
-    "quad": _run_quad,
-    "lclt": _run_lclt,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -288,10 +238,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "verify":
+        if args.command == "verify":
             return _run_verify()
-        _write(cfg, _emit(cfg, _RUNNERS[cfg.command](cfg)))
+        _write(args.output, _emit(args.format, args.run(args)))
     except GuardError as exc:
         sys.stderr.write(f"guard violation: {exc}\n")
         return EXIT_GUARD

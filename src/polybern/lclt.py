@@ -48,6 +48,10 @@ class DiscrepancyReport:
     argmax_k: int
 
 
+# One figure row: k, the scaled exact coefficient, its limit reference.
+Row = tuple[int, float, float]
+
+
 def gaussian_params(which: str) -> GaussianParams:
     """Limit constants for sequence 'B' or 'D'; closed forms, no fitting."""
     key = which.upper()
@@ -100,29 +104,6 @@ def window_limit(n: int, p: GaussianParams) -> int:
     return min(math.ceil(n * p.mean_rate + 12.0 * math.sqrt(n * p.variance_rate)), SCALED_K_GUARD)
 
 
-def lclt_discrepancy(n: int, which: str) -> DiscrepancyReport:
-    """Sup-norm gap between the scaled sequence and its Gaussian limit.
-
-    Swept over the truncated window of window_limit; a tail guard asserts
-    the last windowed term is negligible against the sup.
-    """
-    if not 1 <= n <= SCALED_N_GUARD:
-        raise GuardError(f"n={n} outside 1..{SCALED_N_GUARD}")
-    p = gaussian_params(which)
-    k_max = window_limit(n, p)
-    sup = -1.0
-    argmax_k = -1
-    last = 0.0
-    for k in range(k_max + 1):
-        last = abs(scaled_coefficient(n, k, which) - p.prefactor * nu_density(n, k, p))
-        if last > sup:
-            sup = last
-            argmax_k = k
-    if last > _TAIL_RATIO * sup:
-        raise ArithmeticError(f"window truncation unsafe at n={n}: edge term {last} vs sup {sup}")
-    return DiscrepancyReport(n=n, sup=sup, argmax_k=argmax_k)
-
-
 def ml_limit_shape(n: int, k: float) -> float:
     """Limit-shape value 2^(-2(k - n/2)^2/(n(1 - log 2))) / ((4 log 2) sqrt(1 - log 2))."""
     if n < 1:
@@ -151,19 +132,63 @@ def ml_scaled_coefficient(n: int, k: int) -> float:
     return math.exp(n * math.log(2.0 * LOG2) - math.lgamma(n + 1) + log_of_count(count))
 
 
+def _report(n: int, rows: list[Row]) -> DiscrepancyReport:
+    # sup of |scaled - reference| over the rows, at its first k
+    sup = -1.0
+    argmax_k = -1
+    for k, scaled, reference in rows:
+        gap = abs(scaled - reference)
+        if gap > sup:
+            sup = gap
+            argmax_k = k
+    return DiscrepancyReport(n=n, sup=sup, argmax_k=argmax_k)
+
+
+def lclt_rows(n: int, which: str, window: float = 2.0) -> tuple[list[Row], DiscrepancyReport]:
+    """Figure rows (k, scaled, reference) of row n and their sup-norm report.
+
+    'B' and 'D' (2 <= n <= 200): scaled_coefficient against the prefactor
+    times nu_density for k = 0..window_limit(n); a tail guard asserts the
+    last row's gap is negligible against the sup. 'ML' (2 <= n <= 120):
+    ml_scaled_coefficient against ml_limit_shape over ml_window(n, window).
+    window is read for 'ML' only.
+    """
+    if which.upper() == "ML":
+        if not 2 <= n <= ML_SHAPE_N_GUARD:
+            raise GuardError(f"n={n} outside 2..{ML_SHAPE_N_GUARD}")
+        lo, hi = ml_window(n, window)
+        rows = [(k, ml_scaled_coefficient(n, k), ml_limit_shape(n, k)) for k in range(lo, hi + 1)]
+        return rows, _report(n, rows)
+    # n = 1 is left out: its window ends at k = 13, where the gap is still
+    # 6e-7 against a sup of 0.5, far above the tail guard.
+    if not 2 <= n <= SCALED_N_GUARD:
+        raise GuardError(f"n={n} outside 2..{SCALED_N_GUARD}")
+    p = gaussian_params(which)
+    rows = [
+        (k, scaled_coefficient(n, k, which), p.prefactor * nu_density(n, k, p))
+        for k in range(window_limit(n, p) + 1)
+    ]
+    report = _report(n, rows)
+    _, scaled, reference = rows[-1]
+    last = abs(scaled - reference)
+    if last > _TAIL_RATIO * report.sup:
+        raise ArithmeticError(f"window truncation unsafe at n={n}: edge term {last} vs sup {report.sup}")
+    return rows, report
+
+
+def lclt_discrepancy(n: int, which: str) -> DiscrepancyReport:
+    """Sup-norm gap between the scaled sequence and its Gaussian limit.
+
+    The report of lclt_rows(n, which) for 'B' or 'D', 2 <= n <= 200.
+    """
+    if which.upper() == "ML":
+        raise ValueError("which must be 'B' or 'D', got 'ML'; use ml_limit_discrepancy")
+    return lclt_rows(n, which)[1]
+
+
 def ml_limit_discrepancy(n: int, window: float = 2.0) -> DiscrepancyReport:
     """Sup-norm gap between (2 log 2)^n/n! ML(n-k,k) and the limit shape.
 
     Swept over integer k with |k - n/2| <= window sqrt(n), clipped to [0,n].
     """
-    if not 2 <= n <= ML_SHAPE_N_GUARD:
-        raise GuardError(f"n={n} outside 2..{ML_SHAPE_N_GUARD}")
-    lo, hi = ml_window(n, window)
-    sup = -1.0
-    argmax_k = -1
-    for k in range(lo, hi + 1):
-        gap = abs(ml_scaled_coefficient(n, k) - ml_limit_shape(n, k))
-        if gap > sup:
-            sup = gap
-            argmax_k = k
-    return DiscrepancyReport(n=n, sup=sup, argmax_k=argmax_k)
+    return lclt_rows(n, "ML", window)[1]

@@ -84,6 +84,11 @@ def parseval_b(k: int, spec: QuadratureSpec) -> float:
     return total / spec.nodes
 
 
+def _laplace_exponent(k: int, phi: float) -> float:
+    # log of the integrand: -(2k+2) log|log(1 + exp(-i phi))|
+    return -(2 * k + 2) * math.log(abs(cmath.log(1.0 + cmath.exp(-1j * phi))))
+
+
 def laplace_integrand_diag(k: int, phi: float) -> float:
     """Value of 1/|log(1 + exp(-i phi))|^(2k+2) on the open interval (-pi, pi)."""
     if k < 0:
@@ -92,25 +97,10 @@ def laplace_integrand_diag(k: int, phi: float) -> float:
         raise GuardError(f"k={k} exceeds laplace guard {LAPLACE_GUARD}")
     if not -math.pi < phi < math.pi:
         raise ValueError("phi must lie strictly inside (-pi, pi)")
-    modulus = abs(cmath.log(1.0 + cmath.exp(-1j * phi)))
-    exponent = -(2 * k + 2) * math.log(modulus)
+    exponent = _laplace_exponent(k, phi)
     if exponent < _EXP_FLOOR:
         return 0.0
     return math.exp(exponent)
-
-
-def _laplace_integral_log(k: int, nodes: int) -> float:
-    # Midpoint-offset nodes keep the rule away from the phi = +-pi
-    # singularity; terms are combined in log space since the peak value
-    # grows like (1/log 2)^(2k+2).
-    exponents = []
-    for j in range(nodes):
-        phi = -math.pi + (j + 0.5) * TWO_PI / nodes
-        modulus = abs(cmath.log(1.0 + cmath.exp(-1j * phi)))
-        exponents.append(-(2 * k + 2) * math.log(modulus))
-    top = max(exponents)
-    mean = sum(math.exp(e - top) for e in exponents) / nodes
-    return top + math.log(mean)
 
 
 def laplace_integral_diag(k: int, spec: QuadratureSpec) -> LogEstimate:
@@ -119,11 +109,21 @@ def laplace_integral_diag(k: int, spec: QuadratureSpec) -> LogEstimate:
         raise ValueError("k must be nonnegative")
     if k > LAPLACE_GUARD:
         raise GuardError(f"k={k} exceeds laplace guard {LAPLACE_GUARD}")
-    return _laplace_integral_log(k, spec.nodes)
+    # Midpoint-offset nodes keep the rule away from the phi = +-pi
+    # singularity; terms are combined in log space since the peak value
+    # grows like (1/log 2)^(2k+2).
+    exponents = [_laplace_exponent(k, -math.pi + (j + 0.5) * TWO_PI / spec.nodes) for j in range(spec.nodes)]
+    top = max(exponents)
+    mean = sum(math.exp(e - top) for e in exponents) / spec.nodes
+    return top + math.log(mean)
 
 
-def _residue_trapezoid(n: int, k: int, spec: QuadratureSpec) -> tuple[float, complex]:
-    # Returns (peak log magnitude, complex mean of the rescaled terms).
+def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
+    """Log of the circle-integral recovery of B(n,k).
+
+    Parameterizes the full circle |x| = radius, folds n! k! back in, and
+    keeps the real part; the imaginary part cancels by conjugate symmetry.
+    """
     if not (1 <= n <= RESIDUE_GUARD and 1 <= k <= RESIDUE_GUARD):
         raise GuardError(f"(n,k)=({n},{k}) outside residue guard 1..{RESIDUE_GUARD}")
     radius = spec.radius if spec.radius is not None else saddle_point(n, k).a
@@ -138,18 +138,9 @@ def _residue_trapezoid(n: int, k: int, spec: QuadratureSpec) -> tuple[float, com
         x = radius * cmath.exp(1j * TWO_PI * j / spec.nodes)
         lg = cmath.log(1.0 - cmath.exp(-x))
         logs.append(-n * cmath.log(x) - lg - (k + 1) * cmath.log(-lg))
+    # terms are rescaled by the peak magnitude before averaging
     top = max(w.real for w in logs)
     mean = sum(cmath.exp(w - top) for w in logs) / spec.nodes
-    return top, mean
-
-
-def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
-    """Log of the circle-integral recovery of B(n,k).
-
-    Parameterizes the full circle |x| = radius, folds n! k! back in, and
-    keeps the real part; the imaginary part cancels by conjugate symmetry.
-    """
-    top, mean = _residue_trapezoid(n, k, spec)
     if mean.real <= 0:
         raise ArithmeticError(f"quadrature mean {mean} lost positivity at ({n},{k})")
     return math.lgamma(n + 1) + math.lgamma(k + 1) + top + math.log(mean.real)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from polybern.cli import main
+from polybern.quad import QuadratureSpec, residue_integral_b
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +95,35 @@ def test_quad_residue_requires_n(capsys):
     assert code == 2 and "--n" in err
 
 
+def test_quad_residue_reads_radius(capsys):
+    code, out, _ = run_cli(
+        capsys, "quad", "--which", "residue", "--n", "6", "--k", "6", "--nodes", "2048", "--radius", "0.5"
+    )
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert row[:2] == ["6", "6"]
+    assert float(row[2]) == residue_integral_b(6, 6, QuadratureSpec(2048, 0.5))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "quad --which parseval --k 3 --n 3",
+        "quad --which parseval --k 3 --radius 0.5",
+        "quad --which laplace --k 3 --n 3",
+        "quad --which laplace --k 3 --radius 0.5",
+        "lclt --which B --n 10 --window 99",
+        "lclt --which D --n 10 --window 2",
+    ],
+)
+def test_unused_flag_is_config_error(capsys, command):
+    # the refused flag is the last but one word of the command
+    argv = command.split()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"takes no {argv[-2]}" in err
+
+
 def test_nodes_follow_the_quadrature_rule(capsys):
     # The library's rule (even, >= 8) is the only one: 100 is accepted.
     code, out, _ = run_cli(
@@ -109,6 +139,10 @@ def test_nodes_follow_the_quadrature_rule(capsys):
 def test_guard_exit_code(capsys):
     code, _, err = run_cli(capsys, "oracle", "--which", "lonesum", "--n", "10", "--k", "10")
     assert code == 3 and "guard" in err.lower()
+    # n = 1 lies outside the B and D rows' domain 2..200
+    for which in ("B", "D"):
+        code, out, err = run_cli(capsys, "lclt", "--which", which, "--n", "1")
+        assert code == 3 and out == "" and "2..200" in err
 
 
 def test_bad_range_is_config_error(capsys):
@@ -123,6 +157,31 @@ def test_lclt_trailer_comment(capsys):
     lines = out.splitlines()
     assert lines[0] == "k,scaled,reference"
     assert lines[-1].startswith("# discrepancy,n=30,sup=")
+    # --window sets the ML window, |k - n/2| <= window sqrt(n)
+    code, out, _ = run_cli(capsys, "lclt", "--which", "ML", "--n", "30", "--window", "3.5")
+    assert code == 0
+    assert [int(line.split(",")[0]) for line in out.splitlines()[1:-1]] == list(range(0, 31))
+
+
+def _printed_rows_and_trailer(out, fmt):
+    if fmt == "json":
+        payload = json.loads(out)
+        rows = [(r["k"], r["scaled"], r["reference"]) for r in payload["rows"]]
+        return rows, payload["discrepancy"]
+    lines = out.splitlines()
+    rows = [(int(k), float(s), float(r)) for k, s, r in (line.split(",") for line in lines[1:-1])]
+    fields = dict(field.split("=") for field in lines[-1].split(",")[1:])
+    return rows, {"n": int(fields["n"]), "sup": float(fields["sup"]), "argmax_k": int(fields["argmax_k"])}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("which", ["B", "D", "ML"])
+def test_lclt_trailer_is_the_sup_of_the_printed_rows(capsys, which, fmt):
+    code, out, _ = run_cli(capsys, "lclt", "--which", which, "--n", "57", "--format", fmt)
+    assert code == 0
+    rows, trailer = _printed_rows_and_trailer(out, fmt)
+    worst = max(rows, key=lambda row: abs(row[1] - row[2]))
+    assert trailer == {"n": 57, "sup": abs(worst[1] - worst[2]), "argmax_k": worst[0]}
 
 
 def test_lclt_json_discrepancy_field(capsys):

@@ -8,6 +8,7 @@ from polybern.exactcomb import GuardError
 from polybern.lclt import (
     gaussian_params,
     lclt_discrepancy,
+    lclt_rows,
     ml_limit_discrepancy,
     ml_limit_shape,
     ml_scaled_coefficient,
@@ -134,6 +135,33 @@ def test_discrepancy_d_frozen(n, sup, argmax):
     assert report.argmax_k == argmax
 
 
+@pytest.mark.parametrize("which", ["B", "D"])
+def test_discrepancy_domain_is_2_to_200(which):
+    # At n = 1 the window's edge gap is 6e-7 of the sup, above the tail
+    # guard; the domain starts at 2 instead of raising ArithmeticError.
+    for n in (1, 201):
+        with pytest.raises(GuardError):
+            lclt_discrepancy(n, which)
+    assert lclt_discrepancy(2, which).n == 2
+    assert lclt_discrepancy(200, which).n == 200
+    with pytest.raises(ValueError):
+        lclt_discrepancy(30, "ML")
+
+
+@pytest.mark.parametrize("which,n", [("B", 2), ("B", 57), ("D", 2), ("D", 200), ("ML", 2), ("ML", 57)])
+def test_rows_carry_their_report(which, n):
+    rows, report = lclt_rows(n, which)
+    if which == "ML":
+        lo, hi = ml_window(n, 2.0)
+        assert report == ml_limit_discrepancy(n)
+    else:
+        lo, hi = 0, window_limit(n, gaussian_params(which))
+        assert report == lclt_discrepancy(n, which)
+    assert [k for k, _, _ in rows] == list(range(lo, hi + 1))
+    worst = max(rows, key=lambda row: abs(row[1] - row[2]))
+    assert (report.n, report.sup, report.argmax_k) == (n, abs(worst[1] - worst[2]), worst[0])
+
+
 def test_discrepancy_peaks_near_the_mode():
     p = gaussian_params("B")
     report = lclt_discrepancy(40, "B")
@@ -192,3 +220,6 @@ def test_ml_guards():
         ml_limit_discrepancy(121, 2.0)
     with pytest.raises(ValueError):
         ml_limit_discrepancy(30, 0.0)
+    with pytest.raises(GuardError):
+        ml_limit_discrepancy(1, 2.0)
+    assert ml_limit_discrepancy(30, 3.5) == lclt_rows(30, "ML", 3.5)[1]

@@ -1,5 +1,6 @@
 """Quadrature layer: circle means, Laplace integrals, residue contours."""
 
+import cmath
 import math
 
 import pytest
@@ -14,7 +15,7 @@ from polybern.quad import (
     residue_integral_b,
     u_poly,
 )
-from polybern.saddle import diag_asym_log
+from polybern.saddle import diag_asym_log, saddle_point
 
 
 def test_spec_validates_nodes():
@@ -126,10 +127,20 @@ def test_residue_matches_exact_count():
 
 
 def test_residue_mean_is_nearly_real():
-    from polybern.quad import _residue_trapezoid
-
-    _, mean = _residue_trapezoid(8, 12, QuadratureSpec(nodes=4096))
+    # The trapezoid mean of x^-n / ((1 - e^-x) (-log(1 - e^-x))^(k+1)),
+    # evaluated directly: its imaginary part cancels, and n! k! times its
+    # real part is what residue_integral_b returns in log space.
+    n, k, nodes = 8, 12, 4096
+    radius = saddle_point(n, k).a
+    total = 0j
+    for j in range(nodes):
+        x = radius * cmath.exp(2j * math.pi * j / nodes)
+        lg = cmath.log(1.0 - cmath.exp(-x))
+        total += x**-n / (1.0 - cmath.exp(-x)) / (-lg) ** (k + 1)
+    mean = total / nodes
     assert abs(mean.imag) <= 1e-8 * abs(mean.real)
+    direct = math.lgamma(n + 1) + math.lgamma(k + 1) + math.log(mean.real)
+    assert residue_integral_b(n, k, QuadratureSpec(nodes=nodes)) == pytest.approx(direct, rel=1e-12)
 
 
 def test_residue_doubling_is_stable():
