@@ -12,14 +12,10 @@ from .exactcomb import (
     stirling2_explicit,
 )
 from .lclt import (
-    DiscrepancyReport,
-    GaussianParams,
     gaussian_params,
     lclt_discrepancy,
     ml_limit_discrepancy,
     ml_limit_shape,
-    nu_density,
-    scaled_coefficient,
 )
 from .oracle import (
     count_acyclic_orientations,
@@ -36,13 +32,11 @@ from .quad import (
     parseval_b,
     residue_defect,
     residue_integral_b,
-    u_poly,
 )
 from .saddle import (
     CompactnessWarning,
     ML_DEGREE_GF,
     POLY_BERNOULLI_GF,
-    SaddlePoint,
     acsv_general_log,
     bivar_asym_log,
     d_diag_asym_log,
@@ -53,20 +47,16 @@ from .saddle import (
     ml_asym_log,
     saddle_point,
 )
-from .verify import CriterionResult, report_lines, run_all
+from .verify import report_lines, run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CompactnessWarning",
-    "CriterionResult",
-    "DiscrepancyReport",
-    "GaussianParams",
     "GuardError",
     "ML_DEGREE_GF",
     "POLY_BERNOULLI_GF",
     "QuadratureSpec",
-    "SaddlePoint",
     "acsv_general_log",
     "bivar_asym_log",
     "c_relative",
@@ -91,7 +81,6 @@ __all__ = [
     "ml_degree_inclusion_exclusion",
     "ml_limit_discrepancy",
     "ml_limit_shape",
-    "nu_density",
     "parseval_b",
     "poly_bernoulli",
     "residue_defect",
@@ -99,9 +88,7 @@ __all__ = [
     "run_all",
     "report_lines",
     "saddle_point",
-    "scaled_coefficient",
     "stirling2",
     "stirling2_explicit",
-    "u_poly",
     "__version__",
 ]

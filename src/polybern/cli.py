@@ -4,7 +4,7 @@ Subcommands expose each layer: exact tables, oracle cross-checks,
 asymptotic comparisons, quadrature verifications, LCLT figure data, and
 the full acceptance suite. Output is deterministic: counts are decimal
 strings, floats use shortest round-trip formatting, rows are ordered by
-(n, k), and no timings or environment data are emitted.
+(n, k), and no timings or host data are emitted.
 """
 
 from __future__ import annotations
@@ -174,6 +174,9 @@ def _run_quad(args: argparse.Namespace) -> _Table:
     if args.which == "laplace":
         for k in args.k:
             log_integral = quad.laplace_integral_diag(k, spec)
+            if k == 0:  # diag_asym_log starts at k = 1
+                rows.append([k, log_integral, None, None])
+                continue
             log_prediction = saddle.diag_asym_log(k, 1) - 2.0 * math.lgamma(k + 1)
             rows.append([k, log_integral, log_prediction, math.exp(log_integral - log_prediction) - 1.0])
         return ["k", "log_integral", "log_prediction", "ratio_defect"], rows, {}
@@ -188,13 +191,14 @@ def _run_quad(args: argparse.Namespace) -> _Table:
 def _run_lclt(args: argparse.Namespace) -> _Table:
     if args.which != "ML":
         _refuse_unused(args, "window")
-    window = 2.0 if args.window is None else args.window
-    rows, report = lclt.lclt_rows(args.n, args.which, window)
+    rows, report = lclt.lclt_rows(args.n, args.which, args.window)
     trailer = {"n": report.n, "sup": report.sup, "argmax_k": report.argmax_k}
     return ["k", "scaled", "reference"], rows, {"discrepancy": trailer}
 
 
 def _cell(value: object) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)

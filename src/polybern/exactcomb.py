@@ -8,7 +8,6 @@ lossless conversion of huge counts to natural logs.
 from __future__ import annotations
 
 import math
-import os
 
 # Counts are plain Python ints: arbitrary precision, nonnegative, and they
 # round-trip exactly through str()/int().
@@ -18,26 +17,13 @@ Count = int
 # positive quantity.
 LogEstimate = float
 
-DEFAULT_MAX_N = 512
-_ENV_MAX_N = "POLYBERN_MAX_N"
+# Largest n or k a caller may pass to the exact tables. B(n, k) and C(n, k)
+# read row n + 1, so the triangle holds at most TABLE_GUARD + 2 rows.
+TABLE_GUARD = 512
 
 
 class GuardError(ValueError):
     """A size guard was exceeded (table bound or enumeration bound)."""
-
-
-def table_bound() -> int:
-    """Hard cap on table growth, overridable via POLYBERN_MAX_N."""
-    raw = os.environ.get(_ENV_MAX_N)
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        bound = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_ENV_MAX_N} must be an integer, got {raw!r}") from exc
-    if bound < 0:
-        raise ValueError(f"{_ENV_MAX_N} must be nonnegative, got {bound}")
-    return bound
 
 
 # _rows[n] is the row S(n, 0..n). Growth extends a copy and rebinds the
@@ -46,13 +32,12 @@ def table_bound() -> int:
 _rows: list[list[Count]] = [[1]]
 
 
-def _check_table_bound(n: int, k: int = 0) -> None:
+def _check_table_guard(n: int, k: int = 0) -> None:
     # The caller's own indices, on every call: rows already cached do not
-    # lift the bound. The shifted sums may then read row table_bound() + 1.
-    cap = table_bound()
-    if n > cap or k > cap:
-        name, value = ("n", n) if n > cap else ("k", k)
-        raise GuardError(f"{name}={value} exceeds table bound {cap} (set {_ENV_MAX_N} to raise it)")
+    # lift the bound.
+    if n > TABLE_GUARD or k > TABLE_GUARD:
+        name, value = ("n", n) if n > TABLE_GUARD else ("k", k)
+        raise GuardError(f"{name}={value} exceeds table bound {TABLE_GUARD}")
 
 
 def _stirling_rows(n: int) -> list[list[Count]]:
@@ -73,7 +58,7 @@ def stirling2(n: int, m: int) -> Count:
     """Stirling number of the second kind: partitions of an n-set into m blocks."""
     if n < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
-    _check_table_bound(n)
+    _check_table_guard(n)
     if m > n:
         return 0
     return _stirling_rows(n)[n][m]
@@ -107,7 +92,7 @@ def _shifted_sum(n: int, k: int, dn: int, dk: int) -> Count:
     # pairs (1,1), (1,0) and (0,0) (Kaneko 1997).
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    _check_table_bound(n, k)
+    _check_table_guard(n, k)
     rows = _stirling_rows(max(n + dn, k + dk))
     top, side = rows[n + dn], rows[k + dk]
     total = 0

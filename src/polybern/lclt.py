@@ -144,21 +144,24 @@ def _report(n: int, rows: list[Row]) -> DiscrepancyReport:
     return DiscrepancyReport(n=n, sup=sup, argmax_k=argmax_k)
 
 
-def lclt_rows(n: int, which: str, window: float = 2.0) -> tuple[list[Row], DiscrepancyReport]:
+def lclt_rows(n: int, which: str, window: float | None = None) -> tuple[list[Row], DiscrepancyReport]:
     """Figure rows (k, scaled, reference) of row n and their sup-norm report.
 
     'B' and 'D' (2 <= n <= 200): scaled_coefficient against the prefactor
     times nu_density for k = 0..window_limit(n); a tail guard asserts the
     last row's gap is negligible against the sup. 'ML' (2 <= n <= 120):
-    ml_scaled_coefficient against ml_limit_shape over ml_window(n, window).
-    window is read for 'ML' only.
+    ml_scaled_coefficient against ml_limit_shape over ml_window(n, window),
+    with window 2.0 when None. Passing a window for 'B' or 'D' is a
+    ValueError.
     """
     if which.upper() == "ML":
         if not 2 <= n <= ML_SHAPE_N_GUARD:
             raise GuardError(f"n={n} outside 2..{ML_SHAPE_N_GUARD}")
-        lo, hi = ml_window(n, window)
+        lo, hi = ml_window(n, 2.0 if window is None else window)
         rows = [(k, ml_scaled_coefficient(n, k), ml_limit_shape(n, k)) for k in range(lo, hi + 1)]
         return rows, _report(n, rows)
+    if window is not None:
+        raise ValueError(f"window applies to 'ML' only, got {window} for {which!r}")
     # n = 1 is left out: its window ends at k = 13, where the gap is still
     # 6e-7 against a sup of 0.5, far above the tail guard.
     if not 2 <= n <= SCALED_N_GUARD:
@@ -186,9 +189,10 @@ def lclt_discrepancy(n: int, which: str) -> DiscrepancyReport:
     return lclt_rows(n, which)[1]
 
 
-def ml_limit_discrepancy(n: int, window: float = 2.0) -> DiscrepancyReport:
+def ml_limit_discrepancy(n: int, window: float | None = None) -> DiscrepancyReport:
     """Sup-norm gap between (2 log 2)^n/n! ML(n-k,k) and the limit shape.
 
-    Swept over integer k with |k - n/2| <= window sqrt(n), clipped to [0,n].
+    Swept over integer k with |k - n/2| <= window sqrt(n), clipped to [0,n];
+    window is 2.0 when None.
     """
     return lclt_rows(n, "ML", window)[1]

@@ -1,7 +1,7 @@
 """Acceptance suite: every release criterion as a callable check.
 
 Each criterion returns a CriterionResult with a deterministic detail
-string (no timings, no environment data), so consecutive runs emit
+string (no timings, no host or version data), so consecutive runs emit
 byte-identical reports.
 """
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from polybern.cli import main
-from polybern.quad import QuadratureSpec, residue_integral_b
+from polybern.quad import QuadratureSpec, laplace_integral_diag, residue_integral_b
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +88,38 @@ def test_quad_laplace_emits_logs(capsys):
     assert code == 0
     row = out.splitlines()[1].split(",")
     assert abs(float(row[3])) < 0.02
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_quad_laplace_k0_row_has_no_prediction(capsys, fmt):
+    # diag_asym_log starts at k = 1: the k = 0 row leaves its prediction
+    # cells empty instead of aborting the grid.
+    code, out, err = run_cli(
+        capsys, "quad", "--which", "laplace", "--k", "0..2", "--nodes", "64", "--format", fmt
+    )
+    assert code == 0 and err == ""
+    _, alone, _ = run_cli(
+        capsys, "quad", "--which", "laplace", "--k", "1..2", "--nodes", "64", "--format", fmt
+    )
+    if fmt == "csv":
+        lines = out.splitlines()
+        assert lines[1].startswith("0,") and lines[1].endswith(",,")
+        assert float(lines[1].split(",")[1]) == laplace_integral_diag(0, QuadratureSpec(64))
+        assert lines[:1] + lines[2:] == alone.splitlines()
+    else:
+        rows = json.loads(out)["rows"]
+        assert rows[0]["k"] == 0
+        assert rows[0]["log_prediction"] is None and rows[0]["ratio_defect"] is None
+        assert rows[1:] == json.loads(alone)["rows"]
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan"])
+def test_quad_residue_non_finite_radius_is_config_error(capsys, radius):
+    code, out, err = run_cli(
+        capsys, "quad", "--which", "residue", "--n", "3", "--k", "3", "--nodes", "64", "--radius", radius
+    )
+    assert code == 2 and out == ""
+    assert "radius must be finite and positive" in err
 
 
 def test_quad_residue_requires_n(capsys):

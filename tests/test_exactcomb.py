@@ -164,7 +164,7 @@ def test_negative_arguments_rejected(fn):
 
 
 def test_table_guard_trips_beyond_bound():
-    bound = exactcomb.table_bound()
+    bound = exactcomb.TABLE_GUARD
     with pytest.raises(GuardError):
         poly_bernoulli(bound + 1, 0)
 
@@ -172,17 +172,17 @@ def test_table_guard_trips_beyond_bound():
 def test_guard_trip_leaves_rows_unchanged(monkeypatch):
     rows = exactcomb._rows
     size = len(rows)
-    monkeypatch.setenv("POLYBERN_MAX_N", str(size + 3))
+    monkeypatch.setattr(exactcomb, "TABLE_GUARD", size + 3)
     with pytest.raises(GuardError, match="exceeds table bound"):
         stirling2(size + 4, 1)
     assert exactcomb._rows is rows
     assert len(rows) == size
 
 
-def test_table_guard_bounds_the_callers_indices(monkeypatch):
-    # B(n, k) and C(n, k) read row n + 1; n = table_bound() is still in range.
-    monkeypatch.delenv("POLYBERN_MAX_N", raising=False)
-    bound = exactcomb.table_bound()
+def test_table_guard_bounds_the_callers_indices():
+    # B(n, k) and C(n, k) read row n + 1; n = TABLE_GUARD is still in range.
+    bound = exactcomb.TABLE_GUARD
+    assert bound == 512
     assert poly_bernoulli(bound, 3) == poly_bernoulli(3, bound)
     expected = sum((-1) ** j * math.comb(3, j) * poly_bernoulli(bound, 3 - j) for j in range(4))
     assert c_relative(bound, 3) == expected
@@ -190,18 +190,21 @@ def test_table_guard_bounds_the_callers_indices(monkeypatch):
 
 def test_table_guard_holds_once_rows_exist(monkeypatch):
     assert poly_bernoulli(200, 0) == 1
-    monkeypatch.setenv("POLYBERN_MAX_N", "100")
-    with pytest.raises(GuardError, match="n=150 exceeds table bound 100"):
+    monkeypatch.setattr(exactcomb, "TABLE_GUARD", 100)
+    with pytest.raises(GuardError, match="^n=150 exceeds table bound 100$"):
         poly_bernoulli(150, 0)
-    with pytest.raises(GuardError, match="k=150 exceeds table bound 100"):
+    with pytest.raises(GuardError, match="^k=150 exceeds table bound 100$"):
         ml_degree(0, 150)
-    with pytest.raises(GuardError, match="n=150 exceeds table bound 100"):
+    with pytest.raises(GuardError, match="^n=150 exceeds table bound 100$"):
         stirling2(150, 3)
 
 
-def test_table_bound_env_override(monkeypatch):
+def test_table_guard_ignores_the_environment(monkeypatch):
+    # The bound is a constant: no environment variable lowers or raises it.
     monkeypatch.setenv("POLYBERN_MAX_N", "100")
-    assert exactcomb.table_bound() == 100
+    assert poly_bernoulli(150, 0) == 1
+    with pytest.raises(GuardError, match="exceeds table bound 512"):
+        poly_bernoulli(513, 0)
 
 
 def test_table_growth_is_transparent():

@@ -223,3 +223,14 @@ def test_ml_guards():
     with pytest.raises(GuardError):
         ml_limit_discrepancy(1, 2.0)
     assert ml_limit_discrepancy(30, 3.5) == lclt_rows(30, "ML", 3.5)[1]
+
+
+def test_window_is_ml_only():
+    # ML reads 2.0 when no window is given; B and D take none.
+    assert lclt_rows(30, "ML") == lclt_rows(30, "ML", 2.0)
+    assert ml_limit_discrepancy(30) == ml_limit_discrepancy(30, 2.0)
+    for which in ("B", "D"):
+        with pytest.raises(ValueError, match="window applies to 'ML' only"):
+            lclt_rows(20, which, window=99)
+        with pytest.raises(ValueError, match="window applies to 'ML' only"):
+            lclt_rows(20, which, window=2.0)

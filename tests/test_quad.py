@@ -21,8 +21,9 @@ from polybern.saddle import diag_asym_log, saddle_point
 def test_spec_validates_nodes():
     with pytest.raises(ValueError):
         QuadratureSpec(nodes=7)
-    with pytest.raises(ValueError):
-        QuadratureSpec(nodes=10, radius=-1.0)
+    for radius in (-1.0, 0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            QuadratureSpec(nodes=10, radius=radius)
     spec = QuadratureSpec(nodes=64, radius=0.5)
     assert spec.nodes == 64 and spec.radius == 0.5
 
