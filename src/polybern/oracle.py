@@ -1,48 +1,60 @@
 """Enumeration oracles for the combinatorial interpretations.
 
 Every counter decides membership from the raw definition, independently
-of the closed-form layer in exactcomb, under a hard size guard. Matrices
-are built depth first one row at a time, keeping a row only if it fits
-the rows above it; every matrix property here is hereditary, so a failed
-prefix is never extended. Permutations are placed one position at a
-time, each from its own range of values. Ground truth, not speed.
+of the closed-form layer in exactcomb, under a hard size guard. The
+counters count states, not objects. A matrix is built one row at a time,
+keeping a row only if it fits the rows above it; each test reads those
+rows only as a set, so the sweep keeps, per set of distinct rows, the
+number of prefixes holding it. Each property is closed under transpose,
+so rows are swept at width min(n, k). Permutations are placed one
+position at a time, each from its own range of values, and counted per
+set of values used (the bitmask permanent recurrence).
 """
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Collection, Hashable, Sequence
 
 from .exactcomb import Count, GuardError
 
-MATRIX_GUARD = 24
-ORIENTATION_GUARD = 20
-VESZTERGOMBI_GUARD = 9
-EXCEDANCE_GUARD = 10
+MATRIX_GUARD = 30
+ORIENTATION_GUARD = 30
+VESZTERGOMBI_GUARD = 14
+EXCEDANCE_GUARD = 14
 
 
-def _row_sweep(n: int, k: int, fits: Callable[[list[int], int], bool]) -> Iterator[list[int]]:
+def _set_sweep(
+    n: int,
+    k: int,
+    fits: Callable[[frozenset[int], int], bool],
+    leaf: Callable[[frozenset[int]], Hashable],
+) -> Counter[Hashable]:
     # Every n-row matrix of k-bit row masks whose each row fits the rows
-    # above it, depth first. The yielded list is the live prefix, valid
-    # until the sweep resumes.
-    rows: list[int] = []
-    choices = range(1 << k)
+    # above it, tallied by leaf(set of its distinct rows). `fits` must read
+    # the rows above only as a set; then a prefix's completions depend on
+    # its set alone, and each layer maps a set to the prefixes reaching it.
+    layer = {frozenset(): 1}
+    for _ in range(n):
+        below: dict[frozenset[int], Count] = {}
+        for above, ways in layer.items():
+            for row in range(1 << k):
+                if fits(above, row):
+                    key = above | {row}
+                    below[key] = below.get(key, 0) + ways
+        layer = below
+    tally: Counter[Hashable] = Counter()
+    for rows, ways in layer.items():
+        tally[leaf(rows)] += ways
+    return tally
 
-    def extend() -> Iterator[list[int]]:
-        if len(rows) == n:
-            yield rows
-            return
-        for row in choices:
-            if fits(rows, row):
-                rows.append(row)
-                yield from extend()
-                rows.pop()
 
-    return extend()
+def _count_matrices(n: int, k: int, fits: Callable[[frozenset[int], int], bool]) -> Count:
+    # The property is closed under transpose: sweep the narrower side.
+    return sum(_set_sweep(max(n, k), min(n, k), fits, lambda rows: None).values())
 
 
-def _comparable(rows: Sequence[int], row: int) -> bool:
+def _comparable(rows: Collection[int], row: int) -> bool:
     # A column where only one row is set plus a column where only the other
     # is set give one of the two forbidden 2x2 patterns in one column order
     # or the other, so a row pair is safe iff either difference set is empty.
@@ -60,7 +72,7 @@ def is_lonesum(rows: Sequence[int]) -> bool:
     return all(_comparable(rows[:i], rows[i]) for i in range(len(rows)))
 
 
-def _gamma_free_below(rows: Sequence[int], row: int) -> bool:
+def _gamma_free_below(rows: Collection[int], row: int) -> bool:
     # Violation: entries (i,j), (i,j'), (i',j) all 1 with i<i', j<j', the
     # new row being row i'. Take the lowest column it shares with a row
     # above; any higher set bit of that row completes the pattern.
@@ -71,7 +83,7 @@ def _gamma_free_below(rows: Sequence[int], row: int) -> bool:
     return True
 
 
-def _acyclic_with(rows: Sequence[int], row: int) -> bool:
+def _acyclic_with(rows: Collection[int], row: int) -> bool:
     # Bit j of a row orients row -> column j, otherwise column j -> row.
     # The rows above are acyclic, so a new cycle passes through the new
     # row: search depth first for a directed path from it back to it. The
@@ -92,15 +104,18 @@ def _acyclic_with(rows: Sequence[int], row: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
-def _lonesum_census(n: int, k: int) -> dict[tuple[bool, bool], Count]:
+def _lonesum_census(n: int, k: int) -> Counter[tuple[bool, bool]]:
     # One sweep counts lonesum matrices by (no zero row, no zero column).
     # Comparable rows form a chain under inclusion: the largest is the union.
-    full = (1 << k) - 1
-    census: Counter[tuple[bool, bool]] = Counter()
-    for rows in _row_sweep(n, k, _comparable):
-        census[all(rows), max(rows, default=0) == full] += 1
-    return census
+    # Transposing swaps the two flags.
+    width = min(n, k)
+    full = (1 << width) - 1
+    census = _set_sweep(
+        max(n, k), width, _comparable, lambda rows: (0 not in rows, max(rows, default=0) == full)
+    )
+    if n >= k:
+        return census
+    return Counter({(cols_ok, rows_ok): count for (rows_ok, cols_ok), count in census.items()})
 
 
 def _check_matrix_guard(n: int, k: int, guard: int) -> None:
@@ -111,13 +126,13 @@ def _check_matrix_guard(n: int, k: int, guard: int) -> None:
 
 
 def count_lonesum(n: int, k: int) -> Count:
-    """Number of n x k lonesum matrices by exhaustive sweep (n*k, n, k <= 24)."""
+    """Number of n x k lonesum matrices by exhaustive sweep (n*k, n, k <= 30)."""
     _check_matrix_guard(n, k, MATRIX_GUARD)
     return sum(_lonesum_census(n, k).values())
 
 
 def count_lonesum_restricted(n: int, k: int, forbid_zero_rows: bool, forbid_zero_cols: bool) -> Count:
-    """Lonesum count with all-zero rows and/or columns excluded (n*k, n, k <= 24).
+    """Lonesum count with all-zero rows and/or columns excluded (n*k, n, k <= 30).
 
     (False, True) matches c_relative; (True, True) matches ml_degree.
     """
@@ -130,42 +145,42 @@ def count_lonesum_restricted(n: int, k: int, forbid_zero_rows: bool, forbid_zero
 
 
 def count_gamma_free(n: int, k: int) -> Count:
-    """Number of n x k matrices avoiding (1,1 / 1,0) and (1,1 / 1,1) (n*k, n, k <= 24)."""
+    """Number of n x k matrices avoiding (1,1 / 1,0) and (1,1 / 1,1) (n*k, n, k <= 30)."""
     _check_matrix_guard(n, k, MATRIX_GUARD)
-    return sum(1 for _ in _row_sweep(n, k, _gamma_free_below))
+    return _count_matrices(n, k, _gamma_free_below)
 
 
 def count_acyclic_orientations(n: int, k: int) -> Count:
-    """Acyclic orientations of the complete bipartite graph K(n,k) (n*k, n, k <= 20).
+    """Acyclic orientations of the complete bipartite graph K(n,k) (n*k, n, k <= 30).
 
     Each added row is checked by a depth-first search for a directed cycle
     through its vertex, deliberately not by any forbidden submatrix or
-    four-cycle criterion.
+    four-cycle criterion. Transposing reverses every edge, which keeps an
+    orientation acyclic.
     """
     _check_matrix_guard(n, k, ORIENTATION_GUARD)
-    return sum(1 for _ in _row_sweep(n, k, _acyclic_with))
+    return _count_matrices(n, k, _acyclic_with)
 
 
 def _count_permutations(allowed: Sequence[range]) -> Count:
     # Permutations pi with pi(j) in allowed[j - 1] for every position j,
-    # placing one position at a time and never reusing a value.
-    m = len(allowed)
-
-    def extend(pos: int, used: int) -> Count:
-        if pos == m:
-            return 1
-        total = 0
-        for v in allowed[pos]:
-            bit = 1 << v
-            if not used & bit:
-                total += extend(pos + 1, used | bit)
-        return total
-
-    return extend(0, 0)
+    # placing one position at a time and never reusing a value. The values
+    # used so far fix the position, so each step maps a used-value mask to
+    # the number of partial permutations reaching it.
+    layer = {0: 1}
+    for values in allowed:
+        step: dict[int, Count] = {}
+        for used, ways in layer.items():
+            for v in values:
+                bit = 1 << v
+                if not used & bit:
+                    step[used | bit] = step.get(used | bit, 0) + ways
+        layer = step
+    return sum(layer.values())
 
 
 def count_vesztergombi(n: int, k: int) -> Count:
-    """Permutations pi of {1,...,n+k} with -k <= pi(i)-i <= n (n+k <= 9)."""
+    """Permutations pi of {1,...,n+k} with -k <= pi(i)-i <= n (n+k <= 14)."""
     if n < 0 or k < 0:
         raise ValueError("dimensions must be nonnegative")
     if n + k > VESZTERGOMBI_GUARD:
@@ -176,7 +191,7 @@ def count_vesztergombi(n: int, k: int) -> Count:
 
 def count_excedance_word(r: int, s: int) -> Count:
     """Permutations of {1,...,r+s} whose first r-1 positions are excedances
-    and positions r through r+s-1 are not (r+s <= 10).
+    and positions r through r+s-1 are not (r+s <= 14).
 
     A position j is an excedance when pi(j) > j; the last position is free.
     """

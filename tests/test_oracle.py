@@ -1,6 +1,10 @@
 """Brute-force enumeration layer against the closed-form counts."""
 
 import ast
+import functools
+import itertools
+import operator
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -137,9 +141,11 @@ def test_all_non_excedance_forces_identity():
 
 def test_matrix_guard():
     with pytest.raises(GuardError):
-        count_lonesum(5, 6)
+        count_lonesum(6, 6)
     with pytest.raises(GuardError):
-        count_gamma_free(25, 1)
+        count_lonesum(4, 8)
+    with pytest.raises(GuardError):
+        count_gamma_free(31, 1)
 
 
 @pytest.mark.parametrize(
@@ -158,7 +164,7 @@ def test_matrix_guard_bounds_each_side(count, n, k):
         count(n, k)
 
 
-@pytest.mark.parametrize("n,k", [(4, 6), (6, 4)])
+@pytest.mark.parametrize("n,k", [(4, 6), (6, 4), (5, 6), (6, 5)])
 def test_restricted_census_at_guard_edge(n, k):
     assert count_lonesum_restricted(n, k, False, True) == c_relative(n, k)
     assert count_lonesum_restricted(n, k, True, False) == c_relative(k, n)
@@ -166,23 +172,61 @@ def test_restricted_census_at_guard_edge(n, k):
 
 
 def test_excedance_word_at_guard_edge():
-    for r in range(1, 11):
-        assert count_excedance_word(r, 10 - r) == c_relative(r, 10 - r)
+    for r in range(1, 15):
+        assert count_excedance_word(r, 14 - r) == c_relative(r, 14 - r)
 
 
 def test_orientation_guard():
     with pytest.raises(GuardError):
-        count_acyclic_orientations(3, 7)
+        count_acyclic_orientations(6, 6)
+    with pytest.raises(GuardError):
+        count_acyclic_orientations(1, 31)
 
 
 def test_vesztergombi_guard():
     with pytest.raises(GuardError):
-        count_vesztergombi(5, 5)
+        count_vesztergombi(7, 8)
 
 
 def test_excedance_guard():
     with pytest.raises(GuardError):
-        count_excedance_word(6, 5)
+        count_excedance_word(8, 7)
+
+
+SMALL_SHAPES = [(n, k) for n in range(13) for k in range(13) if n * k <= 12]
+
+
+@pytest.mark.parametrize("n,k", SMALL_SHAPES)
+def test_set_sweep_matches_plain_enumeration(n, k):
+    # Every n x k matrix, untransposed, filtered by each property's prefix
+    # test; the counters sweep the narrower side, so shapes with n < k check
+    # the transposed sweep against this enumeration.
+    full = (1 << k) - 1
+    lonesum = Counter()
+    gamma = orient = 0
+    for rows in itertools.product(range(1 << k), repeat=n):
+        prefixes = [(rows[:i], rows[i]) for i in range(n)]
+        if is_lonesum(rows):
+            union = functools.reduce(operator.or_, rows, 0)
+            lonesum[all(rows), union == full] += 1
+        gamma += all(oracle._gamma_free_below(*p) for p in prefixes)
+        orient += all(oracle._acyclic_with(*p) for p in prefixes)
+    assert oracle._lonesum_census(n, k) == lonesum
+    assert count_lonesum(n, k) == sum(lonesum.values())
+    for forbid in itertools.product((False, True), repeat=2):
+        kept = [count for flags, count in lonesum.items() if all(map(operator.ge, flags, forbid))]
+        assert count_lonesum_restricted(n, k, *forbid) == sum(kept)
+    assert count_gamma_free(n, k) == gamma
+    assert count_acyclic_orientations(n, k) == orient
+
+
+def test_thin_shapes_cost_states_not_matrices():
+    # Every row of one column fits; a single row has nothing above it.
+    assert count_lonesum(24, 1) == 2**24
+    assert count_lonesum(1, 30) == 2**30
+    assert count_gamma_free(30, 1) == 2**30
+    assert count_acyclic_orientations(1, 30) == 2**30
+    assert count_acyclic_orientations(30, 1) == 2**30
 
 
 def test_oracle_takes_only_count_and_guard_from_exactcomb():

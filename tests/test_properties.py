@@ -7,7 +7,7 @@ from decimal import Decimal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polybern import exactcomb
+from polybern import exactcomb, oracle
 from polybern.exactcomb import (
     c_relative,
     ml_degree,
@@ -38,6 +38,14 @@ huge_sizes = st.floats(min_value=0.0, max_value=400.0).map(
 triangle_points = st.integers(min_value=0, max_value=200).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n))
 )
+# matrix shapes with n*k <= 20
+matrix_shapes = st.integers(min_value=0, max_value=20).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=20 // n if n else 20))
+)
+# permutation shapes with n + k <= 12
+permutation_shapes = st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=12 - n))
+)
 
 
 @settings(deadline=None)
@@ -67,6 +75,29 @@ def test_b_matches_kaneko_one_row_form(n, k):
         (-1) ** (m + n) * math.factorial(m) * stirling2(n, m) * (m + 1) ** k for m in range(n + 1)
     )
     assert poly_bernoulli(n, k) == expected
+
+
+@settings(deadline=None)
+@given(matrix_shapes)
+def test_matrix_oracles_match_formulas(shape):
+    n, k = shape
+    b = poly_bernoulli(n, k)
+    assert oracle.count_lonesum(n, k) == b
+    assert oracle.count_gamma_free(n, k) == b
+    assert oracle.count_acyclic_orientations(n, k) == b
+    assert oracle.count_lonesum_restricted(n, k, False, False) == b
+    assert oracle.count_lonesum_restricted(n, k, False, True) == c_relative(n, k)
+    assert oracle.count_lonesum_restricted(n, k, True, False) == c_relative(k, n)
+    assert oracle.count_lonesum_restricted(n, k, True, True) == ml_degree(n, k)
+
+
+@settings(deadline=None)
+@given(permutation_shapes)
+def test_permutation_oracles_match_formulas(shape):
+    n, k = shape
+    assert oracle.count_vesztergombi(n, k) == poly_bernoulli(n, k)
+    if n >= 1:
+        assert oracle.count_excedance_word(n, k) == c_relative(n, k)
 
 
 @settings(deadline=None)
