@@ -24,6 +24,15 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 
 
+# sequence -> (exact count, smooth-point estimator), for `exact --seq` and
+# `asym --target` alike. B and D also have diagonal closed forms, which
+# `asym` uses when n == k.
+_FAMILY = {
+    "B": (poly_bernoulli, saddle.bivar_asym_log),
+    "C": (c_relative, saddle.excedance_asym_log),
+    "D": (ml_degree, saddle.ml_asym_log),
+}
+
 # header, rows, and named trailer records (name -> field -> value)
 _Table = tuple[list[str], list[Sequence[object]], dict[str, dict[str, object]]]
 
@@ -51,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="file path; stdout when omitted")
 
     p_exact = sub.add_parser("exact", help="exact counts of one sequence over a grid")
-    p_exact.add_argument("--seq", choices=("B", "C", "D"), required=True)
+    p_exact.add_argument("--seq", choices=tuple(_FAMILY), required=True)
     p_exact.add_argument("--n", type=_span, required=True)
     p_exact.add_argument("--k", type=_span, required=True)
     add_output(p_exact)
@@ -67,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(run=_run_oracle)
 
     p_asym = sub.add_parser("asym", help="log-space estimates against exact counts")
-    p_asym.add_argument("--target", choices=("B", "D", "ML", "EXC"), required=True)
+    p_asym.add_argument("--target", choices=tuple(_FAMILY), required=True)
     p_asym.add_argument("--order", type=int, choices=(1, 2), default=1)
     p_asym.add_argument("--n", type=_span, required=True)
     p_asym.add_argument("--k", type=_span, required=True)
@@ -101,8 +110,8 @@ def _refuse_unused(args: argparse.Namespace, *flags: str) -> None:
 
 
 def _run_exact(args: argparse.Namespace) -> _Table:
-    fn = {"B": poly_bernoulli, "C": c_relative, "D": ml_degree}[args.seq]
-    return ["n", "k", "value"], [[n, k, str(fn(n, k))] for n in args.n for k in args.k], {}
+    count = _FAMILY[args.seq][0]
+    return ["n", "k", "value"], [[n, k, str(count(n, k))] for n in args.n for k in args.k], {}
 
 
 def _run_oracle(args: argparse.Namespace) -> _Table:
@@ -123,38 +132,21 @@ def _run_oracle(args: argparse.Namespace) -> _Table:
     return ["n", "k", "oracle", "formula", "match"], rows, {}
 
 
-# target -> (exact count, bivariate estimator) for the off-diagonal targets
-_BIVARIATE = {
-    "ML": (ml_degree, saddle.ml_asym_log),
-    "EXC": (c_relative, saddle.excedance_asym_log),
-}
-
-
-def _asym_pair(target: str, order: int, n: int, k: int) -> tuple[float, float]:
-    if target == "B":
-        exact = log_of_count(poly_bernoulli(n, k))
-        if n == k:
-            return exact, saddle.diag_asym_log(k, order)
-        if order != 1:
-            raise ValueError("order 2 exists on the diagonal only")
-        return exact, saddle.bivar_asym_log(n, k)
-    if order != 1:
-        raise ValueError(f"target {target} has no order-2 estimate")
-    if target == "D":
-        if n != k:
-            raise ValueError("target D is the corrected diagonal; needs n == k")
-        return log_of_count(ml_degree(n, k)), saddle.d_diag_asym_log(k)
-    exact_fn, estimate_fn = _BIVARIATE[target]
-    return log_of_count(exact_fn(n, k)), estimate_fn(n, k)
-
-
 def _run_asym(args: argparse.Namespace) -> _Table:
+    count, estimate = _FAMILY[args.target]
     rows: list[Sequence[object]] = []
     for n in args.n:
         for k in args.k:
-            log_exact, log_estimate = _asym_pair(args.target, args.order, n, k)
-            relative = math.exp(log_exact - log_estimate) - 1.0
-            rows.append([n, k, log_exact, log_estimate, relative])
+            log_exact = log_of_count(count(n, k))
+            if args.target == "B" and n == k:
+                log_estimate = saddle.diag_asym_log(k, args.order)
+            elif args.order != 1:
+                raise ValueError("order 2 exists on the B diagonal only")
+            elif args.target == "D" and n == k:
+                log_estimate = saddle.d_diag_asym_log(k)
+            else:
+                log_estimate = estimate(n, k)
+            rows.append([n, k, log_exact, log_estimate, math.exp(log_exact - log_estimate) - 1.0])
     return ["n", "k", "log_exact", "log_estimate", "relative_error"], rows, {}
 
 

@@ -18,10 +18,9 @@ from collections.abc import Callable, Collection, Hashable, Sequence
 
 from .exactcomb import Count, GuardError
 
+# One guard per sweep: the set sweep of matrices, the mask sweep of permutations.
 MATRIX_GUARD = 30
-ORIENTATION_GUARD = 30
-VESZTERGOMBI_GUARD = 14
-EXCEDANCE_GUARD = 14
+PERMUTATION_GUARD = 14
 
 
 def _set_sweep(
@@ -118,16 +117,16 @@ def _lonesum_census(n: int, k: int) -> Counter[tuple[bool, bool]]:
     return Counter({(cols_ok, rows_ok): count for (rows_ok, cols_ok), count in census.items()})
 
 
-def _check_matrix_guard(n: int, k: int, guard: int) -> None:
+def _check_matrix_guard(n: int, k: int) -> None:
     if n < 0 or k < 0:
         raise ValueError("matrix dimensions must be nonnegative")
-    if max(n, k, n * k) > guard:
-        raise GuardError(f"{n}x{k} exceeds enumeration guard {guard} on n*k or a side")
+    if max(n, k, n * k) > MATRIX_GUARD:
+        raise GuardError(f"{n}x{k} exceeds enumeration guard {MATRIX_GUARD} on n*k or a side")
 
 
 def count_lonesum(n: int, k: int) -> Count:
     """Number of n x k lonesum matrices by exhaustive sweep (n*k, n, k <= 30)."""
-    _check_matrix_guard(n, k, MATRIX_GUARD)
+    _check_matrix_guard(n, k)
     return sum(_lonesum_census(n, k).values())
 
 
@@ -136,7 +135,7 @@ def count_lonesum_restricted(n: int, k: int, forbid_zero_rows: bool, forbid_zero
 
     (False, True) matches c_relative; (True, True) matches ml_degree.
     """
-    _check_matrix_guard(n, k, MATRIX_GUARD)
+    _check_matrix_guard(n, k)
     return sum(
         count
         for (rows_ok, cols_ok), count in _lonesum_census(n, k).items()
@@ -146,7 +145,7 @@ def count_lonesum_restricted(n: int, k: int, forbid_zero_rows: bool, forbid_zero
 
 def count_gamma_free(n: int, k: int) -> Count:
     """Number of n x k matrices avoiding (1,1 / 1,0) and (1,1 / 1,1) (n*k, n, k <= 30)."""
-    _check_matrix_guard(n, k, MATRIX_GUARD)
+    _check_matrix_guard(n, k)
     return _count_matrices(n, k, _gamma_free_below)
 
 
@@ -158,7 +157,7 @@ def count_acyclic_orientations(n: int, k: int) -> Count:
     four-cycle criterion. Transposing reverses every edge, which keeps an
     orientation acyclic.
     """
-    _check_matrix_guard(n, k, ORIENTATION_GUARD)
+    _check_matrix_guard(n, k)
     return _count_matrices(n, k, _acyclic_with)
 
 
@@ -183,8 +182,8 @@ def count_vesztergombi(n: int, k: int) -> Count:
     """Permutations pi of {1,...,n+k} with -k <= pi(i)-i <= n (n+k <= 14)."""
     if n < 0 or k < 0:
         raise ValueError("dimensions must be nonnegative")
-    if n + k > VESZTERGOMBI_GUARD:
-        raise GuardError(f"n+k={n + k} exceeds enumeration guard {VESZTERGOMBI_GUARD}")
+    if n + k > PERMUTATION_GUARD:
+        raise GuardError(f"n+k={n + k} exceeds enumeration guard {PERMUTATION_GUARD}")
     m = n + k
     return _count_permutations([range(max(1, i - k), min(m, i + n) + 1) for i in range(1, m + 1)])
 
@@ -198,7 +197,7 @@ def count_excedance_word(r: int, s: int) -> Count:
     if r < 1 or s < 0:
         raise ValueError("need r >= 1 and s >= 0")
     m = r + s
-    if m > EXCEDANCE_GUARD:
-        raise GuardError(f"r+s={m} exceeds enumeration guard {EXCEDANCE_GUARD}")
+    if m > PERMUTATION_GUARD:
+        raise GuardError(f"r+s={m} exceeds enumeration guard {PERMUTATION_GUARD}")
     allowed = [range(j + 1, m + 1) if j < r else range(1, j + 1) for j in range(1, m)]
     return _count_permutations([*allowed, range(1, m + 1)])

@@ -120,6 +120,7 @@ def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
 
     Parameterizes the full circle |x| = radius, folds n! k! back in, and
     keeps the real part; the imaginary part cancels by conjugate symmetry.
+    Raises ValueError naming the radius where the rule breaks down on it.
     """
     if not (1 <= n <= RESIDUE_GUARD and 1 <= k <= RESIDUE_GUARD):
         raise GuardError(f"(n,k)=({n},{k}) outside residue guard 1..{RESIDUE_GUARD}")
@@ -129,15 +130,18 @@ def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
     if nearest >= 1 and abs(radius - TWO_PI * nearest) < 1e-9 * max(1.0, radius):
         raise ValueError(f"radius {radius} passes through a zero of 1 - exp(-x)")
     logs = []
-    for j in range(spec.nodes):
-        x = radius * cmath.exp(1j * TWO_PI * j / spec.nodes)
-        lg = cmath.log(1.0 - cmath.exp(-x))
-        logs.append(-n * cmath.log(x) - lg - (k + 1) * cmath.log(-lg))
+    try:
+        for j in range(spec.nodes):
+            x = radius * cmath.exp(1j * TWO_PI * j / spec.nodes)
+            lg = cmath.log(1.0 - cmath.exp(-x))
+            logs.append(-n * cmath.log(x) - lg - (k + 1) * cmath.log(-lg))
+    except ValueError:  # cmath.log(0)
+        raise ValueError(f"radius {radius} at ({n},{k}): 1 - exp(-x) rounds to 0 or 1 at a node") from None
     # terms are rescaled by the peak magnitude before averaging
     top = max(w.real for w in logs)
     mean = sum(cmath.exp(w - top) for w in logs) / spec.nodes
     if mean.real <= 0:
-        raise ArithmeticError(f"quadrature mean {mean} lost positivity at ({n},{k})")
+        raise ValueError(f"radius {radius} at ({n},{k}): quadrature mean {mean} lost positivity")
     return math.lgamma(n + 1) + math.lgamma(k + 1) + top + math.log(mean.real)
 
 

@@ -17,6 +17,13 @@ def _report(result):
     assert result.passed, result.detail
 
 
+def test_result_keeps_the_first_eight_failures():
+    failures = [f"failure {i}" for i in range(10)]
+    result = verify._result(1, "oracle-equivalence", failures, "unused")
+    assert not result.passed
+    assert result.detail == "; ".join(failures[:8])
+
+
 def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
     result = verify.criterion_oracle_equivalence()

@@ -7,8 +7,16 @@ import sys
 
 import pytest
 
+from polybern import verify
 from polybern.cli import main
 from polybern.quad import QuadratureSpec, laplace_integral_diag, residue_integral_b
+from polybern.saddle import (
+    bivar_asym_log,
+    d_diag_asym_log,
+    diag_asym_log,
+    excedance_asym_log,
+    ml_asym_log,
+)
 
 
 def run_cli(capsys, *argv):
@@ -58,7 +66,7 @@ def test_oracle_excedance_checks_against_c(capsys):
 
 
 def test_asym_relative_error_definition(capsys):
-    code, out, _ = run_cli(capsys, "asym", "--target", "ML", "--n", "10", "--k", "12")
+    code, out, _ = run_cli(capsys, "asym", "--target", "D", "--n", "10", "--k", "12")
     assert code == 0
     header, row = out.splitlines()
     assert header == "n,k,log_exact,log_estimate,relative_error"
@@ -69,16 +77,38 @@ def test_asym_relative_error_definition(capsys):
 
 
 def test_asym_order2_diagonal_only(capsys):
-    code, _, err = run_cli(
-        capsys, "asym", "--target", "B", "--n", "5", "--k", "6", "--order", "2"
-    )
-    assert code == 2
-    assert "order 2" in err
+    for target, n in (("B", "6"), ("C", "5"), ("D", "5"), ("D", "6")):
+        code, out, err = run_cli(
+            capsys, "asym", "--target", target, "--n", n, "--k", "5", "--order", "2"
+        )
+        assert code == 2 and out == ""
+        assert "order 2 exists on the B diagonal only" in err
 
 
-def test_asym_d_needs_diagonal(capsys):
-    code, _, err = run_cli(capsys, "asym", "--target", "D", "--n", "4", "--k", "5")
-    assert code == 2 and "diagonal" in err
+def _asym_estimates(out):
+    rows = (line.split(",") for line in out.splitlines()[1:])
+    return {(int(n), int(k)): float(estimate) for n, k, _, estimate, _ in rows}
+
+
+def test_asym_picks_the_estimator_from_n_and_k(capsys):
+    # B and D read their diagonal closed form at n == k and the smooth-point
+    # estimator elsewhere; C has one estimator.
+    expected = {
+        "B": {(4, 5): bivar_asym_log(4, 5), (5, 5): diag_asym_log(5, 1)},
+        "C": {(4, 5): excedance_asym_log(4, 5), (5, 5): excedance_asym_log(5, 5)},
+        "D": {(4, 5): ml_asym_log(4, 5), (5, 5): d_diag_asym_log(5)},
+    }
+    for target, estimates in expected.items():
+        code, out, _ = run_cli(capsys, "asym", "--target", target, "--n", "4..5", "--k", "5")
+        assert code == 0
+        assert _asym_estimates(out) == estimates
+
+
+@pytest.mark.parametrize("target", ["ML", "EXC"])
+def test_asym_targets_are_the_exact_names(capsys, target):
+    code, out, err = run_cli(capsys, "asym", "--target", target, "--n", "5", "--k", "5")
+    assert code == 2 and out == ""
+    assert "invalid choice" in err
 
 
 def test_quad_laplace_emits_logs(capsys):
@@ -120,6 +150,17 @@ def test_quad_residue_non_finite_radius_is_config_error(capsys, radius):
     )
     assert code == 2 and out == ""
     assert "radius must be finite and positive" in err
+
+
+@pytest.mark.parametrize("radius", ["1e-3", "100"])
+def test_quad_residue_radius_out_of_reach_is_config_error(capsys, radius):
+    # 1e-3 loses the positivity of the quadrature mean; at 100, 1 - exp(-x)
+    # rounds to 1 on the circle.
+    code, out, err = run_cli(
+        capsys, "quad", "--which", "residue", "--n", "3", "--k", "3", "--nodes", "64", "--radius", radius
+    )
+    assert code == 2 and out == ""
+    assert f"config error: radius {float(radius)} at (3,3): " in err
 
 
 def test_quad_residue_requires_n(capsys):
@@ -181,6 +222,19 @@ def test_bad_range_is_config_error(capsys):
     code = main(["exact", "--seq", "B", "--n", "3..1", "--k", "0"])
     capsys.readouterr()
     assert code == 2
+    code, out, err = run_cli(capsys, "exact", "--seq", "B", "--n", "abc", "--k", "0")
+    assert code == 2 and out == ""
+    assert "expected INT or LO..HI, got 'abc'" in err
+
+
+def test_verify_reports_a_failed_criterion(capsys, monkeypatch):
+    failed = verify.CriterionResult(7, "lclt", False, "forced failure")
+    monkeypatch.setattr(verify, "criterion_lclt", lambda: failed)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    lines = out.splitlines()
+    assert "criterion 7 lclt: FAIL (forced failure)" in lines
+    assert lines[-1] == "1 criteria failed"
 
 
 def test_lclt_trailer_comment(capsys):

@@ -15,6 +15,7 @@ from polybern.exactcomb import (
     stirling2,
     stirling2_explicit,
 )
+from polybern.quad import QuadratureSpec, residue_integral_b
 from polybern.saddle import (
     CompactnessWarning,
     acsv_general_log,
@@ -151,3 +152,20 @@ def test_every_estimator_is_finite_or_value_error(n, k):
             except ValueError:
                 continue
             assert isinstance(value, float) and math.isfinite(value)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=40),
+    st.floats(min_value=-30.0, max_value=8.0).map(math.exp),
+)
+@example(31, 1, None)
+@example(38, 1, None)
+def test_residue_is_finite_or_value_error(n, k, radius):
+    # radius None is the saddle point; the others are log-uniform in [e^-30, e^8]
+    try:
+        value = residue_integral_b(n, k, QuadratureSpec(64, radius))
+    except ValueError:
+        return
+    assert isinstance(value, float) and math.isfinite(value)

@@ -1,12 +1,14 @@
-"""The package root: its exported names and the README quick tour."""
+"""The package root: its exported names, the README quick tour and its commands."""
 
 import doctest
 import importlib
+import shlex
 from pathlib import Path
 
 import pytest
 
 import polybern
+from polybern.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,6 +17,23 @@ def test_readme_quick_tour_runs_as_a_doctest():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def _readme_commands():
+    # the `polybern ...` lines of the README's "Command line" block
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("polybern ")]
+
+
+def test_readme_commands_cover_every_subcommand():
+    assert {argv[1] for argv in _readme_commands()} == {"exact", "oracle", "asym", "quad", "lclt", "verify"}
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_runs(capsys, argv):
+    assert main(argv[1:]) == 0
+    assert capsys.readouterr().out
 
 
 def test_every_exported_name_exists():

@@ -161,6 +161,14 @@ def test_residue_rejects_singular_radius():
         residue_integral_b(6, 6, QuadratureSpec(nodes=2048, radius=2 * math.pi))
 
 
+@pytest.mark.parametrize("n,k", [(31, 1), (38, 1)])
+def test_residue_failure_is_a_value_error_naming_the_radius(n, k):
+    # At (31, 1) the quadrature mean loses positivity; at (38, 1)
+    # 1 - exp(-x) rounds to 1 at the node x = radius.
+    with pytest.raises(ValueError, match=rf"^radius [0-9.]+ at \({n},{k}\): "):
+        residue_integral_b(n, k, QuadratureSpec(1024))
+
+
 def test_residue_guard():
     with pytest.raises(GuardError):
         residue_integral_b(41, 5, QuadratureSpec(nodes=2048))
