@@ -39,7 +39,6 @@ from .saddle import (
     POLY_BERNOULLI_GF,
     acsv_general_log,
     bivar_asym_log,
-    d_diag_asym_log,
     diag_asym_log,
     excedance_asym_log,
     f_dir,
@@ -66,7 +65,6 @@ __all__ = [
     "count_lonesum",
     "count_lonesum_restricted",
     "count_vesztergombi",
-    "d_diag_asym_log",
     "diag_asym_log",
     "excedance_asym_log",
     "f_dir",

@@ -25,8 +25,7 @@ EXIT_GUARD = 3
 
 
 # sequence -> (exact count, smooth-point estimator), for `exact --seq` and
-# `asym --target` alike. B and D also have diagonal closed forms, which
-# `asym` uses when n == k.
+# `asym --target` alike.
 _FAMILY = {
     "B": (poly_bernoulli, saddle.bivar_asym_log),
     "C": (c_relative, saddle.excedance_asym_log),
@@ -138,14 +137,12 @@ def _run_asym(args: argparse.Namespace) -> _Table:
     for n in args.n:
         for k in args.k:
             log_exact = log_of_count(count(n, k))
-            if args.target == "B" and n == k:
-                log_estimate = saddle.diag_asym_log(k, args.order)
-            elif args.order != 1:
-                raise ValueError("order 2 exists on the B diagonal only")
-            elif args.target == "D" and n == k:
-                log_estimate = saddle.d_diag_asym_log(k)
-            else:
+            if args.order == 1:
                 log_estimate = estimate(n, k)
+            elif args.target == "B" and n == k:
+                log_estimate = saddle.diag_asym_log(k, 2)
+            else:
+                raise ValueError("order 2 exists on the B diagonal only")
             rows.append([n, k, log_exact, log_estimate, math.exp(log_exact - log_estimate) - 1.0])
     return ["n", "k", "log_exact", "log_estimate", "relative_error"], rows, {}
 

@@ -114,13 +114,17 @@ def f_inverse(r: float) -> float:
 def saddle_point(n: int, k: int) -> SaddlePoint:
     """Critical point (a, b) = (f^{-1}(n/k), f^{-1}(k/n)) for direction (n, k).
 
-    Solved on the side whose ratio is >= 1; the other coordinate comes from
-    the variety equation exp(-a) + exp(-b) = 1, which keeps the on-variety
-    identity exact and makes swapping (n, k) swap (a, b) bit for bit.
+    On the diagonal n == k the critical system is solved exactly by
+    a = b = log 2 and no solve runs. Elsewhere it is solved on the side
+    whose ratio is > 1; the other coordinate comes from the variety
+    equation exp(-a) + exp(-b) = 1, which keeps the on-variety identity
+    exact and makes swapping (n, k) swap (a, b) bit for bit.
     """
     if n < 1 or k < 1:
         raise ValueError("saddle_point needs n, k >= 1")
-    if n >= k:
+    if n == k:
+        return SaddlePoint(a=LOG2, b=LOG2, ratio=1.0)
+    if n > k:
         a = f_inverse(n / k)
         b = -_log1mexp(a)
     else:
@@ -183,24 +187,18 @@ def bivar_asym_log(n: int, k: int) -> LogEstimate:
 def diag_asym_log(k: int, order: int = 1) -> LogEstimate:
     """Log of the diagonal estimate of B(k,k).
 
-    Order 1 is (k!)^2 sqrt(1/(k pi (1-log 2))) (1/log 2)^{2k+1}; order 2
-    replaces k by k+1 under the square root and multiplies by
-    (1 + SECOND_ORDER_C/k).
+    Order 1 is bivar_asym_log(k, k), the smooth-point estimate at the
+    saddle point (log 2, log 2); order 2 replaces k by k+1 under its square
+    root and multiplies by (1 + SECOND_ORDER_C/k).
     """
     if k < 1:
         raise ValueError("diag_asym_log needs k >= 1")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    _check_size(k)
-    base = 2.0 * math.lgamma(k + 1) - (2 * k + 1) * math.log(LOG2)
+    value = _smooth_log(k, k, 1, 1)
     if order == 1:
-        return base - 0.5 * math.log(k * math.pi * (1 - LOG2))
-    return base - 0.5 * math.log((k + 1) * math.pi * (1 - LOG2)) + math.log1p(SECOND_ORDER_C / k)
-
-
-def d_diag_asym_log(k: int) -> LogEstimate:
-    """Log of the corrected diagonal estimate of D(k,k); order-1 B estimate minus log 4."""
-    return diag_asym_log(k, 1) - math.log(4.0)
+        return value
+    return value + math.log1p(SECOND_ORDER_C / k) - 0.5 * math.log1p(1.0 / k)
 
 
 def ml_asym_log(n: int, k: int) -> LogEstimate:

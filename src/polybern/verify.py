@@ -134,9 +134,16 @@ def criterion_specialization() -> CriterionResult:
                     if gap > 1e-9:
                         failures.append(f"acsv vs {label} at ({n},{k}): {gap:.3e}")
         for k in range(1, 51):
-            if abs(saddle.bivar_asym_log(k, k) - saddle.diag_asym_log(k, 1)) > 1e-10:
+            # The paper's diagonal form, B(k,k) ~ (k!)^2 sqrt(1/(k pi (1 - log 2)))
+            # (1/log 2)^(2k+1); D(k,k) is its quarter.
+            paper = (
+                2.0 * math.lgamma(k + 1)
+                - (2 * k + 1) * math.log(saddle.LOG2)
+                - 0.5 * math.log(k * math.pi * (1 - saddle.LOG2))
+            )
+            if abs(saddle.bivar_asym_log(k, k) - paper) > 1e-10:
                 failures.append(f"bivar vs diagonal at k={k}")
-            if abs(saddle.ml_asym_log(k, k) - saddle.d_diag_asym_log(k)) > 1e-10:
+            if abs(saddle.ml_asym_log(k, k) - (paper - math.log(4.0))) > 1e-10:
                 failures.append(f"ml vs corrected diagonal at k={k}")
     return _result(4, "specialization", failures, "30x30 grid plus 50 diagonal reductions")
 

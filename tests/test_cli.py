@@ -12,8 +12,6 @@ from polybern.cli import main
 from polybern.quad import QuadratureSpec, laplace_integral_diag, residue_integral_b
 from polybern.saddle import (
     bivar_asym_log,
-    d_diag_asym_log,
-    diag_asym_log,
     excedance_asym_log,
     ml_asym_log,
 )
@@ -65,6 +63,15 @@ def test_oracle_excedance_checks_against_c(capsys):
     assert out.splitlines()[1] == "3,2,31,31,1"
 
 
+def test_oracle_excedance_needs_r_at_least_one(capsys):
+    # "the first r-1 positions are excedances" has no meaning at r = 0
+    code, out, err = run_cli(
+        capsys, "oracle", "--which", "excedance", "--n", "0..2", "--k", "0..2"
+    )
+    assert code == 2 and out == ""
+    assert "need r >= 1" in err
+
+
 def test_asym_relative_error_definition(capsys):
     code, out, _ = run_cli(capsys, "asym", "--target", "D", "--n", "10", "--k", "12")
     assert code == 0
@@ -91,17 +98,17 @@ def _asym_estimates(out):
 
 
 def test_asym_picks_the_estimator_from_n_and_k(capsys):
-    # B and D read their diagonal closed form at n == k and the smooth-point
-    # estimator elsewhere; C has one estimator.
-    expected = {
-        "B": {(4, 5): bivar_asym_log(4, 5), (5, 5): diag_asym_log(5, 1)},
-        "C": {(4, 5): excedance_asym_log(4, 5), (5, 5): excedance_asym_log(5, 5)},
-        "D": {(4, 5): ml_asym_log(4, 5), (5, 5): d_diag_asym_log(5)},
-    }
-    for target, estimates in expected.items():
-        code, out, _ = run_cli(capsys, "asym", "--target", target, "--n", "4..5", "--k", "5")
+    # Every target reads its one smooth-point estimator, on the diagonal too.
+    for target, estimator in (
+        ("B", bivar_asym_log),
+        ("C", excedance_asym_log),
+        ("D", ml_asym_log),
+    ):
+        code, out, _ = run_cli(capsys, "asym", "--target", target, "--n", "4..6", "--k", "5..6")
         assert code == 0
-        assert _asym_estimates(out) == estimates
+        assert _asym_estimates(out) == {
+            (n, k): estimator(n, k) for n in range(4, 7) for k in range(5, 7)
+        }
 
 
 @pytest.mark.parametrize("target", ["ML", "EXC"])

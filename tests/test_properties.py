@@ -20,7 +20,6 @@ from polybern.saddle import (
     CompactnessWarning,
     acsv_general_log,
     bivar_asym_log,
-    d_diag_asym_log,
     diag_asym_log,
     excedance_asym_log,
     f_dir,
@@ -142,7 +141,6 @@ def test_every_estimator_is_finite_or_value_error(n, k):
         lambda: acsv_general_log((0, 0), n, k),
         lambda: diag_asym_log(n, 1),
         lambda: diag_asym_log(k, 2),
-        lambda: d_diag_asym_log(n),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CompactnessWarning)

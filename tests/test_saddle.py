@@ -2,8 +2,11 @@
 
 import math
 import warnings
+from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polybern.exactcomb import c_relative, log_of_count, ml_degree, poly_bernoulli
 from polybern.saddle import (
@@ -12,9 +15,9 @@ from polybern.saddle import (
     POLY_BERNOULLI_GF,
     SECOND_ORDER_C,
     CompactnessWarning,
+    SaddlePoint,
     acsv_general_log,
     bivar_asym_log,
-    d_diag_asym_log,
     diag_asym_log,
     excedance_asym_log,
     f_dir,
@@ -24,6 +27,15 @@ from polybern.saddle import (
 )
 
 LOG2 = math.log(2.0)
+
+
+def paper_diagonal(k):
+    # The paper's B(k,k) ~ (k!)^2 sqrt(1/(k pi (1 - log 2))) (1/log 2)^(2k+1), in log.
+    return (
+        2.0 * math.lgamma(k + 1)
+        - (2 * k + 1) * math.log(LOG2)
+        - 0.5 * math.log(k * math.pi * (1 - LOG2))
+    )
 
 
 def test_f_at_log2_is_one():
@@ -88,9 +100,8 @@ def test_f_inverse_reciprocal_pair_on_variety():
 
 
 def test_saddle_point_symmetric_direction():
-    sp = saddle_point(7, 7)
-    assert sp.a == pytest.approx(LOG2, abs=1e-12)
-    assert sp.b == pytest.approx(LOG2, abs=1e-12)
+    for k in (1, 7, 199, 10**300):
+        assert saddle_point(k, k) == SaddlePoint(LOG2, LOG2, 1.0)
 
 
 def test_saddle_point_variety_identity():
@@ -148,7 +159,6 @@ def test_estimators_past_float_range_raise_value_error():
             lambda: excedance_asym_log(size, size),
             lambda: acsv_general_log(POLY_BERNOULLI_GF, size, size),
             lambda: diag_asym_log(size, 2),
-            lambda: d_diag_asym_log(size),
         ):
             with pytest.raises(ValueError, match=r"n, k <= 10\*\*300"):
                 estimate()
@@ -159,8 +169,7 @@ def test_estimators_past_float_range_raise_value_error():
 def test_saddle_point_swap_swaps_components():
     sp = saddle_point(5, 9)
     sq = saddle_point(9, 5)
-    assert sp.a == pytest.approx(sq.b, abs=1e-11)
-    assert sp.b == pytest.approx(sq.a, abs=1e-11)
+    assert (sp.a, sp.b) == (sq.b, sq.a)
 
 
 def test_correction_constants():
@@ -174,9 +183,17 @@ def test_bivar_log_frozen_value():
     assert bivar_asym_log(10, 12) == pytest.approx(42.08249346629643, rel=1e-14)
 
 
-def test_bivar_matches_diagonal_form():
-    for k in (5, 20, 50):
-        assert bivar_asym_log(k, k) == pytest.approx(diag_asym_log(k, 1), abs=1e-10)
+@settings(deadline=None)
+@given(st.floats(min_value=0.0, max_value=300.0).map(lambda d: int(Decimal(10) ** Decimal(d))))
+@example(1)
+@example(5)
+@example(20)
+@example(50)
+@example(10**300)
+def test_bivar_matches_diagonal_form(k):
+    # k log-uniform over the estimators' whole domain [1, 10**300]
+    assert diag_asym_log(k, 1) == bivar_asym_log(k, k)
+    assert math.isclose(ml_asym_log(k, k), paper_diagonal(k) - math.log(4.0), rel_tol=1e-10)
 
 
 def test_bivar_off_diagonal_accuracy():
@@ -223,16 +240,16 @@ def test_diag_ratio_constant_at_50():
 
 
 def test_d_diag_shift():
-    assert d_diag_asym_log(30) == pytest.approx(
+    assert ml_asym_log(30, 30) == pytest.approx(
         diag_asym_log(30, 1) - math.log(4.0), rel=1e-15
     )
-    assert d_diag_asym_log(30) == pytest.approx(168.6051963891942, rel=1e-14)
+    assert ml_asym_log(30, 30) == pytest.approx(168.6051963891942, rel=1e-14)
 
 
 def test_d_diag_tracks_exact_count():
     log_exact = log_of_count(ml_degree(20, 20))
-    assert abs(math.exp(log_exact - d_diag_asym_log(20)) - 1.0) <= 0.1
-    assert math.isfinite(d_diag_asym_log(1))
+    assert abs(math.exp(log_exact - ml_asym_log(20, 20)) - 1.0) <= 0.1
+    assert math.isfinite(ml_asym_log(1, 1))
 
 
 def test_ml_log_frozen_value():
@@ -297,7 +314,7 @@ def test_acsv_reproduces_closed_forms():
 def test_acsv_ml_diagonal_is_corrected_form():
     for k in (5, 15, 30):
         assert acsv_general_log(ML_DEGREE_GF, k, k) == pytest.approx(
-            d_diag_asym_log(k), abs=1e-10
+            paper_diagonal(k) - math.log(4.0), abs=1e-10
         )
 
 
