@@ -113,11 +113,17 @@ def ml_limit_shape(n: int, k: float) -> float:
 
 
 def ml_window(n: int, window: float) -> tuple[int, int]:
-    """Integer k range with |k - n/2| <= window sqrt(n), clipped to [0, n]."""
+    """Integer k range with |k - n/2| <= window sqrt(n), clipped to [0, n].
+
+    Raises ValueError when no integer k lies in it.
+    """
     if not 0 < window <= ML_SHAPE_K_MAX:
         raise ValueError(f"window must lie in (0, {ML_SHAPE_K_MAX}], got {window}")
     half_width = window * math.sqrt(n)
-    return max(0, math.ceil(n / 2.0 - half_width)), min(n, math.floor(n / 2.0 + half_width))
+    lo, hi = max(0, math.ceil(n / 2.0 - half_width)), min(n, math.floor(n / 2.0 + half_width))
+    if lo > hi:
+        raise ValueError(f"window {window} holds no integer k at n={n}")
+    return lo, hi
 
 
 def ml_scaled_coefficient(n: int, k: int) -> float:
@@ -133,15 +139,9 @@ def ml_scaled_coefficient(n: int, k: int) -> float:
 
 
 def _report(n: int, rows: list[Row]) -> DiscrepancyReport:
-    # sup of |scaled - reference| over the rows, at its first k
-    sup = -1.0
-    argmax_k = -1
-    for k, scaled, reference in rows:
-        gap = abs(scaled - reference)
-        if gap > sup:
-            sup = gap
-            argmax_k = k
-    return DiscrepancyReport(n=n, sup=sup, argmax_k=argmax_k)
+    # sup of |scaled - reference| over the (nonempty) rows, at its first k
+    k, scaled, reference = max(rows, key=lambda row: abs(row[1] - row[2]))
+    return DiscrepancyReport(n=n, sup=abs(scaled - reference), argmax_k=k)
 
 
 def lclt_rows(n: int, which: str, window: float | None = None) -> tuple[list[Row], DiscrepancyReport]:

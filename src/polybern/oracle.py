@@ -1,20 +1,21 @@
 """Enumeration oracles for the combinatorial interpretations.
 
 Every counter decides membership from the raw definition, independently
-of the closed-form layer in exactcomb, under a hard size guard. The
-counters count states, not objects. A matrix is built one row at a time,
-keeping a row only if it fits the rows above it; each test reads those
-rows only as a set, so the sweep keeps, per set of distinct rows, the
-number of prefixes holding it. Each property is closed under transpose,
-so rows are swept at width min(n, k). Permutations are placed one
-position at a time, each from its own range of values, and counted per
-set of values used (the bitmask permanent recurrence).
+of the closed-form layer in exactcomb. The counters count states, not
+objects: one forward tally keeps, per state, the number of paths reaching
+it. A matrix grows one row at a time, a row kept only if it fits the
+rows above it; each test reads those rows only as a set, which is the
+state. Each property is closed under transpose, so rows are swept at
+width min(n, k). A permutation is placed one position at a time, each
+from its own range, and the state is the mask of values used (the bitmask
+permanent recurrence). Each sweep checks its own size guard first.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Collection, Hashable, Sequence
+from collections.abc import Callable, Collection, Hashable, Iterable, Sequence
+from typing import TypeVar
 
 from .exactcomb import Count, GuardError
 
@@ -22,35 +23,33 @@ from .exactcomb import Count, GuardError
 MATRIX_GUARD = 30
 PERMUTATION_GUARD = 14
 
-
-def _set_sweep(
-    n: int,
-    k: int,
-    fits: Callable[[frozenset[int], int], bool],
-    leaf: Callable[[frozenset[int]], Hashable],
-) -> Counter[Hashable]:
-    # Every n-row matrix of k-bit row masks whose each row fits the rows
-    # above it, tallied by leaf(set of its distinct rows). `fits` must read
-    # the rows above only as a set; then a prefix's completions depend on
-    # its set alone, and each layer maps a set to the prefixes reaching it.
-    layer = {frozenset(): 1}
-    for _ in range(n):
-        below: dict[frozenset[int], Count] = {}
-        for above, ways in layer.items():
-            for row in range(1 << k):
-                if fits(above, row):
-                    key = above | {row}
-                    below[key] = below.get(key, 0) + ways
-        layer = below
-    tally: Counter[Hashable] = Counter()
-    for rows, ways in layer.items():
-        tally[leaf(rows)] += ways
-    return tally
+State = TypeVar("State", bound=Hashable)
 
 
-def _count_matrices(n: int, k: int, fits: Callable[[frozenset[int], int], bool]) -> Count:
-    # The property is closed under transpose: sweep the narrower side.
-    return sum(_set_sweep(max(n, k), min(n, k), fits, lambda rows: None).values())
+def _tally(start: State, moves: Sequence[Callable[[State], Iterable[State]]]) -> dict[State, Count]:
+    # Step j maps each state to the states moves[j] reaches from it, and
+    # each reached state to the number of paths from start that reach it.
+    layer = {start: 1}
+    for move in moves:
+        step: dict[State, Count] = {}
+        for state, ways in layer.items():
+            for reached in move(state):
+                step[reached] = step.get(reached, 0) + ways
+        layer = step
+    return layer
+
+
+def _row_sets(n: int, k: int, fits: Callable[[frozenset[int], int], bool]) -> dict[frozenset[int], Count]:
+    # Every max(n, k)-row matrix of min(n, k)-bit rows, each fitting the rows
+    # above it, tallied by its set of distinct rows. `fits` must read the
+    # rows above only as a set, and the property be closed under transpose.
+    if n < 0 or k < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+    if max(n, k, n * k) > MATRIX_GUARD:
+        raise GuardError(f"{n}x{k} exceeds enumeration guard {MATRIX_GUARD} on n*k or a side")
+    rows = range(1 << min(n, k))
+    grow = [lambda above: (above | {row} for row in rows if fits(above, row))]
+    return _tally(frozenset(), grow * max(n, k))
 
 
 def _comparable(rows: Collection[int], row: int) -> bool:
@@ -104,30 +103,21 @@ def _acyclic_with(rows: Collection[int], row: int) -> bool:
 
 
 def _lonesum_census(n: int, k: int) -> Counter[tuple[bool, bool]]:
-    # One sweep counts lonesum matrices by (no zero row, no zero column).
-    # Comparable rows form a chain under inclusion: the largest is the union.
-    # Transposing swaps the two flags.
-    width = min(n, k)
-    full = (1 << width) - 1
-    census = _set_sweep(
-        max(n, k), width, _comparable, lambda rows: (0 not in rows, max(rows, default=0) == full)
-    )
-    if n >= k:
-        return census
-    return Counter({(cols_ok, rows_ok): count for (rows_ok, cols_ok), count in census.items()})
-
-
-def _check_matrix_guard(n: int, k: int) -> None:
-    if n < 0 or k < 0:
-        raise ValueError("matrix dimensions must be nonnegative")
-    if max(n, k, n * k) > MATRIX_GUARD:
-        raise GuardError(f"{n}x{k} exceeds enumeration guard {MATRIX_GUARD} on n*k or a side")
+    # Lonesum matrices by (no zero row, no zero column). Comparable rows
+    # form a chain under inclusion: the largest is the union. Transposing
+    # swaps the two flags.
+    sets = _row_sets(n, k, _comparable)
+    full = (1 << min(n, k)) - 1
+    census: Counter[tuple[bool, bool]] = Counter()
+    for rows, ways in sets.items():
+        flags = (0 not in rows, max(rows, default=0) == full)
+        census[flags if n >= k else flags[::-1]] += ways
+    return census
 
 
 def count_lonesum(n: int, k: int) -> Count:
     """Number of n x k lonesum matrices by exhaustive sweep (n*k, n, k <= 30)."""
-    _check_matrix_guard(n, k)
-    return sum(_lonesum_census(n, k).values())
+    return sum(_row_sets(n, k, _comparable).values())
 
 
 def count_lonesum_restricted(n: int, k: int, forbid_zero_rows: bool, forbid_zero_cols: bool) -> Count:
@@ -135,7 +125,6 @@ def count_lonesum_restricted(n: int, k: int, forbid_zero_rows: bool, forbid_zero
 
     (False, True) matches c_relative; (True, True) matches ml_degree.
     """
-    _check_matrix_guard(n, k)
     return sum(
         count
         for (rows_ok, cols_ok), count in _lonesum_census(n, k).items()
@@ -145,8 +134,7 @@ def count_lonesum_restricted(n: int, k: int, forbid_zero_rows: bool, forbid_zero
 
 def count_gamma_free(n: int, k: int) -> Count:
     """Number of n x k matrices avoiding (1,1 / 1,0) and (1,1 / 1,1) (n*k, n, k <= 30)."""
-    _check_matrix_guard(n, k)
-    return _count_matrices(n, k, _gamma_free_below)
+    return sum(_row_sets(n, k, _gamma_free_below).values())
 
 
 def count_acyclic_orientations(n: int, k: int) -> Count:
@@ -157,35 +145,26 @@ def count_acyclic_orientations(n: int, k: int) -> Count:
     four-cycle criterion. Transposing reverses every edge, which keeps an
     orientation acyclic.
     """
-    _check_matrix_guard(n, k)
-    return _count_matrices(n, k, _acyclic_with)
+    return sum(_row_sets(n, k, _acyclic_with).values())
 
 
-def _count_permutations(allowed: Sequence[range]) -> Count:
-    # Permutations pi with pi(j) in allowed[j - 1] for every position j,
-    # placing one position at a time and never reusing a value. The values
-    # used so far fix the position, so each step maps a used-value mask to
-    # the number of partial permutations reaching it.
-    layer = {0: 1}
-    for values in allowed:
-        step: dict[int, Count] = {}
-        for used, ways in layer.items():
-            for v in values:
-                bit = 1 << v
-                if not used & bit:
-                    step[used | bit] = step.get(used | bit, 0) + ways
-        layer = step
-    return sum(layer.values())
+def _count_permutations(m: int, allowed: Callable[[int], range]) -> Count:
+    # Permutations pi of {1,...,m} with pi(j) in allowed(j) for every
+    # position j, placed in order without reusing a value; the values used
+    # so far fix the position, so the state is their mask.
+    if m > PERMUTATION_GUARD:
+        raise GuardError(f"permutation length {m} exceeds enumeration guard {PERMUTATION_GUARD}")
+    layers = [[1 << v for v in allowed(j)] for j in range(1, m + 1)]
+    moves = [lambda used, bits=bits: (used | b for b in bits if not used & b) for bits in layers]
+    return sum(_tally(0, moves).values())
 
 
 def count_vesztergombi(n: int, k: int) -> Count:
     """Permutations pi of {1,...,n+k} with -k <= pi(i)-i <= n (n+k <= 14)."""
     if n < 0 or k < 0:
         raise ValueError("dimensions must be nonnegative")
-    if n + k > PERMUTATION_GUARD:
-        raise GuardError(f"n+k={n + k} exceeds enumeration guard {PERMUTATION_GUARD}")
     m = n + k
-    return _count_permutations([range(max(1, i - k), min(m, i + n) + 1) for i in range(1, m + 1)])
+    return _count_permutations(m, lambda i: range(max(1, i - k), min(m, i + n) + 1))
 
 
 def count_excedance_word(r: int, s: int) -> Count:
@@ -197,7 +176,5 @@ def count_excedance_word(r: int, s: int) -> Count:
     if r < 1 or s < 0:
         raise ValueError("need r >= 1 and s >= 0")
     m = r + s
-    if m > PERMUTATION_GUARD:
-        raise GuardError(f"r+s={m} exceeds enumeration guard {PERMUTATION_GUARD}")
-    allowed = [range(j + 1, m + 1) if j < r else range(1, j + 1) for j in range(1, m)]
-    return _count_permutations([*allowed, range(1, m + 1)])
+    # At j = m the non-excedance range 1..j is every value: the last position is free.
+    return _count_permutations(m, lambda j: range(j + 1, m + 1) if j < r else range(1, j + 1))

@@ -28,7 +28,7 @@ _EXP_FLOOR = -745.0
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node count (and optional circle radius) for one periodic trapezoid rule."""
+    """Node count (and, for residue_integral_b only, a circle radius) for one trapezoid rule."""
 
     nodes: int
     radius: float | None = None
@@ -72,6 +72,8 @@ def parseval_b(k: int, spec: QuadratureSpec) -> float:
         raise ValueError("k must be nonnegative")
     if k > PARSEVAL_GUARD:
         raise GuardError(f"k={k} exceeds parseval guard {PARSEVAL_GUARD}")
+    if spec.radius is not None:
+        raise ValueError(f"radius {spec.radius} applies to residue_integral_b only")
     if spec.nodes < 2 * k + 4:
         raise GuardError(f"nodes={spec.nodes} below exactness bound {2 * k + 4}")
     coeffs = _u_coefficients(k)
@@ -106,6 +108,8 @@ def laplace_integral_diag(k: int, spec: QuadratureSpec) -> LogEstimate:
         raise ValueError("k must be nonnegative")
     if k > LAPLACE_GUARD:
         raise GuardError(f"k={k} exceeds laplace guard {LAPLACE_GUARD}")
+    if spec.radius is not None:
+        raise ValueError(f"radius {spec.radius} applies to residue_integral_b only")
     # Midpoint-offset nodes keep the rule away from the phi = +-pi
     # singularity; terms are combined in log space since the peak value
     # grows like (1/log 2)^(2k+2).

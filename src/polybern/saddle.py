@@ -73,7 +73,7 @@ def f_dir(t: float) -> float:
     Strictly increasing from 0 to infinity; evaluated in the cancellation-free
     form t e^{-t} / ((-expm1(-t)) (-log(1 - e^{-t}))).
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("f is defined for t > 0")
     if t >= F_T_MAX:
         raise ValueError(f"t={t} overflows the stable form (limit {F_T_MAX})")
@@ -89,7 +89,7 @@ def f_inverse(r: float) -> float:
     Defined for 1/R <= r <= R with R = f(F_T_MAX (1 - 2^-20)), about 700;
     raises ValueError outside.
     """
-    if r <= 0:
+    if not r > 0:
         raise ValueError("f_inverse is defined for r > 0")
     target = max(r, 1.0 / r)
     cap = F_T_MAX * (1 - 2**-20)

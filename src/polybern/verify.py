@@ -61,6 +61,10 @@ def criterion_oracle_equivalence() -> CriterionResult:
         v = oracle.count_vesztergombi(n, k)
         if v != poly_bernoulli(n, k):
             failures.append(f"vesztergombi({n},{k})={v} != B={poly_bernoulli(n, k)}")
+        if n >= 1:  # the excedance word needs r = n >= 1
+            e = oracle.count_excedance_word(n, k)
+            if e != c_relative(n, k):
+                failures.append(f"excedance({n},{k})={e} != C={c_relative(n, k)}")
     return _result(
         1,
         "oracle-equivalence",

@@ -32,6 +32,13 @@ def test_criterion_1_oracle_equivalence():
     assert elapsed < 10.0, f"oracle sweep took {elapsed:.1f}s"
 
 
+def test_criterion_1_checks_the_excedance_oracle(monkeypatch):
+    monkeypatch.setattr(verify.oracle, "count_excedance_word", lambda r, s: 0)
+    result = verify.criterion_oracle_equivalence()
+    assert not result.passed
+    assert result.detail.startswith("excedance(1,0)=0 != C=1; excedance(1,1)=0 != C=1")
+
+
 def test_criterion_2_formula_identities():
     _report(verify.criterion_formula_identities())
 

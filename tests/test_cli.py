@@ -225,6 +225,12 @@ def test_guard_exit_code(capsys):
         assert code == 3 and out == "" and "2..200" in err
 
 
+def test_empty_ml_window_is_config_error(capsys):
+    code, out, err = run_cli(capsys, "lclt", "--which", "ML", "--n", "3", "--window", "0.05")
+    assert code == 2 and out == ""
+    assert "window 0.05 holds no integer k at n=3" in err
+
+
 def test_bad_range_is_config_error(capsys):
     code = main(["exact", "--seq", "B", "--n", "3..1", "--k", "0"])
     capsys.readouterr()

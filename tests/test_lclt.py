@@ -6,6 +6,7 @@ import pytest
 
 from polybern.exactcomb import GuardError
 from polybern.lclt import (
+    ML_SHAPE_N_GUARD,
     gaussian_params,
     lclt_discrepancy,
     lclt_rows,
@@ -223,6 +224,19 @@ def test_ml_guards():
     with pytest.raises(GuardError):
         ml_limit_discrepancy(1, 2.0)
     assert ml_limit_discrepancy(30, 3.5) == lclt_rows(30, "ML", 3.5)[1]
+
+
+def test_empty_ml_window_is_value_error():
+    # |k - 3/2| <= 0.05 sqrt(3) holds no integer k.
+    with pytest.raises(ValueError, match=r"window 0.05 holds no integer k at n=3"):
+        ml_window(3, 0.05)
+    with pytest.raises(ValueError, match=r"at n=3"):
+        ml_limit_discrepancy(3, 0.05)
+    assert ml_window(4, 0.05) == (2, 2)
+    # The default window 2.0 is never empty on the ML domain.
+    for n in range(2, ML_SHAPE_N_GUARD + 1):
+        lo, hi = ml_window(n, 2.0)
+        assert lo <= hi
 
 
 def test_window_is_ml_only():

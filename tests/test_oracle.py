@@ -186,11 +186,16 @@ def test_orientation_guard():
 def test_vesztergombi_guard():
     with pytest.raises(GuardError):
         count_vesztergombi(7, 8)
+    # The guard is checked before any position's range is built.
+    with pytest.raises(GuardError, match="permutation length 1000000000000 exceeds"):
+        count_vesztergombi(10**12, 0)
 
 
 def test_excedance_guard():
     with pytest.raises(GuardError):
         count_excedance_word(8, 7)
+    with pytest.raises(GuardError, match="permutation length 1000000000000 exceeds"):
+        count_excedance_word(1, 10**12 - 1)
 
 
 SMALL_SHAPES = [(n, k) for n in range(13) for k in range(13) if n * k <= 12]
@@ -218,6 +223,24 @@ def test_set_sweep_matches_plain_enumeration(n, k):
         assert count_lonesum_restricted(n, k, *forbid) == sum(kept)
     assert count_gamma_free(n, k) == gamma
     assert count_acyclic_orientations(n, k) == orient
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_permutation_sweep_matches_plain_enumeration(m):
+    # Every permutation of {1,...,m}, filtered by each oracle's raw
+    # definition; pi[0] pads the tuple so that pi[i] is pi(i).
+    perms = [(0, *pi) for pi in itertools.permutations(range(1, m + 1))]
+    for n in range(m + 1):
+        k = m - n
+        displaced = sum(all(-k <= pi[i] - i <= n for i in range(1, m + 1)) for pi in perms)
+        assert count_vesztergombi(n, k) == displaced
+    for r in range(1, m + 1):
+        # Positions 1..r-1 are excedances, r..m-1 are not, m is free (s = 0 included).
+        word = sum(
+            all(pi[j] > j for j in range(1, r)) and all(pi[j] <= j for j in range(r, m))
+            for pi in perms
+        )
+        assert count_excedance_word(r, m - r) == word
 
 
 def test_thin_shapes_cost_states_not_matrices():

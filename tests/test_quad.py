@@ -75,6 +75,14 @@ def test_parseval_guards():
         parseval_b(10, QuadratureSpec(nodes=16))
 
 
+def test_radius_applies_to_residue_only():
+    spec = QuadratureSpec(nodes=64, radius=0.5)
+    with pytest.raises(ValueError, match="radius 0.5 applies to residue_integral_b only"):
+        parseval_b(3, spec)
+    with pytest.raises(ValueError, match="radius 0.5 applies to residue_integral_b only"):
+        laplace_integral_diag(3, spec)
+
+
 def test_laplace_integrand_positive_and_frozen():
     assert laplace_integrand_diag(2, 1.0) == pytest.approx(5.501144009623934, rel=1e-13)
     assert laplace_integrand_diag(5, 0.0) > 0.0

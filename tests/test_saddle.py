@@ -64,6 +64,8 @@ def test_f_rejects_nonpositive_and_huge():
         f_dir(-1.0)
     with pytest.raises(ValueError):
         f_dir(701.0)
+    with pytest.raises(ValueError, match="t > 0"):
+        f_dir(math.nan)
 
 
 def test_f_inverse_at_one():
@@ -87,6 +89,8 @@ def test_f_inverse_handles_extreme_ratios():
 def test_f_inverse_rejects_nonpositive():
     with pytest.raises(ValueError):
         f_inverse(0.0)
+    with pytest.raises(ValueError, match="r > 0"):
+        f_inverse(math.nan)
 
 
 def test_f_inverse_round_trip_in_t():
