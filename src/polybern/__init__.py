@@ -30,7 +30,6 @@ from .quad import (
     QuadratureSpec,
     laplace_integral_diag,
     parseval_b,
-    residue_defect,
     residue_integral_b,
 )
 from .saddle import (
@@ -81,7 +80,6 @@ __all__ = [
     "ml_limit_shape",
     "parseval_b",
     "poly_bernoulli",
-    "residue_defect",
     "residue_integral_b",
     "run_all",
     "report_lines",

@@ -152,7 +152,7 @@ def _run_quad(args: argparse.Namespace) -> _Table:
         _refuse_unused(args, "n", "radius")
     elif args.n is None:
         raise ValueError("quad --which residue needs --n")
-    spec = quad.QuadratureSpec(nodes=args.nodes, radius=args.radius)
+    spec = quad.QuadratureSpec(nodes=args.nodes)
     rows: list[Sequence[object]] = []
     if args.which == "parseval":
         for k in args.k:
@@ -171,7 +171,7 @@ def _run_quad(args: argparse.Namespace) -> _Table:
         return ["k", "log_integral", "log_prediction", "ratio_defect"], rows, {}
     for n in args.n:
         for k in args.k:
-            log_integral = quad.residue_integral_b(n, k, spec)
+            log_integral = quad.residue_integral_b(n, k, spec, args.radius)
             log_exact = log_of_count(poly_bernoulli(n, k))
             rows.append([n, k, log_integral, log_exact, log_integral - log_exact])
     return ["n", "k", "log_integral", "log_exact", "log_defect"], rows, {}

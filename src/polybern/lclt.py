@@ -54,15 +54,14 @@ Row = tuple[int, float, float]
 
 def gaussian_params(which: str) -> GaussianParams:
     """Limit constants for sequence 'B' or 'D'; closed forms, no fitting."""
-    key = which.upper()
-    if key not in ("B", "D"):
+    if which not in ("B", "D"):
         raise ValueError(f"which must be 'B' or 'D', got {which!r}")
     log_em1 = math.log(math.e - 1.0)
     rho = 1.0 - log_em1
     amplitude = math.e / ((1.0 - log_em1) * (math.e - 1.0))
     mean_rate = amplitude / math.e
     variance_rate = mean_rate**2 * log_em1
-    prefactor = 1.0 if key == "B" else math.exp(-1.0) * (1.0 - math.exp(-1.0))
+    prefactor = 1.0 if which == "B" else math.exp(-1.0) * (1.0 - math.exp(-1.0))
     return GaussianParams(
         rho=rho,
         amplitude=amplitude,
@@ -76,6 +75,8 @@ def nu_density(n: int, k: float, p: GaussianParams) -> float:
     """Gaussian density value at index k for row n (prefactor not applied)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
     spread = 2.0 * p.variance_rate * n
     return p.amplitude / math.sqrt(math.pi * spread) * math.exp(-((k - n * p.mean_rate) ** 2) / spread)
 
@@ -85,7 +86,7 @@ def scaled_coefficient(n: int, k: int, which: str) -> float:
     if not (0 <= n <= SCALED_N_GUARD and 0 <= k <= SCALED_K_GUARD):
         raise GuardError(f"(n,k)=({n},{k}) outside table bound {SCALED_N_GUARD}x{SCALED_K_GUARD}")
     p = gaussian_params(which)
-    value = poly_bernoulli(n, k) if which.upper() == "B" else ml_degree(n, k)
+    value = poly_bernoulli(n, k) if which == "B" else ml_degree(n, k)
     if value == 0:
         return 0.0
     return math.exp(
@@ -108,6 +109,8 @@ def ml_limit_shape(n: int, k: float) -> float:
     """Limit-shape value 2^(-2(k - n/2)^2/(n(1 - log 2))) / ((4 log 2) sqrt(1 - log 2))."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
     exponent = -2.0 * (k - n / 2.0) ** 2 / (n * (1.0 - LOG2)) * LOG2
     return math.exp(exponent) / ((4.0 * LOG2) * math.sqrt(1.0 - LOG2))
 
@@ -117,6 +120,8 @@ def ml_window(n: int, window: float) -> tuple[int, int]:
 
     Raises ValueError when no integer k lies in it.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not 0 < window <= ML_SHAPE_K_MAX:
         raise ValueError(f"window must lie in (0, {ML_SHAPE_K_MAX}], got {window}")
     half_width = window * math.sqrt(n)
@@ -154,7 +159,7 @@ def lclt_rows(n: int, which: str, window: float | None = None) -> tuple[list[Row
     with window 2.0 when None. Passing a window for 'B' or 'D' is a
     ValueError.
     """
-    if which.upper() == "ML":
+    if which == "ML":
         if not 2 <= n <= ML_SHAPE_N_GUARD:
             raise GuardError(f"n={n} outside 2..{ML_SHAPE_N_GUARD}")
         lo, hi = ml_window(n, 2.0 if window is None else window)
@@ -184,7 +189,7 @@ def lclt_discrepancy(n: int, which: str) -> DiscrepancyReport:
 
     The report of lclt_rows(n, which) for 'B' or 'D', 2 <= n <= 200.
     """
-    if which.upper() == "ML":
+    if which == "ML":
         raise ValueError("which must be 'B' or 'D', got 'ML'; use ml_limit_discrepancy")
     return lclt_rows(n, which)[1]
 

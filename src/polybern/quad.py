@@ -12,40 +12,31 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .exactcomb import GuardError, LogEstimate, log_of_count, poly_bernoulli, stirling2
+from .exactcomb import GuardError, LogEstimate, stirling2
 from .saddle import saddle_point
 
 TWO_PI = 2.0 * math.pi
 
-U_POLY_GUARD = 60
 PARSEVAL_GUARD = 20
 LAPLACE_GUARD = 300
 RESIDUE_GUARD = 40
 
-# exp underflows to zero below this exponent; such terms add nothing
-_EXP_FLOOR = -745.0
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node count (and, for residue_integral_b only, a circle radius) for one trapezoid rule."""
+    """Node count for one trapezoid rule."""
 
     nodes: int
-    radius: float | None = None
 
     def __post_init__(self):
+        if isinstance(self.nodes, bool) or not isinstance(self.nodes, int):
+            raise ValueError(f"nodes must be an int, got {self.nodes!r}")
         if self.nodes < 8 or self.nodes % 2:
             raise ValueError(f"nodes must be even and >= 8, got {self.nodes}")
-        if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"radius must be finite and positive, got {self.radius}")
 
 
 def _u_coefficients(k: int) -> list[float]:
     # m! S(k+1,m+1) for m = 0..k; parseval_b reads them once for all nodes.
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > U_POLY_GUARD:
-        raise GuardError(f"k={k} exceeds float-coefficient guard {U_POLY_GUARD}")
     return [float(math.factorial(m) * stirling2(k + 1, m + 1)) for m in range(k + 1)]
 
 
@@ -57,13 +48,8 @@ def _horner(coeffs: list[float], phi: float) -> complex:
     return acc
 
 
-def u_poly(k: int, phi: float) -> complex:
-    """Coefficient polynomial sum_m m! S(k+1,m+1) y^m at y = exp(i phi)."""
-    return _horner(_u_coefficients(k), phi)
-
-
 def parseval_b(k: int, spec: QuadratureSpec) -> float:
-    """B(k,k) as the circle mean of |u_k|^2.
+    """B(k,k) as the circle mean of |u_k|^2, u_k(y) = sum_m m! S(k+1,m+1) y^m.
 
     The integrand is a trigonometric polynomial of degree k, so any node
     count >= 2k+2 is exact up to rounding; the guard demands 2k+4.
@@ -72,8 +58,6 @@ def parseval_b(k: int, spec: QuadratureSpec) -> float:
         raise ValueError("k must be nonnegative")
     if k > PARSEVAL_GUARD:
         raise GuardError(f"k={k} exceeds parseval guard {PARSEVAL_GUARD}")
-    if spec.radius is not None:
-        raise ValueError(f"radius {spec.radius} applies to residue_integral_b only")
     if spec.nodes < 2 * k + 4:
         raise GuardError(f"nodes={spec.nodes} below exactness bound {2 * k + 4}")
     coeffs = _u_coefficients(k)
@@ -88,28 +72,12 @@ def _laplace_exponent(k: int, phi: float) -> float:
     return -(2 * k + 2) * math.log(abs(cmath.log(1.0 + cmath.exp(-1j * phi))))
 
 
-def laplace_integrand_diag(k: int, phi: float) -> float:
-    """Value of 1/|log(1 + exp(-i phi))|^(2k+2) on the open interval (-pi, pi)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > LAPLACE_GUARD:
-        raise GuardError(f"k={k} exceeds laplace guard {LAPLACE_GUARD}")
-    if not -math.pi < phi < math.pi:
-        raise ValueError("phi must lie strictly inside (-pi, pi)")
-    exponent = _laplace_exponent(k, phi)
-    if exponent < _EXP_FLOOR:
-        return 0.0
-    return math.exp(exponent)
-
-
 def laplace_integral_diag(k: int, spec: QuadratureSpec) -> LogEstimate:
     """Natural log of the trapezoid value of the diagonal contour integral."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > LAPLACE_GUARD:
         raise GuardError(f"k={k} exceeds laplace guard {LAPLACE_GUARD}")
-    if spec.radius is not None:
-        raise ValueError(f"radius {spec.radius} applies to residue_integral_b only")
     # Midpoint-offset nodes keep the rule away from the phi = +-pi
     # singularity; terms are combined in log space since the peak value
     # grows like (1/log 2)^(2k+2).
@@ -119,16 +87,20 @@ def laplace_integral_diag(k: int, spec: QuadratureSpec) -> LogEstimate:
     return top + math.log(mean)
 
 
-def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
+def residue_integral_b(n: int, k: int, spec: QuadratureSpec, radius: float | None = None) -> LogEstimate:
     """Log of the circle-integral recovery of B(n,k).
 
-    Parameterizes the full circle |x| = radius, folds n! k! back in, and
-    keeps the real part; the imaginary part cancels by conjugate symmetry.
-    Raises ValueError naming the radius where the rule breaks down on it.
+    Parameterizes the full circle |x| = radius (the saddle point's a when
+    None), folds n! k! back in, and keeps the real part; the imaginary
+    part cancels by conjugate symmetry. Raises ValueError naming the
+    radius where the rule breaks down on it.
     """
+    if radius is not None and not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     if not (1 <= n <= RESIDUE_GUARD and 1 <= k <= RESIDUE_GUARD):
         raise GuardError(f"(n,k)=({n},{k}) outside residue guard 1..{RESIDUE_GUARD}")
-    radius = spec.radius if spec.radius is not None else saddle_point(n, k).a
+    if radius is None:
+        radius = saddle_point(n, k).a
     # 1 - exp(-x) vanishes at x = 2 pi i m; keep the circle off those moduli
     nearest = round(radius / TWO_PI)
     if nearest >= 1 and abs(radius - TWO_PI * nearest) < 1e-9 * max(1.0, radius):
@@ -147,8 +119,3 @@ def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
     if mean.real <= 0:
         raise ValueError(f"radius {radius} at ({n},{k}): quadrature mean {mean} lost positivity")
     return math.lgamma(n + 1) + math.lgamma(k + 1) + top + math.log(mean.real)
-
-
-def residue_defect(n: int, k: int, spec: QuadratureSpec) -> float:
-    """Signed log-space defect of the circle integral against the exact count."""
-    return residue_integral_b(n, k, spec) - log_of_count(poly_bernoulli(n, k))

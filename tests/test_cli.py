@@ -182,7 +182,7 @@ def test_quad_residue_reads_radius(capsys):
     assert code == 0
     row = out.splitlines()[1].split(",")
     assert row[:2] == ["6", "6"]
-    assert float(row[2]) == residue_integral_b(6, 6, QuadratureSpec(2048, 0.5))
+    assert float(row[2]) == residue_integral_b(6, 6, QuadratureSpec(2048), 0.5)
 
 
 @pytest.mark.parametrize(

@@ -248,3 +248,30 @@ def test_window_is_ml_only():
             lclt_rows(20, which, window=99)
         with pytest.raises(ValueError, match="window applies to 'ML' only"):
             lclt_rows(20, which, window=2.0)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_limit_densities_reject_non_finite_k(k):
+    with pytest.raises(ValueError, match=f"k must be finite, got {k}"):
+        ml_limit_shape(10, k)
+    with pytest.raises(ValueError, match=f"k must be finite, got {k}"):
+        nu_density(10, k, gaussian_params("B"))
+
+
+@pytest.mark.parametrize("n", [-4, 0])
+def test_ml_window_names_a_bad_n(n):
+    with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
+        ml_window(n, 1.0)
+
+
+def test_which_is_case_sensitive():
+    # the names are 'B', 'D' and 'ML' exactly, as the CLI offers them
+    for which in ("b", "d", "ml"):
+        with pytest.raises(ValueError, match=f"which must be 'B' or 'D', got '{which}'"):
+            lclt_rows(20, which)
+    with pytest.raises(ValueError, match="which must be 'B' or 'D', got 'b'"):
+        gaussian_params("b")
+    with pytest.raises(ValueError, match="which must be 'B' or 'D', got 'ml'"):
+        lclt_discrepancy(20, "ml")
+    with pytest.raises(ValueError, match="which must be 'B' or 'D', got 'd'"):
+        scaled_coefficient(20, 3, "d")

@@ -163,7 +163,7 @@ def test_every_estimator_is_finite_or_value_error(n, k):
 def test_residue_is_finite_or_value_error(n, k, radius):
     # radius None is the saddle point; the others are log-uniform in [e^-30, e^8]
     try:
-        value = residue_integral_b(n, k, QuadratureSpec(64, radius))
+        value = residue_integral_b(n, k, QuadratureSpec(64), radius)
     except ValueError:
         return
     assert isinstance(value, float) and math.isfinite(value)

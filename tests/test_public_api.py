@@ -1,5 +1,6 @@
 """The package root: its exported names, the README quick tour and its commands."""
 
+import ast
 import doctest
 import importlib
 import shlex
@@ -11,6 +12,7 @@ import polybern
 from polybern.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCES = sorted(Path(polybern.__file__).resolve().parent.glob("*.py"))
 
 
 def test_readme_quick_tour_runs_as_a_doctest():
@@ -40,6 +42,25 @@ def test_every_exported_name_exists():
     assert all(hasattr(polybern, name) for name in polybern.__all__)
 
 
+def test_every_public_definition_is_used_or_exported():
+    # a public top-level function or class that no name or attribute in
+    # the package reads, and the root does not export, is dead API
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert sorted(defined - used - set(polybern.__all__)) == []
+
+
 @pytest.mark.parametrize(
     "module,name",
     [
@@ -49,7 +70,6 @@ def test_every_exported_name_exists():
         ("saddle", "SaddlePoint"),
         ("lclt", "nu_density"),
         ("lclt", "scaled_coefficient"),
-        ("quad", "u_poly"),
     ],
 )
 def test_module_level_names_stay_off_the_root(module, name):
