@@ -22,6 +22,10 @@ ML_SHAPE_K_MAX = 5.0
 # is accepted.
 _TAIL_RATIO = 1e-8
 
+# Largest row n the float formulas take: n times the rate constants
+# stays finite below it.
+_MAX_ROW = 10**300
+
 
 @dataclass(frozen=True)
 class GaussianParams:
@@ -52,6 +56,19 @@ class DiscrepancyReport:
 Row = tuple[int, float, float]
 
 
+def _check_row(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > _MAX_ROW:
+        raise ValueError("n must be <= 10**300; n times the rate constants leaves the float range")
+
+
+def _square(x: float) -> float:
+    # x ** 2, or inf where that overflows (|x| >= 2^512). For n <= 10**300
+    # every Gaussian exponent here then lies below -1e8, so exp gives 0.0.
+    return x**2 if abs(x) < 2.0**512 else math.inf
+
+
 def gaussian_params(which: str) -> GaussianParams:
     """Limit constants for sequence 'B' or 'D'; closed forms, no fitting."""
     if which not in ("B", "D"):
@@ -73,12 +90,11 @@ def gaussian_params(which: str) -> GaussianParams:
 
 def nu_density(n: int, k: float, p: GaussianParams) -> float:
     """Gaussian density value at index k for row n (prefactor not applied)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_row(n)
     if not math.isfinite(k):
         raise ValueError(f"k must be finite, got {k}")
     spread = 2.0 * p.variance_rate * n
-    return p.amplitude / math.sqrt(math.pi * spread) * math.exp(-((k - n * p.mean_rate) ** 2) / spread)
+    return p.amplitude / math.sqrt(math.pi * spread) * math.exp(-_square(k - n * p.mean_rate) / spread)
 
 
 def scaled_coefficient(n: int, k: int, which: str) -> float:
@@ -100,18 +116,16 @@ def window_limit(n: int, p: GaussianParams) -> int:
     ceil(n omega + 12 sqrt(n sigma)), capped at the table bound; both sides
     of the comparison are below 1e-9 of the peak beyond the cap.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_row(n)
     return min(math.ceil(n * p.mean_rate + 12.0 * math.sqrt(n * p.variance_rate)), SCALED_K_GUARD)
 
 
 def ml_limit_shape(n: int, k: float) -> float:
     """Limit-shape value 2^(-2(k - n/2)^2/(n(1 - log 2))) / ((4 log 2) sqrt(1 - log 2))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_row(n)
     if not math.isfinite(k):
         raise ValueError(f"k must be finite, got {k}")
-    exponent = -2.0 * (k - n / 2.0) ** 2 / (n * (1.0 - LOG2)) * LOG2
+    exponent = -2.0 * _square(k - n / 2.0) / (n * (1.0 - LOG2)) * LOG2
     return math.exp(exponent) / ((4.0 * LOG2) * math.sqrt(1.0 - LOG2))
 
 
@@ -120,8 +134,7 @@ def ml_window(n: int, window: float) -> tuple[int, int]:
 
     Raises ValueError when no integer k lies in it.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_row(n)
     if not 0 < window <= ML_SHAPE_K_MAX:
         raise ValueError(f"window must lie in (0, {ML_SHAPE_K_MAX}], got {window}")
     half_width = window * math.sqrt(n)

@@ -20,6 +20,9 @@ TWO_PI = 2.0 * math.pi
 PARSEVAL_GUARD = 20
 LAPLACE_GUARD = 300
 RESIDUE_GUARD = 40
+# Each rule holds one term per node before averaging, so time and memory
+# grow with the node count; 2^16 is 16 times the most any check uses.
+NODES_GUARD = 2**16
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,8 @@ class QuadratureSpec:
             raise ValueError(f"nodes must be an int, got {self.nodes!r}")
         if self.nodes < 8 or self.nodes % 2:
             raise ValueError(f"nodes must be even and >= 8, got {self.nodes}")
+        if self.nodes > NODES_GUARD:
+            raise GuardError(f"nodes={self.nodes} exceeds node guard {NODES_GUARD}")
 
 
 def _u_coefficients(k: int) -> list[float]:

@@ -223,6 +223,8 @@ def test_guard_exit_code(capsys):
     for which in ("B", "D"):
         code, out, err = run_cli(capsys, "lclt", "--which", which, "--n", "1")
         assert code == 3 and out == "" and "2..200" in err
+    code, out, err = run_cli(capsys, "quad", "--which", "laplace", "--k", "3", "--nodes", "1000000000")
+    assert code == 3 and out == "" and "node guard 65536" in err
 
 
 def test_empty_ml_window_is_config_error(capsys):

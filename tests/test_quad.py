@@ -7,6 +7,7 @@ import pytest
 
 from polybern.exactcomb import GuardError, log_of_count, poly_bernoulli
 from polybern.quad import (
+    NODES_GUARD,
     QuadratureSpec,
     _laplace_exponent,
     laplace_integral_diag,
@@ -23,6 +24,13 @@ def test_spec_validates_nodes():
         with pytest.raises(ValueError, match=f"nodes must be an int, got {nodes!r}"):
             QuadratureSpec(nodes=nodes)
     assert QuadratureSpec(nodes=64).nodes == 64
+
+
+def test_spec_guards_the_node_count():
+    assert QuadratureSpec(nodes=NODES_GUARD).nodes == 2**16
+    for nodes in (NODES_GUARD + 2, 10**9):
+        with pytest.raises(GuardError, match=f"nodes={nodes} exceeds node guard 65536"):
+            QuadratureSpec(nodes=nodes)
 
 
 @pytest.mark.parametrize("k", range(11))

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polybern import saddle
 from polybern.exactcomb import c_relative, log_of_count, ml_degree, poly_bernoulli
 from polybern.saddle import (
     DIAG_RATIO_C,
+    F_T_MAX,
     ML_DEGREE_GF,
     POLY_BERNOULLI_GF,
     SECOND_ORDER_C,
@@ -101,6 +103,107 @@ def test_f_inverse_reciprocal_pair_on_variety():
     t1 = f_inverse(10.0)
     t2 = f_inverse(0.1)
     assert math.exp(-t1) + math.exp(-t2) == pytest.approx(1.0, abs=1e-12)
+
+
+def plain_f_inverse(r):
+    # The bracketed bisection with f evaluated at every point: f_inverse
+    # must return what this returns, float for float and error for error.
+    if not r > 0:
+        raise ValueError("f_inverse is defined for r > 0")
+    target = max(r, 1.0 / r)
+    cap = F_T_MAX * (1 - 2**-20)
+    lo, hi = 2.0**-40, 1.0
+    while f_dir(hi) < target:
+        if hi >= cap:
+            raise ValueError(f"r={r} outside the stable range of f, about [1/700, 700]")
+        lo = hi
+        hi = min(2.0 * hi, cap)
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if f_dir(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    t = 0.5 * (lo + hi)
+    return t if r >= 1.0 else -saddle._log1mexp(t)
+
+
+def outcome(solve, r):
+    # the float returned, or the type and message of the exception raised
+    try:
+        return solve(r)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+CAP_RATIO = f_dir(F_T_MAX * (1 - 2**-20))
+
+
+def edge_ratios():
+    up, down = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+    ratios = [1.0, 2.0, 0.5, 699.9, 699.99, 700.0, 700.1, 701.0, 1e6, 1e300, math.inf]
+    ratios += [up**j for j in (1, 2, 3, 10, 1000, 2**20, 2**40)]
+    ratios += [down**j for j in (1, 2, 3, 10, 1000, 2**20, 2**40)]
+    ratios += [CAP_RATIO, math.nextafter(CAP_RATIO, 0.0), math.nextafter(CAP_RATIO, math.inf)]
+    ratios += [1.0 / r for r in ratios if r != math.inf] + [5e-324, 0.0, -1.0, math.nan]
+    return ratios
+
+
+def test_f_inverse_is_plain_bisection_on_grid_and_edges():
+    grid = [n / k for n in range(1, 61) for k in range(1, 61)]
+    for r in grid + edge_ratios():
+        assert outcome(f_inverse, r) == outcome(plain_f_inverse, r), r
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.floats(min_value=math.log(1 / 710), max_value=math.log(710)).map(math.exp))
+def test_f_inverse_is_plain_bisection(r):
+    assert outcome(f_inverse, r) == outcome(plain_f_inverse, r)
+
+
+def counted_f_dir(monkeypatch):
+    calls = [0]
+
+    def counting(t):
+        calls[0] += 1
+        return f_dir(t)
+
+    monkeypatch.setattr(saddle, "f_dir", counting)
+    return calls
+
+
+def test_f_inverse_evaluates_f_a_few_times(monkeypatch):
+    calls = counted_f_dir(monkeypatch)
+    ratios = [300.0 ** (2.0 * i / 499 - 1.0) for i in range(500)]
+    for r in ratios:
+        f_inverse(r)
+    # the plain bisection takes about 58 evaluations per solve
+    assert calls[0] / len(ratios) <= 16
+
+
+def test_f_inverse_falls_back_next_to_the_cap(monkeypatch):
+    # the root lies within the window's width of the cap, so the window is
+    # dropped and every midpoint is evaluated
+    calls = counted_f_dir(monkeypatch)
+    for r in (CAP_RATIO, math.nextafter(CAP_RATIO, 0.0)):
+        calls[0] = 0
+        assert f_inverse(r) == plain_f_inverse(r)
+        assert calls[0] > 50
+
+
+@pytest.mark.parametrize("skew", [1 + 1e-3, 1 - 1e-3, 1 + 2**-40, 1 - 2**-40, math.nan])
+def test_f_inverse_checks_the_newton_guess(monkeypatch, skew):
+    # a guess whose window misses the root fails the check, and the solve
+    # evaluates every midpoint instead, with the same result
+    newton = saddle._newton_guess
+    monkeypatch.setattr(saddle, "_newton_guess", lambda target: newton(target) * skew)
+    calls = counted_f_dir(monkeypatch)
+    for r in (1.0, 1.5, 10.0, 0.1, 299.0):
+        calls[0] = 0
+        assert f_inverse(r) == plain_f_inverse(r)
+        assert calls[0] > 50
 
 
 def test_saddle_point_symmetric_direction():
