@@ -85,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_quad = sub.add_parser("quad", help="quadrature values and defects")
     p_quad.add_argument("--which", choices=("parseval", "laplace", "residue"), required=True)
     p_quad.add_argument("--nodes", type=int, default=4096)
-    p_quad.add_argument("--radius", type=float, default=None, help="residue only")
     p_quad.add_argument("--n", type=_span, default=None, help="residue only, required there")
     p_quad.add_argument("--k", type=_span, required=True)
     add_output(p_quad)
@@ -100,12 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify", help="run the acceptance suite; nonzero exit on failure")
     return parser
-
-
-def _refuse_unused(args: argparse.Namespace, *flags: str) -> None:
-    for flag in flags:
-        if getattr(args, flag) is not None:
-            raise ValueError(f"{args.command} --which {args.which} takes no --{flag}")
 
 
 def _run_exact(args: argparse.Namespace) -> _Table:
@@ -148,9 +141,9 @@ def _run_asym(args: argparse.Namespace) -> _Table:
 
 
 def _run_quad(args: argparse.Namespace) -> _Table:
-    if args.which != "residue":
-        _refuse_unused(args, "n", "radius")
-    elif args.n is None:
+    if args.which != "residue" and args.n is not None:
+        raise ValueError(f"quad --which {args.which} takes no --n")
+    if args.which == "residue" and args.n is None:
         raise ValueError("quad --which residue needs --n")
     spec = quad.QuadratureSpec(nodes=args.nodes)
     rows: list[Sequence[object]] = []
@@ -171,15 +164,13 @@ def _run_quad(args: argparse.Namespace) -> _Table:
         return ["k", "log_integral", "log_prediction", "ratio_defect"], rows, {}
     for n in args.n:
         for k in args.k:
-            log_integral = quad.residue_integral_b(n, k, spec, args.radius)
+            log_integral = quad.residue_integral_b(n, k, spec)
             log_exact = log_of_count(poly_bernoulli(n, k))
             rows.append([n, k, log_integral, log_exact, log_integral - log_exact])
     return ["n", "k", "log_integral", "log_exact", "log_defect"], rows, {}
 
 
 def _run_lclt(args: argparse.Namespace) -> _Table:
-    if args.which != "ML":
-        _refuse_unused(args, "window")
     rows, report = lclt.lclt_rows(args.n, args.which, args.window)
     trailer = {"n": report.n, "sup": report.sup, "argmax_k": report.argmax_k}
     return ["k", "scaled", "reference"], rows, {"discrepancy": trailer}

@@ -132,13 +132,19 @@ def ml_limit_shape(n: int, k: float) -> float:
 def ml_window(n: int, window: float) -> tuple[int, int]:
     """Integer k range with |k - n/2| <= window sqrt(n), clipped to [0, n].
 
-    Raises ValueError when no integer k lies in it.
+    Exact for every n, reading the window as the decimal it prints as
+    (0.3 is 3/10). Raises ValueError when no integer k lies in it.
     """
     _check_row(n)
     if not 0 < window <= ML_SHAPE_K_MAX:
         raise ValueError(f"window must lie in (0, {ML_SHAPE_K_MAX}], got {window}")
-    half_width = window * math.sqrt(n)
-    lo, hi = max(0, math.ceil(n / 2.0 - half_width)), min(n, math.floor(n / 2.0 + half_width))
+    # p/q is the window as printed; fractions.Fraction would add an import of decimal to every start
+    digits, _, exponent = str(window).partition("e")
+    whole, _, decimals = digits.partition(".")
+    scale = int(exponent or 0) - len(decimals)
+    p, q = int(whole + decimals) * 10 ** max(scale, 0), 10 ** max(-scale, 0)
+    width = math.isqrt(4 * p * p * n // (q * q))  # floor(2 window sqrt(n))
+    lo, hi = max(0, (n - width + 1) // 2), min(n, (n + width) // 2)
     if lo > hi:
         raise ValueError(f"window {window} holds no integer k at n={n}")
     return lo, hi

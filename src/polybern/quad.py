@@ -92,24 +92,17 @@ def laplace_integral_diag(k: int, spec: QuadratureSpec) -> LogEstimate:
     return top + math.log(mean)
 
 
-def residue_integral_b(n: int, k: int, spec: QuadratureSpec, radius: float | None = None) -> LogEstimate:
+def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
     """Log of the circle-integral recovery of B(n,k).
 
-    Parameterizes the full circle |x| = radius (the saddle point's a when
-    None), folds n! k! back in, and keeps the real part; the imaginary
-    part cancels by conjugate symmetry. Raises ValueError naming the
-    radius where the rule breaks down on it.
+    Parameterizes the full circle |x| = a through the saddle point
+    (a, b) = saddle_point(n, k), folds n! k! back in, and keeps the real
+    part; the imaginary part cancels by conjugate symmetry. Raises
+    ValueError naming the radius where the rule breaks down on it.
     """
-    if radius is not None and not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and positive, got {radius}")
     if not (1 <= n <= RESIDUE_GUARD and 1 <= k <= RESIDUE_GUARD):
         raise GuardError(f"(n,k)=({n},{k}) outside residue guard 1..{RESIDUE_GUARD}")
-    if radius is None:
-        radius = saddle_point(n, k).a
-    # 1 - exp(-x) vanishes at x = 2 pi i m; keep the circle off those moduli
-    nearest = round(radius / TWO_PI)
-    if nearest >= 1 and abs(radius - TWO_PI * nearest) < 1e-9 * max(1.0, radius):
-        raise ValueError(f"radius {radius} passes through a zero of 1 - exp(-x)")
+    radius = saddle_point(n, k).a
     logs = []
     try:
         for j in range(spec.nodes):

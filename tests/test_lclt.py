@@ -1,6 +1,7 @@
 """Gaussian limit profiles and sup-norm discrepancy measurements."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -248,6 +249,25 @@ def test_window_is_ml_only():
             lclt_rows(20, which, window=99)
         with pytest.raises(ValueError, match="window applies to 'ML' only"):
             lclt_rows(20, which, window=2.0)
+
+
+@pytest.mark.parametrize("n", [10**17 + 3, 10**20 + 7, 10**40 + 1, 10**300])
+@pytest.mark.parametrize("window", [0.05, 0.5, 1.0, 2.0, 3.5, 5.0])
+def test_ml_window_is_exact_at_large_n(n, window):
+    # lo and hi are the first and last k with (2k - n)^2 <= 4 window^2 n,
+    # in exact arithmetic; float bounds drift off them from n ~ 1e17.
+    def inside(k):
+        return (2 * k - n) ** 2 <= 4 * Fraction(str(window)) ** 2 * n
+
+    lo, hi = ml_window(n, window)
+    assert inside(lo) and inside(hi) and not inside(lo - 1) and not inside(hi + 1)
+
+
+def test_ml_window_reads_the_window_as_printed():
+    # 0.3 is 3/10: |11 - 25/2| = 0.3 sqrt(25) lies on the edge and is kept,
+    # as are both edges of |k - 225/2| <= 4.1 sqrt(225) = 61.5.
+    assert ml_window(25, 0.3) == (11, 14)
+    assert ml_window(225, 4.1) == (51, 174)
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])

@@ -134,17 +134,6 @@ def test_residue_doubling_is_stable():
     assert abs(lo - hi) < 1e-6
 
 
-def test_residue_explicit_radius():
-    log_integral = residue_integral_b(6, 6, QuadratureSpec(nodes=2048), radius=0.5)
-    log_exact = log_of_count(poly_bernoulli(6, 6))
-    assert abs(log_integral - log_exact) < 1e-4
-
-
-def test_residue_rejects_singular_radius():
-    with pytest.raises(ValueError):
-        residue_integral_b(6, 6, QuadratureSpec(nodes=2048), radius=2 * math.pi)
-
-
 @pytest.mark.parametrize("n,k", [(31, 1), (38, 1)])
 def test_residue_failure_is_a_value_error_naming_the_radius(n, k):
     # At (31, 1) the quadrature mean loses positivity; at (38, 1)
@@ -158,7 +147,3 @@ def test_residue_guard():
         residue_integral_b(41, 5, QuadratureSpec(nodes=2048))
     with pytest.raises(ValueError):
         residue_integral_b(0, 5, QuadratureSpec(nodes=2048))
-    # a bad radius is named before the size guard is checked
-    for radius in (-1.0, 0.0, math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="radius must be finite and positive"):
-            residue_integral_b(41, 3, QuadratureSpec(nodes=64), radius)
