@@ -103,6 +103,30 @@ def _shifted_sum(n: int, k: int, dn: int, dk: int) -> Count:
     return total
 
 
+def _shifted_row(n: int, top: int, dn: int, dk: int) -> list[Count]:
+    # _shifted_sum(n, k, dn, dk) for k = 0..top from the single Stirling
+    # row n+1-dn: sum_j (-1)^(n-j) j! S(n+1-dn, j+1-dn) (j+dk)^k, Kaneko's
+    # one-row form of B at (1,1). Step k -> k+1 multiplies term j by the
+    # small int j+dk, so a whole row costs about one triangle sum; for a
+    # single value the triangle sum is faster.
+    if n < 0 or top < 0:
+        raise ValueError("indices must be nonnegative")
+    _check_table_guard(n, top)
+    stirling = _stirling_rows(n + 1 - dn)[n + 1 - dn]
+    terms = []
+    factorial = 1  # j!
+    for j in range(n + 1):
+        term = factorial * stirling[j + 1 - dn]
+        terms.append(-term if (n - j) % 2 else term)
+        factorial *= j + 1
+    bases = range(dk, n + 1 + dk)
+    row = [sum(terms)]
+    for _ in range(top):
+        terms = [term * base for term, base in zip(terms, bases)]
+        row.append(sum(terms))
+    return row
+
+
 def poly_bernoulli(n: int, k: int) -> Count:
     """Number of n x k lonesum 0-1 matrices, B(n,k).
 

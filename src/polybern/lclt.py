@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactcomb import GuardError, log_of_count, ml_degree, poly_bernoulli
+from .exactcomb import GuardError, _shifted_row, log_of_count, ml_degree
 from .saddle import LOG2
 
 SCALED_N_GUARD = 200
@@ -97,19 +97,6 @@ def nu_density(n: int, k: float, p: GaussianParams) -> float:
     return p.amplitude / math.sqrt(math.pi * spread) * math.exp(-_square(k - n * p.mean_rate) / spread)
 
 
-def scaled_coefficient(n: int, k: int, which: str) -> float:
-    """rho^n B(n,k)/(n! k!) or rho^n D(n,k)/(n! k!), in ordinary scale."""
-    if not (0 <= n <= SCALED_N_GUARD and 0 <= k <= SCALED_K_GUARD):
-        raise GuardError(f"(n,k)=({n},{k}) outside table bound {SCALED_N_GUARD}x{SCALED_K_GUARD}")
-    p = gaussian_params(which)
-    value = poly_bernoulli(n, k) if which == "B" else ml_degree(n, k)
-    if value == 0:
-        return 0.0
-    return math.exp(
-        n * math.log(p.rho) + log_of_count(value) - math.lgamma(n + 1) - math.lgamma(k + 1)
-    )
-
-
 def window_limit(n: int, p: GaussianParams) -> int:
     """Largest k the discrepancy sweep inspects for row n.
 
@@ -171,9 +158,10 @@ def _report(n: int, rows: list[Row]) -> DiscrepancyReport:
 def lclt_rows(n: int, which: str, window: float | None = None) -> tuple[list[Row], DiscrepancyReport]:
     """Figure rows (k, scaled, reference) of row n and their sup-norm report.
 
-    'B' and 'D' (2 <= n <= 200): scaled_coefficient against the prefactor
-    times nu_density for k = 0..window_limit(n); a tail guard asserts the
-    last row's gap is negligible against the sup. 'ML' (2 <= n <= 120):
+    'B' and 'D' (2 <= n <= 200): rho^n B(n,k)/(n! k!) or rho^n D(n,k)/(n! k!),
+    from one row of exact counts, against the prefactor times nu_density for
+    k = 0..window_limit(n); a tail guard asserts the last row's gap is
+    negligible against the sup. 'ML' (2 <= n <= 120):
     ml_scaled_coefficient against ml_limit_shape over ml_window(n, window),
     with window 2.0 when None. Passing a window for 'B' or 'D' is a
     ValueError.
@@ -191,10 +179,16 @@ def lclt_rows(n: int, which: str, window: float | None = None) -> tuple[list[Row
     if not 2 <= n <= SCALED_N_GUARD:
         raise GuardError(f"n={n} outside 2..{SCALED_N_GUARD}")
     p = gaussian_params(which)
-    rows = [
-        (k, scaled_coefficient(n, k, which), p.prefactor * nu_density(n, k, p))
-        for k in range(window_limit(n, p) + 1)
-    ]
+    # B is the shift pair (1,1), D is (0,0)
+    shift = 1 if which == "B" else 0
+    counts = _shifted_row(n, window_limit(n, p), shift, shift)
+    log_rate, log_n_factorial = n * math.log(p.rho), math.lgamma(n + 1)
+    rows = []
+    for k, count in enumerate(counts):
+        scaled = 0.0
+        if count:
+            scaled = math.exp(log_rate + log_of_count(count) - log_n_factorial - math.lgamma(k + 1))
+        rows.append((k, scaled, p.prefactor * nu_density(n, k, p)))
     report = _report(n, rows)
     _, scaled, reference = rows[-1]
     last = abs(scaled - reference)

@@ -207,6 +207,46 @@ def test_table_guard_ignores_the_environment(monkeypatch):
         poly_bernoulli(513, 0)
 
 
+@pytest.mark.parametrize("dn,dk", [(1, 1), (1, 0), (0, 0)], ids=["B", "C", "D"])
+def test_shifted_row_equals_shifted_sum(dn, dk):
+    for n in range(41):
+        expected = [exactcomb._shifted_sum(n, k, dn, dk) for k in range(61)]
+        assert exactcomb._shifted_row(n, 60, dn, dk) == expected
+
+
+@pytest.mark.parametrize("fn,shift", [(poly_bernoulli, 1), (ml_degree, 0)], ids=["B", "D"])
+def test_shifted_row_at_the_lclt_corner(fn, shift):
+    # lclt_rows reads rows up to n = 200 with k up to 400.
+    row = exactcomb._shifted_row(200, 400, shift, shift)
+    assert len(row) == 401
+    for k in (0, 1, 199, 200, 201, 399, 400):
+        assert row[k] == fn(200, k)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 30])
+def test_shifted_row_b_has_kanekos_coefficients(n):
+    # B(n,k) = sum_j c_j (j+1)^k; the values at k = 0..n fix the n+1
+    # coefficients c_j (a Vandermonde system in the distinct bases j+1).
+    coefficients = [
+        (-1) ** (n + j) * math.factorial(j) * stirling2_explicit(n, j) for j in range(n + 1)
+    ]
+    expected = [sum(c * (j + 1) ** k for j, c in enumerate(coefficients)) for k in range(n + 1)]
+    assert exactcomb._shifted_row(n, n, 1, 1) == expected
+
+
+def test_shifted_row_refuses_what_poly_bernoulli_refuses():
+    bound = exactcomb.TABLE_GUARD
+    for fn in (poly_bernoulli, lambda n, top: exactcomb._shifted_row(n, top, 1, 1)):
+        with pytest.raises(GuardError, match=f"^n={bound + 1} exceeds table bound {bound}$"):
+            fn(bound + 1, 0)
+        with pytest.raises(GuardError, match=f"^k={bound + 1} exceeds table bound {bound}$"):
+            fn(0, bound + 1)
+        with pytest.raises(ValueError, match="indices must be nonnegative"):
+            fn(-1, 2)
+        with pytest.raises(ValueError, match="indices must be nonnegative"):
+            fn(2, -1)
+
+
 def test_table_growth_is_transparent():
     small = poly_bernoulli(3, 3)
     big = poly_bernoulli(90, 90)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from polybern.exactcomb import GuardError
+from polybern import exactcomb
+from polybern.exactcomb import GuardError, log_of_count
 from polybern.lclt import (
     ML_SHAPE_N_GUARD,
     gaussian_params,
@@ -16,7 +17,6 @@ from polybern.lclt import (
     ml_scaled_coefficient,
     ml_window,
     nu_density,
-    scaled_coefficient,
     window_limit,
 )
 
@@ -86,18 +86,38 @@ def test_nu_density_total_mass():
     assert total == pytest.approx(p.amplitude, rel=0.01)
 
 
-def test_scaled_coefficient_base_cases():
+def test_scaled_counts_at_n_2():
     p = gaussian_params("B")
-    assert scaled_coefficient(1, 1, "B") == pytest.approx(2.0 * p.rho, rel=1e-14)
-    assert scaled_coefficient(1, 1, "D") == pytest.approx(p.rho, rel=1e-14)
-    assert scaled_coefficient(1, 0, "D") == pytest.approx(0.0, abs=0.0)
+    b_rows, _ = lclt_rows(2, "B")
+    d_rows, _ = lclt_rows(2, "D")
+    # B(2,1) = 4 and D(2,1) = 1, over 2! 1!
+    assert b_rows[1][1] == pytest.approx(2.0 * p.rho**2, rel=1e-14)
+    assert d_rows[1][1] == pytest.approx(p.rho**2 / 2.0, rel=1e-14)
+    # D(2,0) = 0 has no log
+    assert d_rows[0][1] == 0.0
 
 
-def test_scaled_coefficient_guards():
-    with pytest.raises(GuardError):
-        scaled_coefficient(201, 1, "B")
-    with pytest.raises(GuardError):
-        scaled_coefficient(10, 401, "B")
+def _per_k_rows(n, which):
+    # Reference: one triangle sum per k, each scaled by the expression
+    # lclt_rows uses, so the two must agree bit for bit.
+    p = gaussian_params(which)
+    shift = 1 if which == "B" else 0
+    rows = []
+    for k in range(window_limit(n, p) + 1):
+        value = exactcomb._shifted_sum(n, k, shift, shift)
+        scaled = 0.0
+        if value != 0:
+            scaled = math.exp(
+                n * math.log(p.rho) + log_of_count(value) - math.lgamma(n + 1) - math.lgamma(k + 1)
+            )
+        rows.append((k, scaled, p.prefactor * nu_density(n, k, p)))
+    return rows
+
+
+@pytest.mark.parametrize("which", ["B", "D"])
+@pytest.mark.parametrize("n", [2, 57, 200])
+def test_rows_equal_the_per_k_path(n, which):
+    assert lclt_rows(n, which)[0] == _per_k_rows(n, which)
 
 
 def test_window_limit_covers_the_mass():
@@ -319,5 +339,3 @@ def test_which_is_case_sensitive():
         gaussian_params("b")
     with pytest.raises(ValueError, match="which must be 'B' or 'D', got 'ml'"):
         lclt_discrepancy(20, "ml")
-    with pytest.raises(ValueError, match="which must be 'B' or 'D', got 'd'"):
-        scaled_coefficient(20, 3, "d")

@@ -81,6 +81,26 @@ def test_b_matches_kaneko_one_row_form(n, k):
     assert poly_bernoulli(n, k) == expected
 
 
+# a row (n, top) with n <= 120, top <= 200, one k in it, and a shift pair of B, C or D
+row_points = st.tuples(
+    st.integers(min_value=0, max_value=120),
+    st.integers(min_value=0, max_value=200).flatmap(
+        lambda top: st.tuples(st.just(top), st.integers(min_value=0, max_value=top))
+    ),
+    st.sampled_from([(1, 1), (1, 0), (0, 0)]),
+)
+
+
+@settings(deadline=None)
+@given(row_points)
+def test_shifted_row_matches_the_triangle_sum(point):
+    n, (top, k), (dn, dk) = point
+    row = exactcomb._shifted_row(n, top, dn, dk)
+    assert len(row) == top + 1
+    assert row[k] == exactcomb._shifted_sum(n, k, dn, dk)
+    assert row[top] == exactcomb._shifted_sum(n, top, dn, dk)
+
+
 @settings(deadline=None)
 @given(matrix_shapes)
 def test_matrix_oracles_match_formulas(shape):

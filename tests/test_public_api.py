@@ -69,7 +69,6 @@ def test_every_public_definition_is_used_or_exported():
         ("lclt", "GaussianParams"),
         ("saddle", "SaddlePoint"),
         ("lclt", "nu_density"),
-        ("lclt", "scaled_coefficient"),
     ],
 )
 def test_module_level_names_stay_off_the_root(module, name):
