@@ -69,10 +69,11 @@ def stirling2_explicit(n: int, m: int) -> Count:
 
     Uses m! * S(n,m) = sum_j (-1)^j binom(m,j) (m-j)^n and divides out m!.
     Exists as a cross-check oracle for the recurrence rows; never used by
-    the other formulas.
+    the other formulas. Has the exact tables' size guard.
     """
     if n < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
+    _check_table_guard(n, m)
     if m > n:
         raise ValueError("explicit form requires m <= n")
     total = 0
@@ -89,17 +90,17 @@ def stirling2_explicit(n: int, m: int) -> Count:
 
 def _shifted_sum(n: int, k: int, dn: int, dk: int) -> Count:
     # sum_m (m!)^2 S(n+dn, m+dn) S(k+dk, m+dk): B, C and D are the shift
-    # pairs (1,1), (1,0) and (0,0) (Kaneko 1997).
+    # pairs (1,1), (1,0) and (0,0) (Kaneko 1997). Nested from the top term
+    # down, sum_m (m!)^2 t_m = t_0 + 1^2 (t_1 + 2^2 (t_2 + ...)), so the
+    # weight is a small multiplier and each term costs one big product.
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
     _check_table_guard(n, k)
     rows = _stirling_rows(max(n + dn, k + dk))
     top, side = rows[n + dn], rows[k + dk]
     total = 0
-    square = 1  # (m!)^2
-    for m in range(min(n, k) + 1):
-        total += square * top[m + dn] * side[m + dk]
-        square *= (m + 1) * (m + 1)
+    for m in range(min(n, k), -1, -1):
+        total = total * ((m + 1) * (m + 1)) + top[m + dn] * side[m + dk]
     return total
 
 

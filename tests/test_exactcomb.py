@@ -247,6 +247,36 @@ def test_shifted_row_refuses_what_poly_bernoulli_refuses():
             fn(2, -1)
 
 
+def _forward_shifted_sum(n, k, dn, dk):
+    # The sum term by term from m = 0 up, carrying the weight (m!)^2.
+    rows = exactcomb._stirling_rows(max(n + dn, k + dk))
+    total = 0
+    square = 1
+    for m in range(min(n, k) + 1):
+        total += square * rows[n + dn][m + dn] * rows[k + dk][m + dk]
+        square *= (m + 1) * (m + 1)
+    return total
+
+
+@pytest.mark.parametrize("dn,dk", [(1, 1), (1, 0), (0, 0)], ids=["B", "C", "D"])
+@pytest.mark.parametrize("n,k", [(512, 512), (512, 0), (0, 512), (511, 256), (300, 511), (1, 1)])
+def test_nested_sum_equals_the_forward_sum(n, k, dn, dk):
+    assert exactcomb._shifted_sum(n, k, dn, dk) == _forward_shifted_sum(n, k, dn, dk)
+
+
+def test_stirling2_explicit_has_the_table_guard():
+    bound = exactcomb.TABLE_GUARD
+    assert stirling2_explicit(bound, bound) == 1
+    with pytest.raises(GuardError, match=f"^n={bound + 1} exceeds table bound {bound}$"):
+        stirling2_explicit(bound + 1, 2)
+    with pytest.raises(GuardError, match=f"^n={bound + 1} exceeds table bound {bound}$"):
+        stirling2_explicit(bound + 1, bound + 1)
+    with pytest.raises(GuardError, match=f"={bound + 1} exceeds table bound {bound}$"):
+        stirling2_explicit(40, bound + 1)
+    with pytest.raises(ValueError, match="indices must be nonnegative"):
+        stirling2_explicit(-1, 2)
+
+
 def test_table_growth_is_transparent():
     small = poly_bernoulli(3, 3)
     big = poly_bernoulli(90, 90)

@@ -102,6 +102,25 @@ def test_shifted_row_matches_the_triangle_sum(point):
 
 
 @settings(deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([(1, 1), (1, 0), (0, 0)]),
+)
+def test_shifted_sum_matches_the_explicit_stirling_sum(n, k, shift):
+    # The sum's definition, with every Stirling number from the alternating
+    # sum instead of the triangle.
+    dn, dk = shift
+    expected = sum(
+        math.factorial(m) ** 2
+        * stirling2_explicit(n + dn, m + dn)
+        * stirling2_explicit(k + dk, m + dk)
+        for m in range(min(n, k) + 1)
+    )
+    assert exactcomb._shifted_sum(n, k, dn, dk) == expected
+
+
+@settings(deadline=None)
 @given(matrix_shapes)
 def test_matrix_oracles_match_formulas(shape):
     n, k = shape
