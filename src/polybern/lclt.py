@@ -63,9 +63,16 @@ def _check_row(n: int) -> None:
         raise ValueError("n must be <= 10**300; n times the rate constants leaves the float range")
 
 
-def _square(x: float) -> float:
-    # x ** 2, or inf where that overflows (|x| >= 2^512). For n <= 10**300
-    # every Gaussian exponent here then lies below -1e8, so exp gives 0.0.
+def _square_gap(k: float, centre: float) -> float:
+    # (k - centre) ** 2 for a finite k, or inf where that overflows (from
+    # |k - centre| >= 2^512, or for an int k past the float range). For
+    # n <= 10**300 every Gaussian exponent then lies below -1e8: exp gives 0.0.
+    try:
+        x = k - centre
+    except OverflowError:
+        return math.inf
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
     return x**2 if abs(x) < 2.0**512 else math.inf
 
 
@@ -91,10 +98,8 @@ def gaussian_params(which: str) -> GaussianParams:
 def nu_density(n: int, k: float, p: GaussianParams) -> float:
     """Gaussian density value at index k for row n (prefactor not applied)."""
     _check_row(n)
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got {k}")
     spread = 2.0 * p.variance_rate * n
-    return p.amplitude / math.sqrt(math.pi * spread) * math.exp(-_square(k - n * p.mean_rate) / spread)
+    return p.amplitude / math.sqrt(math.pi * spread) * math.exp(-_square_gap(k, n * p.mean_rate) / spread)
 
 
 def window_limit(n: int, p: GaussianParams) -> int:
@@ -110,9 +115,7 @@ def window_limit(n: int, p: GaussianParams) -> int:
 def ml_limit_shape(n: int, k: float) -> float:
     """Limit-shape value 2^(-2(k - n/2)^2/(n(1 - log 2))) / ((4 log 2) sqrt(1 - log 2))."""
     _check_row(n)
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got {k}")
-    exponent = -2.0 * _square(k - n / 2.0) / (n * (1.0 - LOG2)) * LOG2
+    exponent = -2.0 * _square_gap(k, n / 2.0) / (n * (1.0 - LOG2)) * LOG2
     return math.exp(exponent) / ((4.0 * LOG2) * math.sqrt(1.0 - LOG2))
 
 
@@ -167,8 +170,6 @@ def lclt_rows(n: int, which: str, window: float | None = None) -> tuple[list[Row
     ValueError.
     """
     if which == "ML":
-        if not 2 <= n <= ML_SHAPE_N_GUARD:
-            raise GuardError(f"n={n} outside 2..{ML_SHAPE_N_GUARD}")
         lo, hi = ml_window(n, 2.0 if window is None else window)
         rows = [(k, ml_scaled_coefficient(n, k), ml_limit_shape(n, k)) for k in range(lo, hi + 1)]
         return rows, _report(n, rows)

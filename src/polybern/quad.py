@@ -40,6 +40,13 @@ class QuadratureSpec:
             raise GuardError(f"nodes={self.nodes} exceeds node guard {NODES_GUARD}")
 
 
+def _check_k(k: int, guard: int, rule: str) -> None:
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k > guard:
+        raise GuardError(f"k={k} exceeds {rule} guard {guard}")
+
+
 def _u_coefficients(k: int) -> list[float]:
     # m! S(k+1,m+1) for m = 0..k; parseval_b reads them once for all nodes.
     return [float(math.factorial(m) * stirling2(k + 1, m + 1)) for m in range(k + 1)]
@@ -59,10 +66,7 @@ def parseval_b(k: int, spec: QuadratureSpec) -> float:
     The integrand is a trigonometric polynomial of degree k, so any node
     count >= 2k+2 is exact up to rounding; the guard demands 2k+4.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > PARSEVAL_GUARD:
-        raise GuardError(f"k={k} exceeds parseval guard {PARSEVAL_GUARD}")
+    _check_k(k, PARSEVAL_GUARD, "parseval")
     if spec.nodes < 2 * k + 4:
         raise GuardError(f"nodes={spec.nodes} below exactness bound {2 * k + 4}")
     coeffs = _u_coefficients(k)
@@ -79,10 +83,7 @@ def _laplace_exponent(k: int, phi: float) -> float:
 
 def laplace_integral_diag(k: int, spec: QuadratureSpec) -> LogEstimate:
     """Natural log of the trapezoid value of the diagonal contour integral."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > LAPLACE_GUARD:
-        raise GuardError(f"k={k} exceeds laplace guard {LAPLACE_GUARD}")
+    _check_k(k, LAPLACE_GUARD, "laplace")
     # Midpoint-offset nodes keep the rule away from the phi = +-pi
     # singularity; terms are combined in log space since the peak value
     # grows like (1/log 2)^(2k+2).

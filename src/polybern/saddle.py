@@ -30,8 +30,9 @@ F_T_MAX = 700.0
 
 _BISECTION_STEPS = 120
 
-# Largest n or k the estimators take. lgamma(n + 1) leaves the float range
-# from n of about 2.5e305; below 10**300 every sum they form stays finite.
+# Largest n or k saddle_point, and so every estimator, takes. lgamma(n + 1)
+# leaves the float range from n of about 2.5e305; below 10**300 every sum
+# the estimators form stays finite.
 MAX_ESTIMATE_SIZE = 10**300
 
 
@@ -113,7 +114,9 @@ def f_inverse(r: float) -> float:
     """
     if not r > 0:
         raise ValueError("f_inverse is defined for r > 0")
-    target = max(r, 1.0 / r)
+    # 1 / r, not 1.0 / r: an int r past the float range then reaches the
+    # range check below instead of overflowing here.
+    target = max(r, 1 / r)
     cap = F_T_MAX * (1 - 2**-20)
     # Rounded f_dir is monotone only to a few ulps, so a window too narrow
     # misjudges points just outside it: on 200k r, 2^-51 changed 71 results
@@ -147,10 +150,11 @@ def saddle_point(n: int, k: int) -> SaddlePoint:
     a = b = log 2 and no solve runs. Elsewhere it is solved on the side
     whose ratio is > 1; the other coordinate comes from the variety
     equation exp(-a) + exp(-b) = 1, which keeps the on-variety identity
-    exact and makes swapping (n, k) swap (a, b) bit for bit.
+    exact and makes swapping (n, k) swap (a, b) bit for bit. Takes
+    1 <= n, k <= MAX_ESTIMATE_SIZE, the estimators' domain.
     """
-    if n < 1 or k < 1:
-        raise ValueError("saddle_point needs n, k >= 1")
+    if not (1 <= n <= MAX_ESTIMATE_SIZE and 1 <= k <= MAX_ESTIMATE_SIZE):
+        raise ValueError("saddle_point needs 1 <= n, k <= 10**300")
     if n == k:
         return SaddlePoint(a=LOG2, b=LOG2, ratio=1.0)
     if n > k:
@@ -162,29 +166,17 @@ def saddle_point(n: int, k: int) -> SaddlePoint:
     return SaddlePoint(a=a, b=b, ratio=n / k)
 
 
-def _check_size(*sizes: int) -> None:
-    if max(sizes) > MAX_ESTIMATE_SIZE:
-        raise ValueError(
-            "estimates need n, k <= 10**300; lgamma(n + 1) leaves the float range "
-            "from about 2.5e305"
-        )
-
-
 def _smooth_log(n: int, k: int, dn: int, dk: int) -> LogEstimate:
     # Leading-order smooth-point estimate of the coefficient n! k! [x^n y^k]
     # of exp(-(1-dn) x - (1-dk) y) / (exp(-x) + exp(-y) - 1).
-    if n < 1 or k < 1:
-        raise ValueError("estimate needs n, k >= 1")
-    _check_size(n, k)
-    ratio = n / k
-    if not 0.1 <= ratio <= 10.0:
+    sp = saddle_point(n, k)
+    if not 0.1 <= sp.ratio <= 10.0:
         warnings.warn(
-            f"direction n/k = {ratio:.6g} outside the compact band [1/10, 10]; "
+            f"direction n/k = {sp.ratio:.6g} outside the compact band [1/10, 10]; "
             "estimate returned but untrusted",
             CompactnessWarning,
             stacklevel=3,
         )
-    sp = saddle_point(n, k)
     a, b = sp.a, sp.b
     aea = a * math.exp(-a)
     beb = b * math.exp(-b)
@@ -194,7 +186,7 @@ def _smooth_log(n: int, k: int, dn: int, dk: int) -> LogEstimate:
     variance = 2.0 * math.pi * aea * bracket
     if variance < sys.float_info.min:
         raise ValueError(
-            f"direction n/k = {ratio:.6g} outside the representable cone, about "
+            f"direction n/k = {sp.ratio:.6g} outside the representable cone, about "
             "[1/355, 358], where the variance term leaves the normal float range"
         )
     value = (
@@ -220,8 +212,6 @@ def diag_asym_log(k: int, order: int = 1) -> LogEstimate:
     saddle point (log 2, log 2); order 2 replaces k by k+1 under its square
     root and multiplies by (1 + SECOND_ORDER_C/k).
     """
-    if k < 1:
-        raise ValueError("diag_asym_log needs k >= 1")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     value = _smooth_log(k, k, 1, 1)
@@ -249,20 +239,20 @@ def excedance_asym_log(r: int, s: int) -> LogEstimate:
 def acsv_general_log(shift: tuple[int, int], n: int, k: int) -> LogEstimate:
     """Log of the general smooth-point estimate for the coefficient count.
 
-    The numerator shift (dn, dk) gives log G = -(1-dn) x - (1-dk) y over
-    H = exp(-x) + exp(-y) - 1. Evaluates G(x,y) sqrt(-y H_y / (2 pi k Q))
-    x^{-n} y^{-k} n! k! at the saddle point, with the H partials taken
-    analytically and Q assembled from them literally; must reproduce the
-    closed-form estimators to 1e-9 inside 1/10 <= n/k <= 10. Beyond that
+    The numerator shift (dn, dk), with dn and dk each 0 or 1, gives
+    log G = -(1-dn) x - (1-dk) y over H = exp(-x) + exp(-y) - 1.
+    Evaluates G(x,y) sqrt(-y H_y / (2 pi k Q)) x^{-n} y^{-k} n! k! at
+    the saddle point, with the H partials taken analytically and Q
+    assembled from them literally; must reproduce the closed-form
+    estimators to 1e-9 inside 1/10 <= n/k <= 10. Beyond that
     band Q cancels more and more: the gap stays near 1e-13 up to
     n/k ~ 240, then drifts (2.3e-6 at (493, 2), 0.019 at (250, 1)).
     Raises ValueError where Q cancels fully, outside about
     1/250 <= n/k <= 250.
     """
-    if n < 1 or k < 1:
-        raise ValueError("acsv_general_log needs n, k >= 1")
-    _check_size(n, k)
     dn, dk = shift
+    if not {dn, dk} <= {0, 1}:
+        raise ValueError(f"shift must be a pair from {{0, 1}}, got {shift}")
     sp = saddle_point(n, k)
     x, y = sp.a, sp.b
     g_log = -(1 - dn) * x - (1 - dk) * y

