@@ -179,6 +179,8 @@ def log_of_count(c: Count) -> LogEstimate:
     Large counts are reduced by bit shift to a 53-bit head before the float
     log, so the value never goes through a lossy full-width conversion.
     """
+    if not isinstance(c, int):
+        raise ValueError(f"count must be an int, got {c!r}")
     if c <= 0:
         raise ValueError("count must be positive to take its log")
     nb = c.bit_length()

@@ -57,6 +57,8 @@ Row = tuple[int, float, float]
 
 
 def _check_row(n: int) -> None:
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > _MAX_ROW:

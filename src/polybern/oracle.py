@@ -39,10 +39,17 @@ def _tally(start: State, moves: Sequence[Callable[[State], Iterable[State]]]) ->
     return layer
 
 
+def _check_ints(what: str, *values: int) -> None:
+    # The layer's one type check, run before any sign test or sweep.
+    if not all(isinstance(v, int) for v in values):
+        raise ValueError(f"{what} must be ints, got {', '.join(map(repr, values))}")
+
+
 def _row_sets(n: int, k: int, fits: Callable[[frozenset[int], int], bool]) -> dict[frozenset[int], Count]:
     # Every max(n, k)-row matrix of min(n, k)-bit rows, each fitting the rows
     # above it, tallied by its set of distinct rows. `fits` must read the
     # rows above only as a set, and the property be closed under transpose.
+    _check_ints("dimensions", n, k)
     if n < 0 or k < 0:
         raise ValueError("matrix dimensions must be nonnegative")
     if max(n, k, n * k) > MATRIX_GUARD:
@@ -67,6 +74,7 @@ def is_lonesum(rows: Sequence[int]) -> bool:
 
     The matrix is given as its rows, each a bitmask of its set columns.
     """
+    _check_ints("rows", *rows)
     return all(_comparable(rows[:i], rows[i]) for i in range(len(rows)))
 
 
@@ -161,6 +169,7 @@ def _count_permutations(m: int, allowed: Callable[[int], range]) -> Count:
 
 def count_vesztergombi(n: int, k: int) -> Count:
     """Permutations pi of {1,...,n+k} with -k <= pi(i)-i <= n (n+k <= 14)."""
+    _check_ints("dimensions", n, k)
     if n < 0 or k < 0:
         raise ValueError("dimensions must be nonnegative")
     m = n + k
@@ -173,6 +182,7 @@ def count_excedance_word(r: int, s: int) -> Count:
 
     A position j is an excedance when pi(j) > j; the last position is free.
     """
+    _check_ints("dimensions", r, s)
     if r < 1 or s < 0:
         raise ValueError("need r >= 1 and s >= 0")
     m = r + s

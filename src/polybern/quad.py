@@ -3,7 +3,9 @@
 The unit-circle mean of a squared coefficient polynomial recovers the
 diagonal counts exactly; a circle integral around the origin recovers
 B(n,k) up to an exponentially small defect; the diagonal contour integral
-approaches its quadratic-peak (Laplace) prediction.
+approaches its quadratic-peak (Laplace) prediction. Each integrand is
+conjugate-symmetric, so each rule evaluates one half of its N nodes and
+counts each node off the real axis twice, for itself and its mirror.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ TWO_PI = 2.0 * math.pi
 PARSEVAL_GUARD = 20
 LAPLACE_GUARD = 300
 RESIDUE_GUARD = 40
-# Each rule holds one term per node before averaging, so time and memory
-# grow with the node count; 2^16 is 16 times the most any check uses.
+# The Laplace and residue rules hold about N/2 terms before averaging, so time
+# and memory grow with N; 2^16 is 16 times the most any check uses.
 NODES_GUARD = 2**16
 
 
@@ -41,6 +43,8 @@ class QuadratureSpec:
 
 
 def _check_k(k: int, guard: int, rule: str) -> None:
+    if not isinstance(k, int):
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > guard:
@@ -70,10 +74,10 @@ def parseval_b(k: int, spec: QuadratureSpec) -> float:
     if spec.nodes < 2 * k + 4:
         raise GuardError(f"nodes={spec.nodes} below exactness bound {2 * k + 4}")
     coeffs = _u_coefficients(k)
-    total = 0.0
-    for j in range(spec.nodes):
-        total += abs(_horner(coeffs, TWO_PI * j / spec.nodes)) ** 2
-    return total / spec.nodes
+    # the coefficients are real, so |u| is even in phi: nodes 0 < j < N/2 count twice
+    inner = sum(abs(_horner(coeffs, TWO_PI * j / spec.nodes)) ** 2 for j in range(1, spec.nodes // 2))
+    ends = abs(_horner(coeffs, 0.0)) ** 2 + abs(_horner(coeffs, math.pi)) ** 2
+    return (ends + 2.0 * inner) / spec.nodes
 
 
 def _laplace_exponent(k: int, phi: float) -> float:
@@ -86,27 +90,32 @@ def laplace_integral_diag(k: int, spec: QuadratureSpec) -> LogEstimate:
     _check_k(k, LAPLACE_GUARD, "laplace")
     # Midpoint-offset nodes keep the rule away from the phi = +-pi
     # singularity; terms are combined in log space since the peak value
-    # grows like (1/log 2)^(2k+2).
-    exponents = [_laplace_exponent(k, -math.pi + (j + 0.5) * TWO_PI / spec.nodes) for j in range(spec.nodes)]
+    # grows like (1/log 2)^(2k+2). The exponent is even in phi, so the N/2
+    # nodes in (0, pi) count twice.
+    exponents = [_laplace_exponent(k, (j + 0.5) * TWO_PI / spec.nodes) for j in range(spec.nodes // 2)]
     top = max(exponents)
-    mean = sum(math.exp(e - top) for e in exponents) / spec.nodes
+    mean = 2.0 * sum(math.exp(e - top) for e in exponents) / spec.nodes
     return top + math.log(mean)
 
 
 def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
     """Log of the circle-integral recovery of B(n,k).
 
-    Parameterizes the full circle |x| = a through the saddle point
-    (a, b) = saddle_point(n, k), folds n! k! back in, and keeps the real
-    part; the imaginary part cancels by conjugate symmetry. Raises
-    ValueError naming the radius where the rule breaks down on it.
+    Integrates on the circle |x| = a through the saddle point (a, b) =
+    saddle_point(n, k) and folds n! k! back in. The term at node N - j is
+    the conjugate of node j's, so the rule evaluates the N/2 + 1 nodes
+    j = 0..N/2 and keeps the real part, (T_0 + T_N/2 + 2 sum Re T_j)/N.
+    Raises ValueError naming the radius where the rule breaks down on it.
     """
+    if not (isinstance(n, int) and isinstance(k, int)):
+        raise ValueError(f"indices must be ints, got {n!r}, {k!r}")
     if not (1 <= n <= RESIDUE_GUARD and 1 <= k <= RESIDUE_GUARD):
         raise GuardError(f"(n,k)=({n},{k}) outside residue guard 1..{RESIDUE_GUARD}")
     radius = saddle_point(n, k).a
+    half = spec.nodes // 2
     logs = []
     try:
-        for j in range(spec.nodes):
+        for j in range(half + 1):
             x = radius * cmath.exp(1j * TWO_PI * j / spec.nodes)
             lg = cmath.log(1.0 - cmath.exp(-x))
             logs.append(-n * cmath.log(x) - lg - (k + 1) * cmath.log(-lg))
@@ -114,7 +123,8 @@ def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
         raise ValueError(f"radius {radius} at ({n},{k}): 1 - exp(-x) rounds to 0 or 1 at a node") from None
     # terms are rescaled by the peak magnitude before averaging
     top = max(w.real for w in logs)
-    mean = sum(cmath.exp(w - top) for w in logs) / spec.nodes
-    if mean.real <= 0:
+    inner = sum(cmath.exp(logs[j] - top).real for j in range(1, half))
+    mean = (cmath.exp(logs[0] - top).real + cmath.exp(logs[half] - top).real + 2.0 * inner) / spec.nodes
+    if mean <= 0:
         raise ValueError(f"radius {radius} at ({n},{k}): quadrature mean {mean} lost positivity")
-    return math.lgamma(n + 1) + math.lgamma(k + 1) + top + math.log(mean.real)
+    return math.lgamma(n + 1) + math.lgamma(k + 1) + top + math.log(mean)

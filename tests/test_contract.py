@@ -47,8 +47,9 @@ def _strategy(hint):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if hint is bool:
         return st.booleans()
-    if hint is int:  # small ints reach inside the domains the bounds close
-        return st.sampled_from(INTS) | st.integers(0, 40)
+    if hint is int:  # small ints reach inside the domains the bounds close; a
+        # float, NaN or bool in an int's place must be refused or read as its int
+        return st.sampled_from(INTS) | st.integers(0, 40) | st.floats() | st.booleans()
     if hint is float:
         return st.sampled_from(FLOATS) | st.floats()
     if hint is str:
@@ -164,6 +165,21 @@ RAISES = {
     (ValueError, "^which must be 'B' or 'D', got 'ml'$"): (
         "lclt_rows(20, 'ml')", "lclt_discrepancy(20, 'ml')",
     ),
+    # an int parameter refuses a float or NaN by name; a bool is an int
+    (ValueError, r"^indices must be ints, got 2\.5, 3$"): ("residue_integral_b(2.5, 3, QuadratureSpec(64))",),
+    (ValueError, "^k must be an int, got 2.5$"): ("parseval_b(2.5, QuadratureSpec(64))",),
+    (ValueError, "^k must be an int, got nan$"): ("laplace_integral_diag(nan, QuadratureSpec(8))",),
+    (ValueError, "^n must be an int, got nan$"): (
+        "ml_limit_shape(nan, 1.0)", "nu_density(nan, 1.0, B)", "window_limit(nan, B)", "ml_window(nan, 1.0)",
+    ),
+    (ValueError, "^n must be an int, got 2.0$"): ("lclt_discrepancy(2.0, 'B')", "ml_limit_discrepancy(2.0)"),
+    (ValueError, r"^dimensions must be ints, got 2\.5, 2$"): (
+        "count_lonesum(2.5, 2)", "count_gamma_free(2.5, 2)", "count_acyclic_orientations(2.5, 2)",
+        "count_lonesum_restricted(2.5, 2, True, True)", "count_vesztergombi(2.5, 2)", "count_excedance_word(2.5, 2)",
+    ),
+    (ValueError, "^dimensions must be ints, got 1, nan$"): ("count_vesztergombi(1, nan)",),
+    (ValueError, r"^rows must be ints, got 1, 0\.5$"): ("is_lonesum([1, 0.5])",),
+    (ValueError, "^count must be an int, got 2.0$"): ("log_of_count(2.0)",),
     (GuardError, "^k=21 exceeds parseval guard 20$"): ("parseval_b(21, QuadratureSpec(64))",),
     (GuardError, "^nodes=16 below exactness bound 24$"): ("parseval_b(10, QuadratureSpec(16))",),
     (GuardError, r"outside residue guard 1\.\.40$"): (
@@ -182,6 +198,8 @@ HOLDS = (
     "math.isfinite(nu_density(10**300, 1.2e300, B))",
     "ml_limit_shape(1, 10**400) == 0.0",
     "nu_density(10, 10**400, B) == 0.0",
+    "residue_integral_b(True, 2, QuadratureSpec(64)) == residue_integral_b(1, 2, QuadratureSpec(64))",
+    "count_lonesum(True, False) == count_lonesum(1, 0) == 1",
 )
 
 

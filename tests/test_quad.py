@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import pytest
 
@@ -9,7 +10,9 @@ from polybern.exactcomb import GuardError, log_of_count, poly_bernoulli
 from polybern.quad import (
     NODES_GUARD,
     QuadratureSpec,
+    _horner,
     _laplace_exponent,
+    _u_coefficients,
     laplace_integral_diag,
     parseval_b,
     residue_integral_b,
@@ -127,9 +130,77 @@ def test_residue_doubling_is_stable():
     assert abs(lo - hi) < 1e-6
 
 
-@pytest.mark.parametrize("n,k", [(31, 1), (38, 1)])
-def test_residue_failure_is_a_value_error_naming_the_radius(n, k):
-    # At (31, 1) the quadrature mean loses positivity; at (38, 1)
-    # 1 - exp(-x) rounds to 1 at the node x = radius.
-    with pytest.raises(ValueError, match=rf"^radius [0-9.]+ at \({n},{k}\): "):
-        residue_integral_b(n, k, QuadratureSpec(1024))
+# Each rule evaluates one half of its conjugate-symmetric circle. These
+# full-circle loops are the rules as they were before, kept here to bound
+# what the halving changed.
+
+
+def _full_parseval(k, nodes):
+    coeffs = _u_coefficients(k)
+    return sum(abs(_horner(coeffs, 2 * math.pi * j / nodes)) ** 2 for j in range(nodes)) / nodes
+
+
+def _full_laplace(k, nodes):
+    exponents = [_laplace_exponent(k, -math.pi + (j + 0.5) * 2 * math.pi / nodes) for j in range(nodes)]
+    top = max(exponents)
+    return top + math.log(sum(math.exp(e - top) for e in exponents) / nodes)
+
+
+def _full_residue(n, k, nodes):
+    radius = saddle_point(n, k).a
+    logs = []
+    for j in range(nodes):
+        x = radius * cmath.exp(2j * math.pi * j / nodes)
+        lg = cmath.log(1.0 - cmath.exp(-x))
+        logs.append(-n * cmath.log(x) - lg - (k + 1) * cmath.log(-lg))
+    top = max(w.real for w in logs)
+    mean = sum(cmath.exp(w - top) for w in logs) / nodes
+    return math.lgamma(n + 1) + math.lgamma(k + 1) + top + math.log(mean.real)
+
+
+@pytest.mark.parametrize("k", range(21))
+def test_parseval_half_circle_equals_full_circle(k):
+    for nodes in (max(8, 2 * k + 4), max(8, 2 * k + 6), 64):
+        assert parseval_b(k, QuadratureSpec(nodes)) == pytest.approx(_full_parseval(k, nodes), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 50, 300])
+def test_laplace_half_circle_equals_full_circle(k):
+    for nodes in (8, 64, 512, 4096):
+        assert laplace_integral_diag(k, QuadratureSpec(nodes)) == pytest.approx(_full_laplace(k, nodes), abs=1e-13)
+
+
+@pytest.mark.parametrize("nodes", [64, 1024, 4096])
+def test_residue_half_circle_equals_full_circle(nodes):
+    # Bounded where the rule recovers B: within 1e-4 of log B(n, k).
+    sides = (1, 2, 5, 12, 25, 33, 40)
+    compared = 0
+    for n in sides:
+        for k in sides:
+            try:
+                half = residue_integral_b(n, k, QuadratureSpec(nodes))
+            except ValueError:
+                continue
+            if abs(half - log_of_count(poly_bernoulli(n, k))) <= 1e-4:
+                assert half == pytest.approx(_full_residue(n, k, nodes), abs=1e-12), (n, k)
+                compared += 1
+    assert compared >= 25
+
+
+@pytest.mark.parametrize(
+    "n,k,nodes,reason",
+    [
+        (1, 37, 1024, "quadrature mean -0.00070680578[0-9]* lost positivity"),
+        (31, 1, 1024, r"quadrature mean -6\.3871236[0-9]*e-06 lost positivity"),
+        (38, 1, 1024, r"1 - exp\(-x\) rounds to 0 or 1 at a node"),
+        (33, 1, 4096, r"quadrature mean -6\.5218541[0-9]*e-05 lost positivity"),
+    ],
+    ids=["1-37", "31-1", "38-1", "33-1"],
+)
+def test_residue_failure_is_a_value_error_naming_the_radius(n, k, nodes, reason):
+    # Where the rule breaks down on the saddle circle: the mean, the real
+    # part of the full-circle mean, is negative, or 1 - exp(-x) rounds to
+    # 1 at the node x = radius.
+    radius = re.escape(str(saddle_point(n, k).a))
+    with pytest.raises(ValueError, match=rf"^radius {radius} at \({n},{k}\): {reason}$"):
+        residue_integral_b(n, k, QuadratureSpec(nodes))
