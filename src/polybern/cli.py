@@ -32,6 +32,15 @@ _FAMILY = {
     "D": (ml_degree, saddle.ml_asym_log),
 }
 
+# oracle name -> (brute-force counter, the formula it checks), for `oracle --which`.
+_ORACLES = {
+    "lonesum": (oracle.count_lonesum, poly_bernoulli),
+    "gamma": (oracle.count_gamma_free, poly_bernoulli),
+    "orient": (oracle.count_acyclic_orientations, poly_bernoulli),
+    "veszt": (oracle.count_vesztergombi, poly_bernoulli),
+    "excedance": (oracle.count_excedance_word, c_relative),
+}
+
 # header, rows, and named trailer records (name -> field -> value)
 _Table = tuple[list[str], list[Sequence[object]], dict[str, dict[str, object]]]
 
@@ -66,9 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exact.set_defaults(run=_run_exact)
 
     p_oracle = sub.add_parser("oracle", help="brute-force counts against the formula layer")
-    p_oracle.add_argument(
-        "--which", choices=("lonesum", "gamma", "orient", "veszt", "excedance"), required=True
-    )
+    p_oracle.add_argument("--which", choices=tuple(_ORACLES), required=True)
     p_oracle.add_argument("--n", type=_span, required=True)
     p_oracle.add_argument("--k", type=_span, required=True)
     add_output(p_oracle)
@@ -107,14 +114,7 @@ def _run_exact(args: argparse.Namespace) -> _Table:
 
 
 def _run_oracle(args: argparse.Namespace) -> _Table:
-    oracle_fn = {
-        "lonesum": oracle.count_lonesum,
-        "gamma": oracle.count_gamma_free,
-        "orient": oracle.count_acyclic_orientations,
-        "veszt": oracle.count_vesztergombi,
-        "excedance": oracle.count_excedance_word,
-    }[args.which]
-    formula_fn = c_relative if args.which == "excedance" else poly_bernoulli
+    oracle_fn, formula_fn = _ORACLES[args.which]
     rows: list[Sequence[object]] = []
     for n in args.n:
         for k in args.k:

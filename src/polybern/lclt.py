@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .exactcomb import GuardError, _shifted_row, log_of_count, ml_degree
-from .saddle import LOG2
+from .saddle import LOG2, ML_DEGREE_GF, POLY_BERNOULLI_GF
 
 SCALED_N_GUARD = 200
 SCALED_K_GUARD = 400
@@ -107,8 +107,8 @@ def nu_density(n: int, k: float, p: GaussianParams) -> float:
 def window_limit(n: int, p: GaussianParams) -> int:
     """Largest k the discrepancy sweep inspects for row n.
 
-    ceil(n omega + 12 sqrt(n sigma)), capped at the table bound; both sides
-    of the comparison are below 1e-9 of the peak beyond the cap.
+    ceil(n omega + 12 sqrt(n sigma)), capped at SCALED_K_GUARD = 400; both
+    sides of the comparison are below 1e-9 of the peak beyond the cap.
     """
     _check_row(n)
     return min(math.ceil(n * p.mean_rate + 12.0 * math.sqrt(n * p.variance_rate)), SCALED_K_GUARD)
@@ -130,8 +130,8 @@ def ml_window(n: int, window: float) -> tuple[int, int]:
     _check_row(n)
     if not 0 < window <= ML_SHAPE_K_MAX:
         raise ValueError(f"window must lie in (0, {ML_SHAPE_K_MAX}], got {window}")
-    # p/q is the window as printed; fractions.Fraction would add an import of decimal to every start
-    digits, _, exponent = str(window).partition("e")
+    # p/q is the window's float as printed; fractions.Fraction would import decimal at every start
+    digits, _, exponent = repr(float(window)).partition("e")
     whole, _, decimals = digits.partition(".")
     scale = int(exponent or 0) - len(decimals)
     p, q = int(whole + decimals) * 10 ** max(scale, 0), 10 ** max(-scale, 0)
@@ -182,9 +182,7 @@ def lclt_rows(n: int, which: str, window: float | None = None) -> tuple[list[Row
     if not 2 <= n <= SCALED_N_GUARD:
         raise GuardError(f"n={n} outside 2..{SCALED_N_GUARD}")
     p = gaussian_params(which)
-    # B is the shift pair (1,1), D is (0,0)
-    shift = 1 if which == "B" else 0
-    counts = _shifted_row(n, window_limit(n, p), shift, shift)
+    counts = _shifted_row(n, window_limit(n, p), *(POLY_BERNOULLI_GF if which == "B" else ML_DEGREE_GF))
     log_rate, log_n_factorial = n * math.log(p.rho), math.lgamma(n + 1)
     rows = []
     for k, count in enumerate(counts):

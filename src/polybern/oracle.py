@@ -133,6 +133,9 @@ def count_lonesum_restricted(n: int, k: int, forbid_zero_rows: bool, forbid_zero
 
     (False, True) matches c_relative; (True, True) matches ml_degree.
     """
+    flags = forbid_zero_rows, forbid_zero_cols  # a bool, or 0 or 1 read as one
+    if not all(isinstance(flag, int) and flag in (0, 1) for flag in flags):
+        raise ValueError(f"flags must be bools, got {', '.join(map(repr, flags))}")
     return sum(
         count
         for (rows_ok, cols_ok), count in _lonesum_census(n, k).items()

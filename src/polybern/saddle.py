@@ -157,12 +157,9 @@ def saddle_point(n: int, k: int) -> SaddlePoint:
         raise ValueError("saddle_point needs 1 <= n, k <= 10**300")
     if n == k:
         return SaddlePoint(a=LOG2, b=LOG2, ratio=1.0)
-    if n > k:
-        a = f_inverse(n / k)
-        b = -_log1mexp(a)
-    else:
-        b = f_inverse(k / n)
-        a = -_log1mexp(b)
+    big = f_inverse(n / k if n > k else k / n)
+    small = -_log1mexp(big)
+    a, b = (big, small) if n > k else (small, big)
     return SaddlePoint(a=a, b=b, ratio=n / k)
 
 

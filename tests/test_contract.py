@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 import polybern
 from polybern import GuardError, exactcomb, lclt, oracle, quad, saddle
 
-# Wall-clock seconds one call may take. The slowest call inside the guards,
-# count_gamma_free(5, 6), takes 0.3 s (Python 3.11, x86-64).
+# CPU seconds one call may take, so that a loaded machine does not fail a
+# correct call; no call sleeps or blocks, so a hang still spends CPU. The
+# slowest call inside the guards, count_gamma_free(5, 6), takes 0.3 s
+# (Python 3.11, x86-64).
 BUDGET_S = 2.0
 
 # Exports that are not functions of scalars: the constants, the exception
@@ -45,8 +47,8 @@ FLOATS = INTS + [float(v) for v in INTS if abs(v) < 1e308] + [math.nan, math.inf
 
 def _strategy(hint):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if hint is bool:
-        return st.booleans()
+    if hint is bool:  # 0 and 1 read as bools; any other flag must be refused
+        return st.booleans() | st.integers(-1, 2) | st.floats() | st.none()
     if hint is int:  # small ints reach inside the domains the bounds close; a
         # float, NaN or bool in an int's place must be refused or read as its int
         return st.sampled_from(INTS) | st.integers(0, 40) | st.floats() | st.booleans()
@@ -78,15 +80,15 @@ def _over_budget(signum, frame):
 
 
 def _call(fn, args):
-    previous = signal.signal(signal.SIGALRM, _over_budget)
-    signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
+    previous = signal.signal(signal.SIGPROF, _over_budget)
+    signal.setitimer(signal.ITIMER_PROF, BUDGET_S)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", saddle.CompactnessWarning)
             return fn(*args)
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
 
 
 def _finite(value) -> bool:
@@ -103,6 +105,7 @@ def _finite(value) -> bool:
 @example(("f_inverse", (10**400,)))
 @example(("ml_limit_shape", (1, 10**400)))
 @example(("ml_degree_inclusion_exclusion", (511, 512)))
+@example(("count_lonesum_restricted", (2, 2, None, True)))
 def test_every_public_function_is_finite_or_value_error(call):
     # An ArithmeticError signals an internal bug, so no input may raise one.
     name, args = call
@@ -180,6 +183,12 @@ RAISES = {
     (ValueError, "^dimensions must be ints, got 1, nan$"): ("count_vesztergombi(1, nan)",),
     (ValueError, r"^rows must be ints, got 1, 0\.5$"): ("is_lonesum([1, 0.5])",),
     (ValueError, "^count must be an int, got 2.0$"): ("log_of_count(2.0)",),
+    # a flag is a bool, or 0 or 1 read as one
+    (ValueError, "^flags must be bools, got 0, 2$"): ("count_lonesum_restricted(2, 2, 0, 2)",),
+    (ValueError, r"^flags must be bools, got 0\.5, True$"): ("count_lonesum_restricted(2, 2, 0.5, True)",),
+    (ValueError, "^flags must be bools, got nan, True$"): ("count_lonesum_restricted(2, 2, nan, True)",),
+    (ValueError, "^flags must be bools, got None, True$"): ("count_lonesum_restricted(2, 2, None, True)",),
+    (ValueError, "^flags must be bools, got '', True$"): ("count_lonesum_restricted(2, 2, '', True)",),
     (GuardError, "^k=21 exceeds parseval guard 20$"): ("parseval_b(21, QuadratureSpec(64))",),
     (GuardError, "^nodes=16 below exactness bound 24$"): ("parseval_b(10, QuadratureSpec(16))",),
     (GuardError, r"outside residue guard 1\.\.40$"): (
@@ -200,6 +209,8 @@ HOLDS = (
     "nu_density(10, 10**400, B) == 0.0",
     "residue_integral_b(True, 2, QuadratureSpec(64)) == residue_integral_b(1, 2, QuadratureSpec(64))",
     "count_lonesum(True, False) == count_lonesum(1, 0) == 1",
+    "count_lonesum_restricted(2, 2, 0, 1) == c_relative(2, 2)",
+    "ml_window(10, True) == ml_window(10, 1) == (2, 8)",
 )
 
 
