@@ -11,11 +11,12 @@ counts each node off the real axis twice, for itself and its mirror.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 from .exactcomb import GuardError, LogEstimate, stirling2
-from .saddle import saddle_point
+from .saddle import _solve
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,9 +81,24 @@ def parseval_b(k: int, spec: QuadratureSpec) -> float:
     return (ends + 2.0 * inner) / spec.nodes
 
 
-def _laplace_exponent(k: int, phi: float) -> float:
-    # log of the integrand: -(2k+2) log|log(1 + exp(-i phi))|
-    return -(2 * k + 2) * math.log(abs(cmath.log(1.0 + cmath.exp(-1j * phi))))
+def _laplace_log(phi: float) -> float:
+    # log|log(1 + exp(-i phi))|; the integrand's log is -(2k+2) times it
+    return math.log(abs(cmath.log(1.0 + cmath.exp(-1j * phi))))
+
+
+# The per-node tables below depend on the node count alone. Each rule keeps
+# them for the last 4 node counts it saw; at NODES_GUARD a table holds about
+# 1.3 MB, so the eight together stay under about 10 MB.
+@functools.lru_cache(maxsize=4)
+def _laplace_logs(nodes: int) -> tuple[float, ...]:
+    # _laplace_log at the N/2 midpoint nodes in (0, pi)
+    return tuple(_laplace_log((j + 0.5) * TWO_PI / nodes) for j in range(nodes // 2))
+
+
+@functools.lru_cache(maxsize=4)
+def _half_circle(nodes: int) -> tuple[complex, ...]:
+    # exp(2 pi i j / N) for j = 0..N/2
+    return tuple(cmath.exp(1j * TWO_PI * j / nodes) for j in range(nodes // 2 + 1))
 
 
 def laplace_integral_diag(k: int, spec: QuadratureSpec) -> LogEstimate:
@@ -92,7 +108,8 @@ def laplace_integral_diag(k: int, spec: QuadratureSpec) -> LogEstimate:
     # singularity; terms are combined in log space since the peak value
     # grows like (1/log 2)^(2k+2). The exponent is even in phi, so the N/2
     # nodes in (0, pi) count twice.
-    exponents = [_laplace_exponent(k, (j + 0.5) * TWO_PI / spec.nodes) for j in range(spec.nodes // 2)]
+    power = -(2 * k + 2)
+    exponents = [power * g for g in _laplace_logs(spec.nodes)]
     top = max(exponents)
     mean = 2.0 * sum(math.exp(e - top) for e in exponents) / spec.nodes
     return top + math.log(mean)
@@ -111,12 +128,12 @@ def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
         raise ValueError(f"indices must be ints, got {n!r}, {k!r}")
     if not (1 <= n <= RESIDUE_GUARD and 1 <= k <= RESIDUE_GUARD):
         raise GuardError(f"(n,k)=({n},{k}) outside residue guard 1..{RESIDUE_GUARD}")
-    radius = saddle_point(n, k).a
+    radius = _solve(n, k)[0]
     half = spec.nodes // 2
     logs = []
     try:
-        for j in range(half + 1):
-            x = radius * cmath.exp(1j * TWO_PI * j / spec.nodes)
+        for root in _half_circle(spec.nodes):
+            x = radius * root
             lg = cmath.log(1.0 - cmath.exp(-x))
             logs.append(-n * cmath.log(x) - lg - (k + 1) * cmath.log(-lg))
     except ValueError:  # cmath.log(0)

@@ -68,6 +68,14 @@ def _log1mexp(t: float) -> float:
     return math.log(-math.expm1(-t))
 
 
+def _f(t: float) -> float:
+    # f_dir without its domain checks, for the solve's inner loops: exp(-t)
+    # is taken once and read by both branches of _log1mexp.
+    e = math.exp(-t)
+    one = -math.expm1(-t)
+    return t * e / (one * -(math.log1p(-e) if t > LOG2 else math.log(one)))
+
+
 def f_dir(t: float) -> float:
     """Direction function f(t) = t / ((1 - e^t) log(1 - e^{-t})).
 
@@ -78,7 +86,7 @@ def f_dir(t: float) -> float:
         raise ValueError("f is defined for t > 0")
     if t >= F_T_MAX:
         raise ValueError(f"t={t} overflows the stable form (limit {F_T_MAX})")
-    return t * math.exp(-t) / ((-math.expm1(-t)) * (-_log1mexp(t)))
+    return _f(t)
 
 
 def _newton_guess(target: float) -> float:
@@ -90,8 +98,9 @@ def _newton_guess(target: float) -> float:
     for _ in range(20):
         if not 0.0 < t < F_T_MAX:
             return math.nan
+        # the terms of _f, kept apart because the slope reads them too
         e, one = math.exp(-t), -math.expm1(-t)
-        q = one * -_log1mexp(t)
+        q = one * -(math.log1p(-e) if t > LOG2 else math.log(one))
         step = (math.log(t * e / q) - log_target) / (1.0 / t - 1.0 / one + e / q)
         t -= step
         if abs(step) <= 2.0**-46 * t:
@@ -123,10 +132,10 @@ def f_inverse(r: float) -> float:
     # and 2^-50 none; 2^-44 keeps a 64-fold margin.
     guess = _newton_guess(target)
     w_lo, w_hi = guess * (1 - 2.0**-44), guess * (1 + 2.0**-44)
-    if not (w_hi < cap and f_dir(w_lo) < target <= f_dir(w_hi)):
+    if not (w_hi < cap and _f(w_lo) < target <= _f(w_hi)):
         w_lo, w_hi = 0.0, math.inf
     lo, hi = 2.0**-40, 1.0
-    while hi <= w_lo or (hi < w_hi and f_dir(hi) < target):
+    while hi <= w_lo or (hi < w_hi and _f(hi) < target):
         if hi >= cap:
             raise ValueError(f"r={r} outside the stable range of f, about [1/700, 700]")
         lo = hi
@@ -135,12 +144,25 @@ def f_inverse(r: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if mid <= w_lo or (mid < w_hi and f_dir(mid) < target):
+        if mid <= w_lo or (mid < w_hi and _f(mid) < target):
             lo = mid
         else:
             hi = mid
     t = 0.5 * (lo + hi)
     return t if r >= 1.0 else -_log1mexp(t)
+
+
+def _solve(n: int, k: int) -> tuple[float, float]:
+    # saddle_point's (a, b), without building the dataclass
+    if not (isinstance(n, int) and isinstance(k, int)):
+        raise ValueError(f"indices must be ints, got {n!r}, {k!r}")
+    if not (1 <= n <= MAX_ESTIMATE_SIZE and 1 <= k <= MAX_ESTIMATE_SIZE):
+        raise ValueError("saddle_point needs 1 <= n, k <= 10**300")
+    if n == k:
+        return LOG2, LOG2
+    big = f_inverse(n / k if n > k else k / n)
+    small = -_log1mexp(big)
+    return (big, small) if n > k else (small, big)
 
 
 def saddle_point(n: int, k: int) -> SaddlePoint:
@@ -150,31 +172,26 @@ def saddle_point(n: int, k: int) -> SaddlePoint:
     a = b = log 2 and no solve runs. Elsewhere it is solved on the side
     whose ratio is > 1; the other coordinate comes from the variety
     equation exp(-a) + exp(-b) = 1, which keeps the on-variety identity
-    exact and makes swapping (n, k) swap (a, b) bit for bit. Takes
-    1 <= n, k <= MAX_ESTIMATE_SIZE, the estimators' domain.
+    exact and makes swapping (n, k) swap (a, b) bit for bit. Takes int
+    1 <= n, k <= MAX_ESTIMATE_SIZE, the estimators' domain; a bool reads
+    as its int.
     """
-    if not (1 <= n <= MAX_ESTIMATE_SIZE and 1 <= k <= MAX_ESTIMATE_SIZE):
-        raise ValueError("saddle_point needs 1 <= n, k <= 10**300")
-    if n == k:
-        return SaddlePoint(a=LOG2, b=LOG2, ratio=1.0)
-    big = f_inverse(n / k if n > k else k / n)
-    small = -_log1mexp(big)
-    a, b = (big, small) if n > k else (small, big)
+    a, b = _solve(n, k)
     return SaddlePoint(a=a, b=b, ratio=n / k)
 
 
 def _smooth_log(n: int, k: int, dn: int, dk: int) -> LogEstimate:
     # Leading-order smooth-point estimate of the coefficient n! k! [x^n y^k]
     # of exp(-(1-dn) x - (1-dk) y) / (exp(-x) + exp(-y) - 1).
-    sp = saddle_point(n, k)
-    if not 0.1 <= sp.ratio <= 10.0:
+    a, b = _solve(n, k)
+    ratio = n / k
+    if not 0.1 <= ratio <= 10.0:
         warnings.warn(
-            f"direction n/k = {sp.ratio:.6g} outside the compact band [1/10, 10]; "
+            f"direction n/k = {ratio:.6g} outside the compact band [1/10, 10]; "
             "estimate returned but untrusted",
             CompactnessWarning,
             stacklevel=3,
         )
-    a, b = sp.a, sp.b
     aea = a * math.exp(-a)
     beb = b * math.exp(-b)
     bracket = beb + aea - a * b
@@ -183,7 +200,7 @@ def _smooth_log(n: int, k: int, dn: int, dk: int) -> LogEstimate:
     variance = 2.0 * math.pi * aea * bracket
     if variance < sys.float_info.min:
         raise ValueError(
-            f"direction n/k = {sp.ratio:.6g} outside the representable cone, about "
+            f"direction n/k = {ratio:.6g} outside the representable cone, about "
             "[1/355, 358], where the variance term leaves the normal float range"
         )
     value = (
@@ -250,8 +267,7 @@ def acsv_general_log(shift: tuple[int, int], n: int, k: int) -> LogEstimate:
     dn, dk = shift
     if not {dn, dk} <= {0, 1}:
         raise ValueError(f"shift must be a pair from {{0, 1}}, got {shift}")
-    sp = saddle_point(n, k)
-    x, y = sp.a, sp.b
+    x, y = _solve(n, k)
     g_log = -(1 - dn) * x - (1 - dk) * y
     hx = -math.exp(-x)
     hy = -math.exp(-y)

@@ -49,9 +49,10 @@ def _strategy(hint):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if hint is bool:  # 0 and 1 read as bools; any other flag must be refused
         return st.booleans() | st.integers(-1, 2) | st.floats() | st.none()
-    if hint is int:  # small ints reach inside the domains the bounds close; a
-        # float, NaN or bool in an int's place must be refused or read as its int
-        return st.sampled_from(INTS) | st.integers(0, 40) | st.floats() | st.booleans()
+    if hint is int:  # small ints reach inside the domains the bounds close, and
+        # any two in 0..5 inside the matrix oracles' n*k <= 30; a float, NaN or
+        # bool in an int's place must be refused or read as its int
+        return st.integers(0, 5) | st.sampled_from(INTS) | st.integers(0, 40) | st.floats() | st.booleans()
     if hint is float:
         return st.sampled_from(FLOATS) | st.floats()
     if hint is str:
@@ -169,7 +170,13 @@ RAISES = {
         "lclt_rows(20, 'ml')", "lclt_discrepancy(20, 'ml')",
     ),
     # an int parameter refuses a float or NaN by name; a bool is an int
-    (ValueError, r"^indices must be ints, got 2\.5, 3$"): ("residue_integral_b(2.5, 3, QuadratureSpec(64))",),
+    (ValueError, r"^indices must be ints, got 2\.5, 3$"): (
+        "residue_integral_b(2.5, 3, QuadratureSpec(64))", "saddle_point(2.5, 3)", "bivar_asym_log(2.5, 3)",
+        "ml_asym_log(2.5, 3)", "excedance_asym_log(2.5, 3)", "acsv_general_log((1, 1), 2.5, 3)",
+    ),
+    (ValueError, "^indices must be ints, got nan, 3$"): ("saddle_point(nan, 3)", "bivar_asym_log(nan, 3)"),
+    (ValueError, "^indices must be ints, got 3, 2.0$"): ("saddle_point(3, 2.0)",),
+    (ValueError, "^indices must be ints, got 2.0, 2.0$"): ("diag_asym_log(2.0)",),
     (ValueError, "^k must be an int, got 2.5$"): ("parseval_b(2.5, QuadratureSpec(64))",),
     (ValueError, "^k must be an int, got nan$"): ("laplace_integral_diag(nan, QuadratureSpec(8))",),
     (ValueError, "^n must be an int, got nan$"): (
@@ -208,6 +215,7 @@ HOLDS = (
     "ml_limit_shape(1, 10**400) == 0.0",
     "nu_density(10, 10**400, B) == 0.0",
     "residue_integral_b(True, 2, QuadratureSpec(64)) == residue_integral_b(1, 2, QuadratureSpec(64))",
+    "saddle_point(True, 2) == saddle_point(1, 2)",
     "count_lonesum(True, False) == count_lonesum(1, 0) == 1",
     "count_lonesum_restricted(2, 2, 0, 1) == c_relative(2, 2)",
     "ml_window(10, True) == ml_window(10, 1) == (2, 8)",

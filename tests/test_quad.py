@@ -11,7 +11,7 @@ from polybern.quad import (
     NODES_GUARD,
     QuadratureSpec,
     _horner,
-    _laplace_exponent,
+    _laplace_log,
     _u_coefficients,
     laplace_integral_diag,
     parseval_b,
@@ -59,7 +59,11 @@ def test_parseval_k3_generous_nodes():
 
 
 # The Laplace rule averages the integrand 1/|log(1 + exp(-i phi))|^(2k+2)
-# through its log, _laplace_exponent.
+# through its log, -(2k+2) times _laplace_log.
+
+
+def _laplace_exponent(k, phi):
+    return -(2 * k + 2) * _laplace_log(phi)
 
 
 def test_laplace_integrand_positive_and_frozen():
@@ -204,3 +208,76 @@ def test_residue_failure_is_a_value_error_naming_the_radius(n, k, nodes, reason)
     radius = re.escape(str(saddle_point(n, k).a))
     with pytest.raises(ValueError, match=rf"^radius {radius} at \({n},{k}\): {reason}$"):
         residue_integral_b(n, k, QuadratureSpec(nodes))
+
+
+# The rules read per-node tables kept per node count; these references
+# compute every node inline, as the rules did before the tables, and must
+# agree with them float for float and error for error.
+
+
+def _nodewise_laplace(k, nodes):
+    two_pi = 2.0 * math.pi
+    exponents = [
+        -(2 * k + 2) * math.log(abs(cmath.log(1.0 + cmath.exp(-1j * ((j + 0.5) * two_pi / nodes)))))
+        for j in range(nodes // 2)
+    ]
+    top = max(exponents)
+    mean = 2.0 * sum(math.exp(e - top) for e in exponents) / nodes
+    return top + math.log(mean)
+
+
+def _nodewise_residue(n, k, nodes):
+    two_pi = 2.0 * math.pi
+    radius = saddle_point(n, k).a
+    half = nodes // 2
+    logs = []
+    try:
+        for j in range(half + 1):
+            x = radius * cmath.exp(1j * two_pi * j / nodes)
+            lg = cmath.log(1.0 - cmath.exp(-x))
+            logs.append(-n * cmath.log(x) - lg - (k + 1) * cmath.log(-lg))
+    except ValueError:
+        raise ValueError(f"radius {radius} at ({n},{k}): 1 - exp(-x) rounds to 0 or 1 at a node") from None
+    top = max(w.real for w in logs)
+    inner = sum(cmath.exp(logs[j] - top).real for j in range(1, half))
+    mean = (cmath.exp(logs[0] - top).real + cmath.exp(logs[half] - top).real + 2.0 * inner) / nodes
+    if mean <= 0:
+        raise ValueError(f"radius {radius} at ({n},{k}): quadrature mean {mean} lost positivity")
+    return math.lgamma(n + 1) + math.lgamma(k + 1) + top + math.log(mean)
+
+
+def _hex_outcome(rule, *args):
+    # the float returned, by float.hex, or the type and message raised
+    try:
+        return rule(*args).hex()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("nodes", [512, 1024])
+def test_laplace_equals_the_nodewise_rule(nodes):
+    for k in range(301):
+        assert laplace_integral_diag(k, QuadratureSpec(nodes)).hex() == _nodewise_laplace(k, nodes).hex(), k
+
+
+@pytest.mark.parametrize("nodes", [64, 1024, 4096])
+def test_residue_equals_the_nodewise_rule(nodes):
+    raised = 0
+    for n in range(1, 41):
+        for k in range(1, 41):
+            got = _hex_outcome(residue_integral_b, n, k, QuadratureSpec(nodes))
+            assert got == _hex_outcome(_nodewise_residue, n, k, nodes), (n, k)
+            raised += isinstance(got, tuple)
+    # the breakdown points of the saddle circle: 10, 9 and 11 of them
+    assert raised == {64: 10, 1024: 9, 4096: 11}[nodes]
+
+
+def test_rules_equal_the_nodewise_rules_after_the_tables_are_evicted():
+    # more distinct node counts than the tables keep, then the first again
+    counts = [8, 16, 24, 32, 40, 48, 56, 64, 8]
+    for nodes in counts:
+        for k in (0, 7, 300):
+            assert laplace_integral_diag(k, QuadratureSpec(nodes)).hex() == _nodewise_laplace(k, nodes).hex()
+        for n, k in ((1, 1), (12, 5), (5, 12), (40, 40)):
+            got = _hex_outcome(residue_integral_b, n, k, QuadratureSpec(nodes))
+            assert got == _hex_outcome(_nodewise_residue, n, k, nodes), (n, k, nodes)

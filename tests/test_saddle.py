@@ -87,6 +87,28 @@ def test_f_inverse_reciprocal_pair_on_variety():
     assert math.exp(-t1) + math.exp(-t2) == pytest.approx(1.0, abs=1e-12)
 
 
+def reference_f(t):
+    # f in its cancellation-free form, each exponential taken where it is read
+    return t * math.exp(-t) / ((-math.expm1(-t)) * (-saddle._log1mexp(t)))
+
+
+@pytest.mark.parametrize("t", [
+    LOG2, math.nextafter(LOG2, 0.0), math.nextafter(LOG2, 1.0),
+    math.nextafter(math.nextafter(LOG2, 0.0), 0.0), math.nextafter(math.nextafter(LOG2, 1.0), 1.0),
+    5e-324, 1e-300, 2.0**-40, 1e-3, 0.5, 1.0, 2.0, 37.5, 699.0, math.nextafter(F_T_MAX, 0.0),
+])
+def test_f_dir_is_the_solves_evaluator(t):
+    # the solve's evaluator saddle._f reuses exp(-t) in both branches of the
+    # log(1 - e^-t) split at log 2, and returns f_dir's float
+    assert f_dir(t).hex() == saddle._f(t).hex() == reference_f(t).hex()
+
+
+@settings(max_examples=300)
+@given(st.floats(min_value=5e-324, max_value=F_T_MAX, exclude_max=True))
+def test_f_dir_is_the_solves_evaluator_everywhere(t):
+    assert f_dir(t).hex() == saddle._f(t).hex() == reference_f(t).hex()
+
+
 def plain_f_inverse(r):
     # The bracketed bisection with f evaluated at every point: f_inverse
     # must return what this returns, float for float and error for error.
@@ -145,19 +167,21 @@ def test_f_inverse_is_plain_bisection(r):
     assert outcome(f_inverse, r) == outcome(plain_f_inverse, r)
 
 
-def counted_f_dir(monkeypatch):
+def counted_f(monkeypatch):
+    # counts the solve's evaluations of f, which go through saddle._f
     calls = [0]
+    evaluate = saddle._f
 
     def counting(t):
         calls[0] += 1
-        return f_dir(t)
+        return evaluate(t)
 
-    monkeypatch.setattr(saddle, "f_dir", counting)
+    monkeypatch.setattr(saddle, "_f", counting)
     return calls
 
 
 def test_f_inverse_evaluates_f_a_few_times(monkeypatch):
-    calls = counted_f_dir(monkeypatch)
+    calls = counted_f(monkeypatch)
     ratios = [300.0 ** (2.0 * i / 499 - 1.0) for i in range(500)]
     for r in ratios:
         f_inverse(r)
@@ -168,7 +192,7 @@ def test_f_inverse_evaluates_f_a_few_times(monkeypatch):
 def test_f_inverse_falls_back_next_to_the_cap(monkeypatch):
     # the root lies within the window's width of the cap, so the window is
     # dropped and every midpoint is evaluated
-    calls = counted_f_dir(monkeypatch)
+    calls = counted_f(monkeypatch)
     for r in (CAP_RATIO, math.nextafter(CAP_RATIO, 0.0)):
         calls[0] = 0
         assert f_inverse(r) == plain_f_inverse(r)
@@ -181,7 +205,7 @@ def test_f_inverse_checks_the_newton_guess(monkeypatch, skew):
     # evaluates every midpoint instead, with the same result
     newton = saddle._newton_guess
     monkeypatch.setattr(saddle, "_newton_guess", lambda target: newton(target) * skew)
-    calls = counted_f_dir(monkeypatch)
+    calls = counted_f(monkeypatch)
     for r in (1.0, 1.5, 10.0, 0.1, 299.0):
         calls[0] = 0
         assert f_inverse(r) == plain_f_inverse(r)
