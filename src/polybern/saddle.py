@@ -6,6 +6,7 @@ quantities overflow machine floats almost immediately.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -89,11 +90,27 @@ def f_dir(t: float) -> float:
     return _f(t)
 
 
+# Newton's start below target 2: the quadratic in the target through the
+# points (f(t), t) at t = log 2, 1 and 2, in Newton's divided-difference form.
+_F1, _F2 = _f(1.0), _f(2.0)
+_SLOPE1 = (1.0 - LOG2) / (_F1 - 1.0)
+_CURVE = (1.0 / (_F2 - _F1) - _SLOPE1) / (_F2 - 1.0)
+
+
 def _newton_guess(target: float) -> float:
     # Newton on log f(t) = log target, with d log f/dt = 1/t - 1/(1 - e^-t)
-    # + e^-t / ((1 - e^-t) L) and L = -log(1 - e^-t), from f(t) ~ t for large
-    # t and f(log 2) = 1; at most 5 steps on [1, 700]. NaN off (0, F_T_MAX).
-    t = target if target > 2.0 else LOG2 + (target - 1.0) * (2.0 - LOG2)
+    # + e^-t / ((1 - e^-t) L) and L = -log(1 - e^-t). Above 2 it starts from
+    # f(t) = t (1 + e^-t / 2 + O(e^-2t)), below from the quadratic above. It
+    # stops once a step is at most 2^-26 t: convergence is quadratic, so the
+    # error left is of order the step squared, at most 2^-49.8 t on 200k
+    # targets against the window's 2^-44. 1 to 3 steps on [1, 699], 1.6 on
+    # average. NaN off (0, F_T_MAX).
+    if not target < F_T_MAX:
+        return math.nan
+    if target > 2.0:
+        t = target * (1.0 - 0.5 * math.exp(-target))
+    else:
+        t = LOG2 + (target - 1.0) * (_SLOPE1 + (target - _F1) * _CURVE)
     log_target = math.log(target)
     for _ in range(20):
         if not 0.0 < t < F_T_MAX:
@@ -103,29 +120,38 @@ def _newton_guess(target: float) -> float:
         q = one * -(math.log1p(-e) if t > LOG2 else math.log(one))
         step = (math.log(t * e / q) - log_target) / (1.0 / t - 1.0 / one + e / q)
         t -= step
-        if abs(step) <= 2.0**-46 * t:
+        if abs(step) <= 2.0**-26 * t:
             break
     return t if 0.0 < t < F_T_MAX else math.nan
 
 
-def f_inverse(r: float) -> float:
-    """Unique t > 0 with f(t) = r, by bracketed bisection, Newton-seeded.
+def _out_of_range(r: float) -> ValueError:
+    return ValueError(f"r={r} outside the stable range of f, about [1/700, 700]")
 
-    Solves f(t) = max(r, 1/r) >= 1 from the bracket [2^-40, 1], whose upper
-    end is doubled until the sign changes, then bisected 120 times; for
-    r < 1 the answer comes from the variety, -log(1 - exp(-f^{-1}(1/r))).
-    A Newton guess, checked by f at both ends of a window of relative
-    half-width 2^-44 around it, lets the bisection evaluate f only inside
-    the window: it takes the same path and returns the same float as with
-    f evaluated everywhere, which it does when the check fails.
-    Defined for 1/R <= r <= R with R = f(F_T_MAX (1 - 2^-20)), about 700;
-    raises ValueError outside.
-    """
-    if not r > 0:
-        raise ValueError("f_inverse is defined for r > 0")
-    # 1 / r, not 1.0 / r: an int r past the float range then reaches the
-    # range check below instead of overflowing here.
-    target = max(r, 1 / r)
+
+def _binade_jump(lo: float, w_lo: float, w_hi: float) -> tuple[float, float]:
+    # Where the bisection of the binade bracket [lo, 2 lo], lo = 2^j, goes
+    # while its midpoints fall outside the window [w_lo, w_hi] it holds.
+    # Every such midpoint is exact on the grid u = 2^(j-52) of the binade's
+    # floats, so these steps, which only compare, end in the deepest grid
+    # interval [lo + A u, lo + (A + 2^p) u], A a multiple of 2^p, that holds
+    # the window's ends lo + L u and lo + H u: the one where L and H - 1
+    # first agree above their low p bits.
+    u = lo * 2.0**-52
+    low, high = int((w_lo - lo) / u), int((w_hi - lo) / u)
+    p = (low ^ (high - 1)).bit_length()
+    a = low >> p << p
+    return lo + a * u, lo + (a + (1 << p)) * u
+
+
+# Holds verify's 960 distinct ratios; an entry (the float key in a 1-tuple,
+# the float root, the cache's link and its dict slot) takes about 165 bytes,
+# so the full cache about 0.17 MB.
+@functools.lru_cache(maxsize=1024)
+def _root(target: float) -> float:
+    # f^{-1}(target) for target >= 1, memoized by the target; an int target
+    # shares the entry of its equal float, whose root it has. Out of range
+    # it raises, naming the target, and nothing is cached.
     cap = F_T_MAX * (1 - 2**-20)
     # Rounded f_dir is monotone only to a few ulps, so a window too narrow
     # misjudges points just outside it: on 200k r, 2^-51 changed 71 results
@@ -137,9 +163,11 @@ def f_inverse(r: float) -> float:
     lo, hi = 2.0**-40, 1.0
     while hi <= w_lo or (hi < w_hi and _f(hi) < target):
         if hi >= cap:
-            raise ValueError(f"r={r} outside the stable range of f, about [1/700, 700]")
+            raise _out_of_range(target)
         lo = hi
         hi = min(2.0 * hi, cap)
+    if hi == 2.0 * lo and lo <= w_lo and w_hi <= hi:
+        lo, hi = _binade_jump(lo, w_lo, w_hi)
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -148,7 +176,31 @@ def f_inverse(r: float) -> float:
             lo = mid
         else:
             hi = mid
-    t = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def f_inverse(r: float) -> float:
+    """Unique t > 0 with f(t) = r, by bracketed bisection, Newton-seeded.
+
+    Solves f(t) = max(r, 1/r) >= 1 from the bracket [2^-40, 1], whose upper
+    end is doubled until the sign changes, then bisected 120 times; for
+    r < 1 the answer comes from the variety, -log(1 - exp(-f^{-1}(1/r))).
+    A Newton guess, checked by f at both ends of a window of relative
+    half-width 2^-44 around it, lets the bisection evaluate f only inside
+    the window: it takes the same path and returns the same float as with
+    f evaluated everywhere, which it does when the check fails. Roots are
+    memoized by max(r, 1/r), so a repeated ratio solves nothing.
+    Defined for 1/R <= r <= R with R = f(F_T_MAX (1 - 2^-20)), about 700;
+    raises ValueError outside.
+    """
+    if not r > 0:
+        raise ValueError("f_inverse is defined for r > 0")
+    # 1 / r, not 1.0 / r: an int r past the float range then reaches the
+    # range check instead of overflowing here.
+    try:
+        t = _root(max(r, 1 / r))
+    except ValueError:
+        raise _out_of_range(r) from None
     return t if r >= 1.0 else -_log1mexp(t)
 
 
@@ -160,7 +212,7 @@ def _solve(n: int, k: int) -> tuple[float, float]:
         raise ValueError("saddle_point needs 1 <= n, k <= 10**300")
     if n == k:
         return LOG2, LOG2
-    big = f_inverse(n / k if n > k else k / n)
+    big = _root(n / k if n > k else k / n)
     small = -_log1mexp(big)
     return (big, small) if n > k else (small, big)
 
@@ -226,6 +278,8 @@ def diag_asym_log(k: int, order: int = 1) -> LogEstimate:
     saddle point (log 2, log 2); order 2 replaces k by k+1 under its square
     root and multiplies by (1 + SECOND_ORDER_C/k).
     """
+    if not isinstance(order, int):
+        raise ValueError(f"order must be an int, got {order!r}")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     value = _smooth_log(k, k, 1, 1)
@@ -253,7 +307,8 @@ def excedance_asym_log(r: int, s: int) -> LogEstimate:
 def acsv_general_log(shift: tuple[int, int], n: int, k: int) -> LogEstimate:
     """Log of the general smooth-point estimate for the coefficient count.
 
-    The numerator shift (dn, dk), with dn and dk each 0 or 1, gives
+    The numerator shift (dn, dk), with dn and dk each the int 0 or 1 (a
+    bool reads as its int), gives
     log G = -(1-dn) x - (1-dk) y over H = exp(-x) + exp(-y) - 1.
     Evaluates G(x,y) sqrt(-y H_y / (2 pi k Q)) x^{-n} y^{-k} n! k! at
     the saddle point, with the H partials taken analytically and Q
@@ -264,9 +319,13 @@ def acsv_general_log(shift: tuple[int, int], n: int, k: int) -> LogEstimate:
     Raises ValueError where Q cancels fully, outside about
     1/250 <= n/k <= 250.
     """
-    dn, dk = shift
-    if not {dn, dk} <= {0, 1}:
+    if not (
+        isinstance(shift, (tuple, list))
+        and len(shift) == 2
+        and all(isinstance(d, int) and d in (0, 1) for d in shift)
+    ):
         raise ValueError(f"shift must be a pair from {{0, 1}}, got {shift}")
+    dn, dk = shift
     x, y = _solve(n, k)
     g_log = -(1 - dn) * x - (1 - dk) * y
     hx = -math.exp(-x)

@@ -146,7 +146,13 @@ RAISES = {
         "excedance_asym_log(10**400, 10**400)", "acsv_general_log((1, 1), 10**400, 10**400)",
         "diag_asym_log(10**400, 2)",
     ),
-    (ValueError, "^shift must be a pair from {0, 1}, got"): ("acsv_general_log((2, 0), 5, 5)",),
+    (ValueError, "^shift must be a pair from {0, 1}, got"): (
+        "acsv_general_log((2, 0), 5, 5)", "acsv_general_log(None, 3, 4)", "acsv_general_log((1, 1, 0), 3, 4)",
+        "acsv_general_log((1.0, 1), 3, 4)", "acsv_general_log((1, 0.0), 3, 4)", "acsv_general_log((nan, 1), 3, 4)",
+    ),
+    (ValueError, "^order must be an int, got 2.0$"): ("diag_asym_log(5, 2.0)", "diag_asym_log(0, 2.0)"),
+    (ValueError, "^order must be an int, got nan$"): ("diag_asym_log(5, nan)",),
+    (ValueError, "^order must be 1 or 2$"): ("diag_asym_log(5, 3)", "diag_asym_log(5, 0)"),
     (ValueError, "^f is defined for t > 0$"): ("f_dir(0.0)", "f_dir(-1.0)", "f_dir(nan)"),
     (ValueError, "^t=701.0 overflows the stable form"): ("f_dir(701.0)",),
     (ValueError, "^f_inverse is defined for r > 0$"): ("f_inverse(0.0)", "f_inverse(nan)"),
@@ -216,6 +222,8 @@ HOLDS = (
     "nu_density(10, 10**400, B) == 0.0",
     "residue_integral_b(True, 2, QuadratureSpec(64)) == residue_integral_b(1, 2, QuadratureSpec(64))",
     "saddle_point(True, 2) == saddle_point(1, 2)",
+    "diag_asym_log(5, True) == diag_asym_log(5, 1)",
+    "acsv_general_log((True, False), 3, 4) == acsv_general_log((1, 0), 3, 4)",
     "count_lonesum(True, False) == count_lonesum(1, 0) == 1",
     "count_lonesum_restricted(2, 2, 0, 1) == c_relative(2, 2)",
     "ml_window(10, True) == ml_window(10, 1) == (2, 8)",

@@ -1,6 +1,7 @@
 """Direction function, saddle points, and log-space estimators."""
 
 import math
+import types
 import warnings
 from decimal import Decimal
 
@@ -167,8 +168,11 @@ def test_f_inverse_is_plain_bisection(r):
     assert outcome(f_inverse, r) == outcome(plain_f_inverse, r)
 
 
-def counted_f(monkeypatch):
-    # counts the solve's evaluations of f, which go through saddle._f
+@pytest.fixture
+def evaluations(monkeypatch):
+    # solve(r) -> (f_inverse(r), the evaluations of f it made), from an empty
+    # root cache unless cold=False, so that a ratio an earlier test solved is
+    # not answered from the memo; the evaluations go through saddle._f
     calls = [0]
     evaluate = saddle._f
 
@@ -176,40 +180,168 @@ def counted_f(monkeypatch):
         calls[0] += 1
         return evaluate(t)
 
+    def solve(r, cold=True):
+        if cold:
+            saddle._root.cache_clear()
+        calls[0] = 0
+        t = f_inverse(r)
+        return t, calls[0]
+
     monkeypatch.setattr(saddle, "_f", counting)
-    return calls
+    yield solve
+    saddle._root.cache_clear()
 
 
-def test_f_inverse_evaluates_f_a_few_times(monkeypatch):
-    calls = counted_f(monkeypatch)
-    ratios = [300.0 ** (2.0 * i / 499 - 1.0) for i in range(500)]
-    for r in ratios:
-        f_inverse(r)
+LOG_SPACED = [300.0 ** (2.0 * i / 499 - 1.0) for i in range(500)]
+
+
+def test_f_inverse_evaluates_f_a_few_times(evaluations):
+    total = sum(evaluations(r)[1] for r in LOG_SPACED)
     # the plain bisection takes about 58 evaluations per solve
-    assert calls[0] / len(ratios) <= 16
+    assert total / len(LOG_SPACED) <= 16
 
 
-def test_f_inverse_falls_back_next_to_the_cap(monkeypatch):
+def test_f_inverse_falls_back_next_to_the_cap(evaluations):
     # the root lies within the window's width of the cap, so the window is
     # dropped and every midpoint is evaluated
-    calls = counted_f(monkeypatch)
     for r in (CAP_RATIO, math.nextafter(CAP_RATIO, 0.0)):
-        calls[0] = 0
-        assert f_inverse(r) == plain_f_inverse(r)
-        assert calls[0] > 50
+        t, calls = evaluations(r)
+        assert calls > 50
+        assert t == plain_f_inverse(r)
 
 
 @pytest.mark.parametrize("skew", [1 + 1e-3, 1 - 1e-3, 1 + 2**-40, 1 - 2**-40, math.nan])
-def test_f_inverse_checks_the_newton_guess(monkeypatch, skew):
+def test_f_inverse_checks_the_newton_guess(monkeypatch, evaluations, skew):
     # a guess whose window misses the root fails the check, and the solve
     # evaluates every midpoint instead, with the same result
     newton = saddle._newton_guess
     monkeypatch.setattr(saddle, "_newton_guess", lambda target: newton(target) * skew)
-    calls = counted_f(monkeypatch)
     for r in (1.0, 1.5, 10.0, 0.1, 299.0):
-        calls[0] = 0
-        assert f_inverse(r) == plain_f_inverse(r)
-        assert calls[0] > 50
+        t, calls = evaluations(r)
+        assert calls > 50
+        assert t == plain_f_inverse(r)
+
+
+def test_a_repeated_ratio_evaluates_f_zero_times(evaluations):
+    for r in (1.5, 10.0, 299.0, 1 / 7):
+        t, calls = evaluations(r)
+        assert calls > 0
+        again, calls = evaluations(r, cold=False)
+        assert calls == 0 and again.hex() == t.hex()
+        # 1/r reads the same root
+        mirror, calls = evaluations(1 / r, cold=False)
+        assert calls == 0 and mirror.hex() == evaluations(1 / r)[0].hex()
+
+
+def newton_steps(monkeypatch, target):
+    # the steps _newton_guess takes: each calls math.expm1 once, and the
+    # start does not
+    steps = [0]
+    counting = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math) if name[0] != "_"})
+
+    def expm1(x):
+        steps[0] += 1
+        return math.expm1(x)
+
+    counting.expm1 = expm1
+    with monkeypatch.context() as patch:
+        patch.setattr(saddle, "math", counting)
+        saddle._newton_guess(target)
+    return steps[0]
+
+
+def test_newton_takes_few_steps_and_its_window_holds(monkeypatch, evaluations):
+    steps = [newton_steps(monkeypatch, max(r, 1 / r)) for r in LOG_SPACED]
+    assert sum(steps) / len(steps) <= 2.5
+    # a window that fails its check makes the solve evaluate every midpoint,
+    # 50 and more; with the window it evaluates about 13 times
+    for n in range(1, 61):
+        for k in range(1, 61):
+            assert evaluations(n / k)[1] <= 20, (n, k)
+
+
+def comparison_steps(lo, hi, w_lo, w_hi):
+    # the bisection of [lo, hi] while its midpoints fall outside the window
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi or w_lo < mid < w_hi:
+            return lo, hi
+        if mid <= w_lo:
+            lo = mid
+        else:
+            hi = mid
+
+
+GRID = 2**52  # floats in a binade [2^j, 2^(j+1)]
+grid_points = st.integers(0, GRID) | st.sampled_from([0, 1, 2**51 - 1, 2**51, 2**51 + 1, GRID - 1, GRID])
+
+
+@settings(max_examples=500)
+@given(st.integers(0, 8), grid_points, grid_points)
+@example(0, 0, GRID)
+@example(5, 2**51, 2**51 + 700)
+@example(5, 2**51 - 700, 2**51)
+@example(8, GRID - 1000, GRID)
+@example(8, 17, 18)
+def test_binade_jump_lands_where_the_comparisons_end(j, low, high):
+    if low == high:
+        return
+    low, high = sorted((low, high))
+    lo = 2.0**j
+    w_lo, w_hi = lo + low * 2.0 ** (j - 52), lo + high * 2.0 ** (j - 52)
+    assert saddle._binade_jump(lo, w_lo, w_hi) == comparison_steps(lo, 2 * lo, w_lo, w_hi)
+
+
+def neighbours(x, steps=3):
+    # x and the `steps` floats either side of it
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+def window_end(r, high):
+    # the low (high=False) or high end of the window f_inverse checks
+    return saddle._newton_guess(max(r, 1 / r)) * (1 + 2.0**-44 if high else 1 - 2.0**-44)
+
+
+def ratios_with_window_end_at(point, high):
+    # the ratios among 400 floats around f(point), less the window's half
+    # width, whose window has its low or high end exactly at `point`
+    r = f_dir(point / (1 + 2.0**-44) if high else point / (1 - 2.0**-44))
+    return [x for x in neighbours(r, 200) if window_end(x, high) == point]
+
+
+def assert_solves_as_plain_bisection(evaluations, ratios):
+    cold = lambda r: evaluations(r)[0]  # noqa: E731
+    for r in ratios:
+        assert outcome(cold, r) == outcome(plain_f_inverse, r), r
+        assert outcome(cold, 1 / r) == outcome(plain_f_inverse, 1 / r), r
+
+
+@pytest.mark.parametrize("j", range(10))
+def test_f_inverse_at_a_binade_end(evaluations, j):
+    # the root at 2^j, an end of the doubling's brackets, or a float or
+    # three either side of it
+    assert_solves_as_plain_bisection(evaluations, neighbours(f_dir(2.0**j)))
+
+
+def test_f_inverse_with_the_window_at_the_bracket_end(evaluations):
+    # w_hi == hi = 2^(j+1): the window reaches the end of its binade bracket
+    ratios = [r for j in range(9) for r in ratios_with_window_end_at(2.0 ** (j + 1), high=True)]
+    assert len(ratios) >= 8
+    assert_solves_as_plain_bisection(evaluations, ratios)
+
+
+@pytest.mark.parametrize("high", [False, True])
+@pytest.mark.parametrize("point", [1.5, 1.25, 1.75, 1.0 + 2.0**-20])
+def test_f_inverse_with_a_window_end_on_a_midpoint(evaluations, point, high):
+    # a window end on a midpoint the bisection of [2^j, 2^(j+1)] visits,
+    # where the window's comparisons tie
+    ratios = [r for j in range(9) for r in ratios_with_window_end_at(point * 2.0**j, high)]
+    assert len(ratios) >= 4
+    assert_solves_as_plain_bisection(evaluations, ratios)
 
 
 def test_saddle_point_symmetric_direction():
