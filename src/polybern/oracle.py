@@ -75,6 +75,7 @@ def is_lonesum(rows: Sequence[int]) -> bool:
     The matrix is given as its rows, each a bitmask of its set columns.
     """
     _check_ints("rows", *rows)
+    rows = [int(r) for r in rows]  # a bool reads as its int; ~ on a bool is deprecated
     return all(_comparable(rows[:i], rows[i]) for i in range(len(rows)))
 
 

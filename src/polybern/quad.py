@@ -57,8 +57,7 @@ def _u_coefficients(k: int) -> list[float]:
     return [float(math.factorial(m) * stirling2(k + 1, m + 1)) for m in range(k + 1)]
 
 
-def _horner(coeffs: list[float], phi: float) -> complex:
-    y = cmath.exp(1j * phi)
+def _horner(coeffs: list[float], y: complex) -> complex:
     acc = complex(0.0)
     for c in reversed(coeffs):
         acc = acc * y + c
@@ -75,9 +74,11 @@ def parseval_b(k: int, spec: QuadratureSpec) -> float:
     if spec.nodes < 2 * k + 4:
         raise GuardError(f"nodes={spec.nodes} below exactness bound {2 * k + 4}")
     coeffs = _u_coefficients(k)
-    # the coefficients are real, so |u| is even in phi: nodes 0 < j < N/2 count twice
-    inner = sum(abs(_horner(coeffs, TWO_PI * j / spec.nodes)) ** 2 for j in range(1, spec.nodes // 2))
-    ends = abs(_horner(coeffs, 0.0)) ** 2 + abs(_horner(coeffs, math.pi)) ** 2
+    # |u| is even in phi (real coefficients): nodes 0 < j < N/2 count twice. The
+    # pi end is exp(i pi), which the table's last root is not for some N.
+    roots = _half_circle(spec.nodes)
+    inner = sum(abs(_horner(coeffs, y)) ** 2 for y in roots[1:-1])
+    ends = abs(_horner(coeffs, roots[0])) ** 2 + abs(_horner(coeffs, cmath.exp(1j * math.pi))) ** 2
     return (ends + 2.0 * inner) / spec.nodes
 
 
@@ -86,16 +87,18 @@ def _laplace_log(phi: float) -> float:
     return math.log(abs(cmath.log(1.0 + cmath.exp(-1j * phi))))
 
 
-# The per-node tables below depend on the node count alone. Each rule keeps
-# them for the last 4 node counts it saw; at NODES_GUARD a table holds about
-# 1.3 MB, so the eight together stay under about 10 MB.
+# Per-node tables, kept per node count: Laplace's logs for the last 4 counts,
+# and the unit roots parseval and the residue rule share for the last 8 (an
+# estimates benchmark pass reads six: 8, 16, 32, 64, 1024, 4096). At NODES_GUARD
+# a table of logs holds 1.05 MB and one of roots 1.31 MB (tracemalloc), so the
+# twelve hold at most about 15 MB.
 @functools.lru_cache(maxsize=4)
 def _laplace_logs(nodes: int) -> tuple[float, ...]:
     # _laplace_log at the N/2 midpoint nodes in (0, pi)
     return tuple(_laplace_log((j + 0.5) * TWO_PI / nodes) for j in range(nodes // 2))
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=8)
 def _half_circle(nodes: int) -> tuple[complex, ...]:
     # exp(2 pi i j / N) for j = 0..N/2
     return tuple(cmath.exp(1j * TWO_PI * j / nodes) for j in range(nodes // 2 + 1))

@@ -67,14 +67,6 @@ def _log1mexp(t: float) -> float:
     return math.log(-math.expm1(-t))
 
 
-def _f(t: float) -> float:
-    # f_dir without its domain checks: exp(-t) is taken once and read by
-    # both branches of _log1mexp.
-    e = math.exp(-t)
-    one = -math.expm1(-t)
-    return t * e / (one * -(math.log1p(-e) if t > LOG2 else math.log(one)))
-
-
 def f_dir(t: float) -> float:
     """Direction function f(t) = t / ((1 - e^t) log(1 - e^{-t})).
 
@@ -85,18 +77,19 @@ def f_dir(t: float) -> float:
         raise ValueError("f is defined for t > 0")
     if t >= F_T_MAX:
         raise ValueError(f"t={t} overflows the stable form (limit {F_T_MAX})")
-    return _f(t)
+    # _log1mexp takes e^-t again; the solve never evaluates f, so no hot path pays
+    return t * math.exp(-t) / (-math.expm1(-t) * -_log1mexp(t))
 
 
 # Newton's start below target 2: the quadratic in the target through the
 # points (f(t), t) at t = log 2, 1 and 2, in Newton's divided-difference form.
-_F1, _F2 = _f(1.0), _f(2.0)
+_F1, _F2 = f_dir(1.0), f_dir(2.0)
 _SLOPE1 = (1.0 - LOG2) / (_F1 - 1.0)
 _CURVE = (1.0 / (_F2 - _F1) - _SLOPE1) / (_F2 - 1.0)
 
 # Largest target f_inverse solves: f a margin below F_T_MAX, so that every
 # root up to it stays inside the stable form.
-_F_CAP = _f(F_T_MAX * (1 - 2**-20))
+_F_CAP = f_dir(F_T_MAX * (1 - 2**-20))
 
 
 def _out_of_range(r: float) -> ValueError:

@@ -225,6 +225,8 @@ HOLDS = (
     "diag_asym_log(5, True) == diag_asym_log(5, 1)",
     "acsv_general_log((True, False), 3, 4) == acsv_general_log((1, 0), 3, 4)",
     "count_lonesum(True, False) == count_lonesum(1, 0) == 1",
+    "is_lonesum([True, False]) == is_lonesum([1, 0])",
+    "is_lonesum([0, False]) == is_lonesum([0, 0])",
     "count_lonesum_restricted(2, 2, 0, 1) == c_relative(2, 2)",
     "ml_window(10, True) == ml_window(10, 1) == (2, 8)",
 )

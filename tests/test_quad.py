@@ -141,7 +141,7 @@ def test_residue_doubling_is_stable():
 
 def _full_parseval(k, nodes):
     coeffs = _u_coefficients(k)
-    return sum(abs(_horner(coeffs, 2 * math.pi * j / nodes)) ** 2 for j in range(nodes)) / nodes
+    return sum(abs(_horner(coeffs, cmath.exp(1j * (2 * math.pi * j / nodes)))) ** 2 for j in range(nodes)) / nodes
 
 
 def _full_laplace(k, nodes):
@@ -215,6 +215,16 @@ def test_residue_failure_is_a_value_error_naming_the_radius(n, k, nodes, reason)
 # agree with them float for float and error for error.
 
 
+def _nodewise_parseval(k, nodes):
+    # each root from its angle, as the rule took them before it read the
+    # residue rule's table of unit roots
+    two_pi = 2.0 * math.pi
+    coeffs = _u_coefficients(k)
+    inner = sum(abs(_horner(coeffs, cmath.exp(1j * (two_pi * j / nodes)))) ** 2 for j in range(1, nodes // 2))
+    ends = abs(_horner(coeffs, cmath.exp(1j * 0.0))) ** 2 + abs(_horner(coeffs, cmath.exp(1j * math.pi))) ** 2
+    return (ends + 2.0 * inner) / nodes
+
+
 def _nodewise_laplace(k, nodes):
     two_pi = 2.0 * math.pi
     exponents = [
@@ -254,6 +264,13 @@ def _hex_outcome(rule, *args):
         return type(exc), str(exc)
 
 
+@pytest.mark.parametrize("k", range(21))
+def test_parseval_equals_the_nodewise_rule(k):
+    # 2k+4 and 2k+6 are not powers of two for most k
+    for nodes in (max(8, 2 * k + 4), max(8, 2 * k + 6), 64, 4096):
+        assert parseval_b(k, QuadratureSpec(nodes)).hex() == _nodewise_parseval(k, nodes).hex(), nodes
+
+
 @pytest.mark.parametrize("nodes", [512, 1024])
 def test_laplace_equals_the_nodewise_rule(nodes):
     for k in range(301):
@@ -273,11 +290,13 @@ def test_residue_equals_the_nodewise_rule(nodes):
 
 
 def test_rules_equal_the_nodewise_rules_after_the_tables_are_evicted():
-    # more distinct node counts than the tables keep, then the first again
-    counts = [8, 16, 24, 32, 40, 48, 56, 64, 8]
+    # more distinct node counts than the tables keep (4 and 8), then the first again
+    counts = [8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 8]
     for nodes in counts:
         for k in (0, 7, 300):
             assert laplace_integral_diag(k, QuadratureSpec(nodes)).hex() == _nodewise_laplace(k, nodes).hex()
+        for k in (0, 2, min(20, nodes // 2 - 2)):
+            assert parseval_b(k, QuadratureSpec(nodes)).hex() == _nodewise_parseval(k, nodes).hex(), (k, nodes)
         for n, k in ((1, 1), (12, 5), (5, 12), (40, 40)):
             got = _hex_outcome(residue_integral_b, n, k, QuadratureSpec(nodes))
             assert got == _hex_outcome(_nodewise_residue, n, k, nodes), (n, k, nodes)
