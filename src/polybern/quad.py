@@ -1,11 +1,12 @@
 """Periodic-trapezoid cross-checks of the integral identities.
 
 The unit-circle mean of a squared coefficient polynomial recovers the
-diagonal counts exactly; a circle integral around the origin recovers
-B(n,k) up to an exponentially small defect; the diagonal contour integral
-approaches its quadratic-peak (Laplace) prediction. Each integrand is
-conjugate-symmetric, so each rule evaluates one half of its N nodes and
-counts each node off the real axis twice, for itself and its mirror.
+diagonal counts exactly; the integral of the dominant term on the saddle
+circle estimates log B(n,k), which the caller compares with the count;
+the diagonal contour integral approaches its quadratic-peak (Laplace)
+prediction. Each integrand is conjugate-symmetric, so each rule evaluates
+one half of its N nodes and `_fold` counts each node off the real axis
+twice, for itself and its mirror.
 """
 
 from __future__ import annotations
@@ -64,6 +65,13 @@ def _horner(coeffs: list[float], y: complex) -> complex:
     return acc
 
 
+def _fold(ends: float, inner: list[float], nodes: int) -> float:
+    # The N-node circle mean of a conjugate-symmetric integrand from its nodes
+    # in [0, pi]: the real-axis ends once, each inner node twice. math.fsum is
+    # correctly rounded, so the mean is the same float on every Python.
+    return (ends + 2.0 * math.fsum(inner)) / nodes
+
+
 def parseval_b(k: int, spec: QuadratureSpec) -> float:
     """B(k,k) as the circle mean of |u_k|^2, u_k(y) = sum_m m! S(k+1,m+1) y^m.
 
@@ -74,12 +82,9 @@ def parseval_b(k: int, spec: QuadratureSpec) -> float:
     if spec.nodes < 2 * k + 4:
         raise GuardError(f"nodes={spec.nodes} below exactness bound {2 * k + 4}")
     coeffs = _u_coefficients(k)
-    # |u| is even in phi (real coefficients): nodes 0 < j < N/2 count twice. The
-    # pi end is exp(i pi), which the table's last root is not for some N.
-    roots = _half_circle(spec.nodes)
-    inner = sum(abs(_horner(coeffs, y)) ** 2 for y in roots[1:-1])
-    ends = abs(_horner(coeffs, roots[0])) ** 2 + abs(_horner(coeffs, cmath.exp(1j * math.pi))) ** 2
-    return (ends + 2.0 * inner) / spec.nodes
+    # |u| is even in phi (real coefficients)
+    terms = [abs(_horner(coeffs, y)) ** 2 for y in _half_circle(spec.nodes)]
+    return _fold(terms[0] + terms[-1], terms[1:-1], spec.nodes)
 
 
 def _laplace_log(phi: float) -> float:
@@ -109,22 +114,23 @@ def laplace_integral_diag(k: int, spec: QuadratureSpec) -> LogEstimate:
     _check_k(k, LAPLACE_GUARD, "laplace")
     # Midpoint-offset nodes keep the rule away from the phi = +-pi
     # singularity; terms are combined in log space since the peak value
-    # grows like (1/log 2)^(2k+2). The exponent is even in phi, so the N/2
-    # nodes in (0, pi) count twice.
+    # grows like (1/log 2)^(2k+2). The exponent is even in phi, and no node
+    # lies on the real axis.
     power = -(2 * k + 2)
     exponents = [power * g for g in _laplace_logs(spec.nodes)]
     top = max(exponents)
-    mean = 2.0 * sum(math.exp(e - top) for e in exponents) / spec.nodes
-    return top + math.log(mean)
+    return top + math.log(_fold(0.0, [math.exp(e - top) for e in exponents], spec.nodes))
 
 
 def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
-    """Log of the circle-integral recovery of B(n,k).
+    """Log of n! k! times the dominant term's integral on the saddle circle.
 
-    Integrates on the circle |x| = a through the saddle point (a, b) =
-    saddle_point(n, k) and folds n! k! back in. The term at node N - j is
-    the conjugate of node j's, so the rule evaluates the N/2 + 1 nodes
-    j = 0..N/2 and keeps the real part, (T_0 + T_N/2 + 2 sum Re T_j)/N.
+    Integrates the dominant term on the circle |x| = a through the saddle
+    point (a, b) = saddle_point(n, k) and folds n! k! back in; the result
+    estimates log B(n,k), and near the guard it can be far from it. The
+    term at node N - j is the conjugate of node j's, so the rule evaluates
+    the N/2 + 1 nodes j = 0..N/2 and keeps the real part,
+    (T_0 + T_N/2 + 2 sum Re T_j)/N.
     Raises ValueError naming the radius where the rule breaks down on it.
     """
     if not (isinstance(n, int) and isinstance(k, int)):
@@ -132,7 +138,6 @@ def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
     if not (1 <= n <= RESIDUE_GUARD and 1 <= k <= RESIDUE_GUARD):
         raise GuardError(f"(n,k)=({n},{k}) outside residue guard 1..{RESIDUE_GUARD}")
     radius = _solve(n, k)[0]
-    half = spec.nodes // 2
     logs = []
     try:
         for root in _half_circle(spec.nodes):
@@ -141,10 +146,11 @@ def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
             logs.append(-n * cmath.log(x) - lg - (k + 1) * cmath.log(-lg))
     except ValueError:  # cmath.log(0)
         raise ValueError(f"radius {radius} at ({n},{k}): 1 - exp(-x) rounds to 0 or 1 at a node") from None
-    # terms are rescaled by the peak magnitude before averaging
+    # Re exp(w - top), the terms rescaled by the peak magnitude; with w.real <= top
+    # this is the float cmath.exp(w - top).real
     top = max(w.real for w in logs)
-    inner = sum(cmath.exp(logs[j] - top).real for j in range(1, half))
-    mean = (cmath.exp(logs[0] - top).real + cmath.exp(logs[half] - top).real + 2.0 * inner) / spec.nodes
+    terms = [math.exp(w.real - top) * math.cos(w.imag) for w in logs]
+    mean = _fold(terms[0] + terms[-1], terms[1:-1], spec.nodes)
     if mean <= 0:
         raise ValueError(f"radius {radius} at ({n},{k}): quadrature mean {mean} lost positivity")
     return math.lgamma(n + 1) + math.lgamma(k + 1) + top + math.log(mean)

@@ -63,7 +63,7 @@ def _strategy(hint):
         return st.tuples(*[st.sampled_from([0, 1])] * len(args)) | st.tuples(*map(_strategy, args))
     if origin is Sequence:
         return st.lists(_strategy(args[0]), max_size=4)
-    if origin is types.UnionType:
+    if origin in (types.UnionType, typing.Union):  # 3.10 hints a None default as Optional
         return st.one_of([st.none() if a is type(None) else _strategy(a) for a in args])
     raise TypeError(f"no strategy for {hint!r}")
 

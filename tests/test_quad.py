@@ -212,17 +212,18 @@ def test_residue_failure_is_a_value_error_naming_the_radius(n, k, nodes, reason)
 
 # The rules read per-node tables kept per node count; these references
 # compute every node inline, as the rules did before the tables, and must
-# agree with them float for float and error for error.
+# agree with them float for float and error for error. Each folds its
+# half circle as the rules do: the real-axis ends once, the inner nodes
+# twice, summed by math.fsum.
 
 
 def _nodewise_parseval(k, nodes):
-    # each root from its angle, as the rule took them before it read the
-    # residue rule's table of unit roots
+    # each root j = 0..N/2 from its angle, not from the residue rule's
+    # table of unit roots
     two_pi = 2.0 * math.pi
     coeffs = _u_coefficients(k)
-    inner = sum(abs(_horner(coeffs, cmath.exp(1j * (two_pi * j / nodes)))) ** 2 for j in range(1, nodes // 2))
-    ends = abs(_horner(coeffs, cmath.exp(1j * 0.0))) ** 2 + abs(_horner(coeffs, cmath.exp(1j * math.pi))) ** 2
-    return (ends + 2.0 * inner) / nodes
+    terms = [abs(_horner(coeffs, cmath.exp(1j * (two_pi * j / nodes)))) ** 2 for j in range(nodes // 2 + 1)]
+    return (terms[0] + terms[-1] + 2.0 * math.fsum(terms[1:-1])) / nodes
 
 
 def _nodewise_laplace(k, nodes):
@@ -232,7 +233,7 @@ def _nodewise_laplace(k, nodes):
         for j in range(nodes // 2)
     ]
     top = max(exponents)
-    mean = 2.0 * sum(math.exp(e - top) for e in exponents) / nodes
+    mean = 2.0 * math.fsum(math.exp(e - top) for e in exponents) / nodes
     return top + math.log(mean)
 
 
@@ -249,7 +250,7 @@ def _nodewise_residue(n, k, nodes):
     except ValueError:
         raise ValueError(f"radius {radius} at ({n},{k}): 1 - exp(-x) rounds to 0 or 1 at a node") from None
     top = max(w.real for w in logs)
-    inner = sum(cmath.exp(logs[j] - top).real for j in range(1, half))
+    inner = math.fsum(cmath.exp(logs[j] - top).real for j in range(1, half))
     mean = (cmath.exp(logs[0] - top).real + cmath.exp(logs[half] - top).real + 2.0 * inner) / nodes
     if mean <= 0:
         raise ValueError(f"radius {radius} at ({n},{k}): quadrature mean {mean} lost positivity")
@@ -300,3 +301,12 @@ def test_rules_equal_the_nodewise_rules_after_the_tables_are_evicted():
         for n, k in ((1, 1), (12, 5), (5, 12), (40, 40)):
             got = _hex_outcome(residue_integral_b, n, k, QuadratureSpec(nodes))
             assert got == _hex_outcome(_nodewise_residue, n, k, nodes), (n, k, nodes)
+
+
+def test_rule_values_are_the_same_float_on_every_python():
+    # Each rule folds its nodes with math.fsum, which rounds once. With sum(),
+    # compensated only from Python 3.12, 3.10 and 3.11 gave 0x1.c000000000000p+3,
+    # 0x1.da1ff992bafacp-3 and 0x1.e9a479d409dacp+1 here.
+    assert parseval_b(2, QuadratureSpec(64)).hex() == "0x1.c000000000001p+3"
+    assert laplace_integral_diag(0, QuadratureSpec(1024)).hex() == "0x1.da1ff992baf84p-3"
+    assert residue_integral_b(2, 3, QuadratureSpec(1024)).hex() == "0x1.e9a479d409db2p+1"
