@@ -304,9 +304,9 @@ def test_rules_equal_the_nodewise_rules_after_the_tables_are_evicted():
 
 
 def test_rule_values_are_the_same_float_on_every_python():
-    # Each rule folds its nodes with math.fsum, which rounds once. With sum(),
-    # compensated only from Python 3.12, 3.10 and 3.11 gave 0x1.c000000000000p+3,
-    # 0x1.da1ff992bafacp-3 and 0x1.e9a479d409dacp+1 here.
+    # Each rule folds its nodes with math.fsum, which rounds once. A sum() fold,
+    # compensated only from Python 3.12, gave 0x1.c000000000000p+3,
+    # 0x1.da1ff992bafacp-3 and 0x1.e9a479d409dacp+1 on 3.10 and 3.11.
     assert parseval_b(2, QuadratureSpec(64)).hex() == "0x1.c000000000001p+3"
     assert laplace_integral_diag(0, QuadratureSpec(1024)).hex() == "0x1.da1ff992baf84p-3"
     assert residue_integral_b(2, 3, QuadratureSpec(1024)).hex() == "0x1.e9a479d409db2p+1"
