@@ -204,8 +204,11 @@ def _write(output: str | None, text: str) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as sink:
-            sink.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as sink:
+                sink.write(text)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise ValueError(f"cannot write --output {output}: {exc.strerror}") from None
 
 
 def _run_verify() -> int:

@@ -37,11 +37,19 @@ class GuardError(ValueError):
 _rows: list[list[Count]] = [[1]]
 
 
+def _check_ints(what: str, *values: int) -> None:
+    # The library's one int check: a float, NaN or None in an int's place
+    # is refused by name, and a bool reads as its int. `what` is the whole
+    # phrase, as "k must be an int".
+    for value in values:
+        if not isinstance(value, int):
+            raise ValueError(f"{what}, got {', '.join(map(repr, values))}")
+
+
 def _check_table_guard(n: int, k: int = 0) -> None:
     # The caller's own indices, on every call: rows already cached do not
-    # lift the bound. A type test only, as it runs on every count.
-    if not (isinstance(n, int) and isinstance(k, int)):
-        raise ValueError(f"indices must be ints, got {n!r}, {k!r}")
+    # lift the bound.
+    _check_ints("indices must be ints", n, k)
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
     if n > TABLE_GUARD or k > TABLE_GUARD:
@@ -179,8 +187,7 @@ def log_of_count(c: Count) -> LogEstimate:
     Large counts are reduced by bit shift to a 53-bit head before the float
     log, so the value never goes through a lossy full-width conversion.
     """
-    if not isinstance(c, int):
-        raise ValueError(f"count must be an int, got {c!r}")
+    _check_ints("count must be an int", c)
     if c <= 0:
         raise ValueError("count must be positive to take its log")
     nb = c.bit_length()

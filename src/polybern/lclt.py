@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactcomb import GuardError, _shifted_row, log_of_count, ml_degree
+from .exactcomb import GuardError, _check_ints, _shifted_row, log_of_count, ml_degree
 from .saddle import LOG2, ML_DEGREE_GF, POLY_BERNOULLI_GF
 
 SCALED_N_GUARD = 200
@@ -57,8 +57,7 @@ Row = tuple[int, float, float]
 
 
 def _check_row(n: int) -> None:
-    if not isinstance(n, int):
-        raise ValueError(f"n must be an int, got {n!r}")
+    _check_ints("n must be an int", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > _MAX_ROW:

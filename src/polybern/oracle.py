@@ -17,7 +17,7 @@ from collections import Counter
 from collections.abc import Callable, Collection, Hashable, Iterable, Sequence
 from typing import TypeVar
 
-from .exactcomb import Count, GuardError
+from .exactcomb import Count, GuardError, _check_ints
 
 # One guard per sweep: the set sweep of matrices, the mask sweep of permutations.
 MATRIX_GUARD = 30
@@ -39,17 +39,11 @@ def _tally(start: State, moves: Sequence[Callable[[State], Iterable[State]]]) ->
     return layer
 
 
-def _check_ints(what: str, *values: int) -> None:
-    # The layer's one type check, run before any sign test or sweep.
-    if not all(isinstance(v, int) for v in values):
-        raise ValueError(f"{what} must be ints, got {', '.join(map(repr, values))}")
-
-
 def _row_sets(n: int, k: int, fits: Callable[[frozenset[int], int], bool]) -> dict[frozenset[int], Count]:
     # Every max(n, k)-row matrix of min(n, k)-bit rows, each fitting the rows
     # above it, tallied by its set of distinct rows. `fits` must read the
     # rows above only as a set, and the property be closed under transpose.
-    _check_ints("dimensions", n, k)
+    _check_ints("dimensions must be ints", n, k)
     if n < 0 or k < 0:
         raise ValueError("matrix dimensions must be nonnegative")
     if max(n, k, n * k) > MATRIX_GUARD:
@@ -74,7 +68,7 @@ def is_lonesum(rows: Sequence[int]) -> bool:
 
     The matrix is given as its rows, each a bitmask of its set columns.
     """
-    _check_ints("rows", *rows)
+    _check_ints("rows must be ints", *rows)
     rows = [int(r) for r in rows]  # a bool reads as its int; ~ on a bool is deprecated
     return all(_comparable(rows[:i], rows[i]) for i in range(len(rows)))
 
@@ -173,7 +167,7 @@ def _count_permutations(m: int, allowed: Callable[[int], range]) -> Count:
 
 def count_vesztergombi(n: int, k: int) -> Count:
     """Permutations pi of {1,...,n+k} with -k <= pi(i)-i <= n (n+k <= 14)."""
-    _check_ints("dimensions", n, k)
+    _check_ints("dimensions must be ints", n, k)
     if n < 0 or k < 0:
         raise ValueError("dimensions must be nonnegative")
     m = n + k
@@ -186,7 +180,7 @@ def count_excedance_word(r: int, s: int) -> Count:
 
     A position j is an excedance when pi(j) > j; the last position is free.
     """
-    _check_ints("dimensions", r, s)
+    _check_ints("dimensions must be ints", r, s)
     if r < 1 or s < 0:
         raise ValueError("need r >= 1 and s >= 0")
     m = r + s

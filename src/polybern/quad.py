@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .exactcomb import GuardError, LogEstimate, stirling2
+from .exactcomb import GuardError, LogEstimate, _check_ints, stirling2
 from .saddle import _solve
 
 TWO_PI = 2.0 * math.pi
@@ -36,8 +36,7 @@ class QuadratureSpec:
     nodes: int
 
     def __post_init__(self):
-        if isinstance(self.nodes, bool) or not isinstance(self.nodes, int):
-            raise ValueError(f"nodes must be an int, got {self.nodes!r}")
+        _check_ints("nodes must be an int", self.nodes)
         if self.nodes < 8 or self.nodes % 2:
             raise ValueError(f"nodes must be even and >= 8, got {self.nodes}")
         if self.nodes > NODES_GUARD:
@@ -45,8 +44,7 @@ class QuadratureSpec:
 
 
 def _check_k(k: int, guard: int, rule: str) -> None:
-    if not isinstance(k, int):
-        raise ValueError(f"k must be an int, got {k!r}")
+    _check_ints("k must be an int", k)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > guard:
@@ -133,8 +131,7 @@ def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
     (T_0 + T_N/2 + 2 sum Re T_j)/N.
     Raises ValueError naming the radius where the rule breaks down on it.
     """
-    if not (isinstance(n, int) and isinstance(k, int)):
-        raise ValueError(f"indices must be ints, got {n!r}, {k!r}")
+    _check_ints("indices must be ints", n, k)
     if not (1 <= n <= RESIDUE_GUARD and 1 <= k <= RESIDUE_GUARD):
         raise GuardError(f"(n,k)=({n},{k}) outside residue guard 1..{RESIDUE_GUARD}")
     radius = _solve(n, k)[0]

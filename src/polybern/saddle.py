@@ -12,7 +12,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-from .exactcomb import LogEstimate
+from .exactcomb import LogEstimate, _check_ints
 
 LOG2 = math.log(2.0)
 
@@ -160,8 +160,7 @@ def f_inverse(r: float) -> float:
 
 def _solve(n: int, k: int) -> tuple[float, float]:
     # saddle_point's (a, b), without building the dataclass
-    if not (isinstance(n, int) and isinstance(k, int)):
-        raise ValueError(f"indices must be ints, got {n!r}, {k!r}")
+    _check_ints("indices must be ints", n, k)
     if not (1 <= n <= MAX_ESTIMATE_SIZE and 1 <= k <= MAX_ESTIMATE_SIZE):
         raise ValueError("saddle_point needs 1 <= n, k <= 10**300")
     big = _root(n / k if n > k else k / n)
@@ -230,8 +229,7 @@ def diag_asym_log(k: int, order: int = 1) -> LogEstimate:
     saddle point (log 2, log 2); order 2 replaces k by k+1 under its square
     root and multiplies by (1 + SECOND_ORDER_C/k).
     """
-    if not isinstance(order, int):
-        raise ValueError(f"order must be an int, got {order!r}")
+    _check_ints("order must be an int", order)
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     value = _smooth_log(k, k, 1, 1)

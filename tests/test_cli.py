@@ -295,6 +295,15 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text() == "n,k,value\n1,1,2\n"
 
 
+@pytest.mark.parametrize("target", ["missing/rows.csv", "."], ids=["missing-directory", "directory"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, target):
+    code, out, err = run_cli(
+        capsys, "exact", "--seq", "B", "--n", "1", "--k", "1", "--output", str(tmp_path / target)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("config error: cannot write --output")
+
+
 def test_repeat_runs_identical(capsys):
     first = run_cli(capsys, "asym", "--target", "B", "--n", "5..15", "--k", "5..15")
     second = run_cli(capsys, "asym", "--target", "B", "--n", "5..15", "--k", "5..15")

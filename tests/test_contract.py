@@ -196,12 +196,19 @@ RAISES = {
     (ValueError, "^dimensions must be ints, got 1, nan$"): ("count_vesztergombi(1, nan)",),
     (ValueError, r"^rows must be ints, got 1, 0\.5$"): ("is_lonesum([1, 0.5])",),
     (ValueError, "^count must be an int, got 2.0$"): ("log_of_count(2.0)",),
+    (ValueError, "^nodes must be even and >= 8, got True$"): ("QuadratureSpec(True)",),
     # a flag is a bool, or 0 or 1 read as one
     (ValueError, "^flags must be bools, got 0, 2$"): ("count_lonesum_restricted(2, 2, 0, 2)",),
     (ValueError, r"^flags must be bools, got 0\.5, True$"): ("count_lonesum_restricted(2, 2, 0.5, True)",),
     (ValueError, "^flags must be bools, got nan, True$"): ("count_lonesum_restricted(2, 2, nan, True)",),
     (ValueError, "^flags must be bools, got None, True$"): ("count_lonesum_restricted(2, 2, None, True)",),
     (ValueError, "^flags must be bools, got '', True$"): ("count_lonesum_restricted(2, 2, '', True)",),
+    (ValueError, "^k must be nonnegative$"): (
+        "parseval_b(-1, QuadratureSpec(64))", "laplace_integral_diag(-1, QuadratureSpec(8))",
+    ),
+    (ValueError, "^dimensions must be nonnegative$"): ("count_vesztergombi(-1, 2)",),
+    (ValueError, r"^k=11 outside 0\.\.10$"): ("ml_scaled_coefficient(10, 11)",),
+    (ValueError, r"^k=-1 outside 0\.\.10$"): ("ml_scaled_coefficient(10, -1)",),
     (GuardError, "^k=21 exceeds parseval guard 20$"): ("parseval_b(21, QuadratureSpec(64))",),
     (GuardError, "^nodes=16 below exactness bound 24$"): ("parseval_b(10, QuadratureSpec(16))",),
     (GuardError, r"outside residue guard 1\.\.40$"): (

@@ -74,3 +74,16 @@ def test_every_public_definition_is_used_or_exported():
 def test_module_level_names_stay_off_the_root(module, name):
     assert name not in polybern.__all__
     assert hasattr(importlib.import_module(f"polybern.{module}"), name)
+
+
+def test_the_int_check_is_spelled_once():
+    # exactcomb._check_ints is the library's one int check, and its callers
+    # pass the phrase; no raise may spell the rule again
+    spelled = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                texts = [c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+                if any("must be an int" in text or "must be ints" in text for text in texts):
+                    spelled.append(f"{path.name}:{node.lineno}")
+    assert spelled == []

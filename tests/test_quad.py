@@ -23,9 +23,12 @@ from polybern.saddle import diag_asym_log, saddle_point
 def test_spec_validates_nodes():
     with pytest.raises(ValueError):
         QuadratureSpec(nodes=7)
-    for nodes in (10.0, True, "64"):
+    for nodes in (10.0, "64"):
         with pytest.raises(ValueError, match=f"nodes must be an int, got {nodes!r}"):
             QuadratureSpec(nodes=nodes)
+    # a bool reads as its int, as everywhere in the library
+    with pytest.raises(ValueError, match="nodes must be even and >= 8, got True"):
+        QuadratureSpec(nodes=True)
     assert QuadratureSpec(nodes=64).nodes == 64
 
 
