@@ -10,7 +10,6 @@ strings, floats use shortest round-trip formatting, rows are ordered by
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from collections.abc import Sequence
@@ -192,6 +191,8 @@ def _emit(fmt: str, table: _Table) -> str:
         for name, fields in trailers.items():
             lines.append(",".join([f"# {name}"] + [f"{key}={_cell(v)}" for key, v in fields.items()]))
         return "\n".join(lines) + "\n"
+    import json  # only here: CSV, the default, and verify never load it
+
     payload: dict[str, object] = {
         "header": header,
         "rows": [dict(zip(header, row)) for row in rows],

@@ -10,6 +10,7 @@ import functools
 import math
 import sys
 import warnings
+from bisect import bisect
 from dataclasses import dataclass
 
 from .exactcomb import LogEstimate, _check_ints
@@ -33,6 +34,9 @@ F_T_MAX = 700.0
 # leaves the float range from n of about 2.5e305; below 10**300 every sum
 # the estimators form stays finite.
 MAX_ESTIMATE_SIZE = 10**300
+
+# Smallest normal float: the smooth-point variance must not fall below it.
+_FLOAT_MIN = sys.float_info.min
 
 
 class CompactnessWarning(UserWarning):
@@ -81,11 +85,49 @@ def f_dir(t: float) -> float:
     return t * math.exp(-t) / (-math.expm1(-t) * -_log1mexp(t))
 
 
-# Newton's start below target 2: the quadratic in the target through the
-# points (f(t), t) at t = log 2, 1 and 2, in Newton's divided-difference form.
-_F1, _F2 = f_dir(1.0), f_dir(2.0)
-_SLOPE1 = (1.0 - LOG2) / (_F1 - 1.0)
-_CURVE = (1.0 / (_F2 - _F1) - _SLOPE1) / (_F2 - 1.0)
+# Newton's start on [1, 37] is t = r g(log r) for the target r, where g is
+# a quintic Hermite interpolant of t / f(t) in s = log f(t). Its 41 nodes
+# lie at t = log 2 (38 / log 2)^(i/40), from log 2, where f = 1 and s = 0
+# exactly, to 38, past f = 37. Each carries g and its first two
+# s-derivatives, from dt/ds = 1/l1 and d2t/ds2 = -l2/l1^3 with l1 the slope
+# of log f and l2 its derivative. The start is within 6.3e-11 of the root,
+# relative, on 20000 log-uniform targets. The first solve that needs the
+# table fills it (about 0.3 ms, which importing polybern then does not
+# pay): _QUINTICS with each interval's (s0, c0, ..., c5), the interpolant
+# being the sum of c_j (s - s0)^j, then _BREAKS with the interior nodes' s
+# for bisect, so that a solve that finds _BREAKS filled finds both filled.
+_BREAKS: list[float] = []
+_QUINTICS: list[tuple[float, ...]] = []
+
+
+def _fill_start_table() -> None:
+    nodes = []
+    for i in range(41):
+        t = LOG2 * (38.0 / LOG2) ** (i / 40)
+        target = f_dir(t)
+        e = math.exp(-t)
+        one = 1.0 - e
+        log_one = math.log1p(-e)
+        l1 = 1.0 / t - (1.0 + e / log_one) / one
+        l2 = (e / one + e / log_one * (1.0 / one + e / (one * log_one))) / one - 1.0 / (t * t)
+        dt = 1.0 / l1
+        d2t = -l2 * dt * dt * dt
+        nodes.append((math.log(target), t / target, (dt - t) / target, 0.5 * (d2t - 2.0 * dt + t) / target))
+    quintics = []
+    for (s, g, dg, half), (s1, g1, dg1, half1) in zip(nodes, nodes[1:]):
+        # the cubic, quartic and quintic terms take up what the quadratic
+        # Taylor polynomial at s misses of g, dg and d2g / 2 at s1
+        h = s1 - s
+        gap = g1 - (g + h * (dg + h * half))
+        slope_gap = h * (dg1 - dg - 2.0 * h * half)
+        bend_gap = h * h * (half1 - half)
+        c3 = (10.0 * gap - 4.0 * slope_gap + bend_gap) / h**3
+        c4 = (7.0 * slope_gap - 15.0 * gap - 2.0 * bend_gap) / h**4
+        c5 = (6.0 * gap - 3.0 * slope_gap + bend_gap) / h**5
+        quintics.append((s, g, dg, half, c3, c4, c5))
+    _QUINTICS[:] = quintics
+    _BREAKS[:] = [quintic[0] for quintic in quintics[1:]]
+
 
 # Largest target f_inverse solves: f a margin below F_T_MAX, so that every
 # root up to it stays inside the stable form.
@@ -97,29 +139,33 @@ def _out_of_range(r: float) -> ValueError:
 
 
 # Holds verify's 960 distinct ratios; an entry (the float key in a 1-tuple,
-# the float root, the cache's link and its dict slot) takes about 165 bytes,
-# so the full cache about 0.17 MB.
+# the (root, partner) pair of floats, the cache's link and its dict slot)
+# takes about 235 bytes, so the full cache about 0.24 MB.
 @functools.lru_cache(maxsize=1024)
-def _root(target: float) -> float:
-    # f^{-1}(target) for target >= 1, memoized by the target; an int target
-    # shares the entry of its equal float, whose root it has. Out of range
-    # it raises, naming the target, and nothing is cached.
+def _root(target: float) -> tuple[float, float]:
+    # (t, -log(1 - e^-t)) for t = f^{-1}(target) and target >= 1, memoized
+    # by the target; an int target shares the entry of its equal float,
+    # whose root it has. Out of range it raises, naming the target, and
+    # nothing is cached.
     if target > _F_CAP:
         raise _out_of_range(target)
     # f(t) = t (1 + e^-t / 2 + O(e^-2t)); above 37, where e^-t / 2 < 2^-53,
     # the root this gives is the true one to within its rounding.
-    if target > 2.0:
+    if target > 37.0:
         t = target * (1.0 - 0.5 * math.exp(-target))
-        if target > 37.0:
-            return t
-    else:
-        t = LOG2 + (target - 1.0) * (_SLOPE1 + (target - _F1) * _CURVE)
+        return t, -_log1mexp(t)
+    if not _BREAKS:
+        _fill_start_table()
+    s = math.log(target)
+    s0, c0, c1, c2, c3, c4, c5 = _QUINTICS[bisect(_BREAKS, s)]
+    d = s - s0
+    t = target * (c0 + d * (c1 + d * (c2 + d * (c3 + d * (c4 + d * c5)))))
     # Newton on log f(t) = log target. With log_one = log(1 - e^-t), so that
     # 1 - e^-t = e^log_one, log f = log t - log_one - log(-log_one e^t): no
     # 1 - e^-t is rounded apart from log_one. The slope of log f is
     # 1/t - (1 + e^-t/log_one)/(1 - e^-t). Once a step is at most 2^-30 t,
-    # what is left is of order its square, far below f's rounding: 1 to 4
-    # steps on [1, 37].
+    # what is left is of order its square, far below f's rounding. The
+    # tabulated start is within 2^-31 t, so the first step is the last.
     for _ in range(8):
         e = math.exp(-t)
         log_one = math.log1p(-e)
@@ -128,22 +174,24 @@ def _root(target: float) -> float:
         )
         t -= step
         if abs(step) <= 2.0**-30 * t:
-            return t
+            return t, -_log1mexp(t)
     raise ArithmeticError(f"Newton on f(t) = {target} did not settle in 8 steps")
 
 
 def f_inverse(r: float) -> float:
-    """Unique t > 0 with f(t) = r, by Newton's method on log f.
+    """Unique t > 0 with f(t) = r, by one Newton step from a tabulated start.
 
     Solves f(t) = max(r, 1/r) >= 1. For r >= 1 the result is within 4 ulp
-    of the true root. Up to r = 37 Newton's error is f's rounding over
-    the slope of log f; 3.38 ulp was the worst measured. Above 37 the
-    closed form t = r (1 - e^{-r}/2) is correctly rounded. For r < 1 the
-    answer is the partner on the variety, -log(1 - exp(-f^{-1}(1/r))).
-    The variety identity then holds to the rounding. The error grows by
-    up to a factor of about f^{-1}(1/r), as much as one rounding of r
-    moves the root there: 444 ulp was measured near r = 1/640. Roots are
-    memoized by max(r, 1/r), so a repeated ratio solves nothing.
+    of the true root. Up to r = 37 a quintic interpolant of the root in
+    log r starts Newton's method on log f within 2^-31 of the root, so one
+    step settles it; its error is f's rounding over the slope of log f.
+    Above 37 the closed form t = r (1 - e^{-r}/2) is correctly rounded.
+    For r < 1 the answer is the partner on the variety,
+    -log(1 - exp(-f^{-1}(1/r))). The variety identity then holds to the
+    rounding. The error grows by up to a factor of about f^{-1}(1/r), as
+    much as one rounding of r moves the root there: 444 ulp was measured
+    near r = 1/640. Roots and their partners are memoized by max(r, 1/r),
+    so a repeated ratio solves nothing.
     Defined for 1/R <= r <= R with R = f(F_T_MAX (1 - 2^-20)), about 700;
     raises ValueError outside.
     """
@@ -152,10 +200,10 @@ def f_inverse(r: float) -> float:
     # 1 / r, not 1.0 / r: an int r past the float range then reaches the
     # range check instead of overflowing here.
     try:
-        t = _root(max(r, 1 / r))
+        t, partner = _root(max(r, 1 / r))
     except ValueError:
         raise _out_of_range(r) from None
-    return t if r >= 1.0 else -_log1mexp(t)
+    return t if r >= 1.0 else partner
 
 
 def _solve(n: int, k: int) -> tuple[float, float]:
@@ -163,8 +211,7 @@ def _solve(n: int, k: int) -> tuple[float, float]:
     _check_ints("indices must be ints", n, k)
     if not (1 <= n <= MAX_ESTIMATE_SIZE and 1 <= k <= MAX_ESTIMATE_SIZE):
         raise ValueError("saddle_point needs 1 <= n, k <= 10**300")
-    big = _root(n / k if n > k else k / n)
-    small = -_log1mexp(big)
+    big, small = _root(n / k if n > k else k / n)
     return (big, small) if n > k else (small, big)
 
 
@@ -201,7 +248,7 @@ def _smooth_log(n: int, k: int, dn: int, dk: int) -> LogEstimate:
     if bracket <= 0:
         raise ArithmeticError(f"variance bracket {bracket} <= 0 at direction ({n},{k})")
     variance = 2.0 * math.pi * aea * bracket
-    if variance < sys.float_info.min:
+    if variance < _FLOAT_MIN:
         raise ValueError(
             f"direction n/k = {ratio:.6g} outside the representable cone, about "
             "[1/355, 358], where the variance term leaves the normal float range"
@@ -211,8 +258,7 @@ def _smooth_log(n: int, k: int, dn: int, dk: int) -> LogEstimate:
         + math.lgamma(k + 1)
         - n * math.log(a)
         - k * math.log(b)
-        - 0.5 * math.log(k)
-        - 0.5 * math.log(variance)
+        - 0.5 * math.log(k * variance)
     )
     return value - (1 - dn) * a - (1 - dk) * b
 
@@ -280,8 +326,8 @@ def acsv_general_log(shift: tuple[int, int], n: int, k: int) -> LogEstimate:
     g_log = -(1 - dn) * x - (1 - dk) * y
     hx = -math.exp(-x)
     hy = -math.exp(-y)
-    hxx = math.exp(-x)
-    hyy = math.exp(-y)
+    hxx = -hx
+    hyy = -hy
     hxy = 0.0
     q = (
         -(y**2) * hy**2 * x * hx

@@ -310,6 +310,18 @@ def test_repeat_runs_identical(capsys):
     assert first == second
 
 
+def test_importing_the_cli_does_not_load_json():
+    # json costs milliseconds of every cold start, and only --format json
+    # uses it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, polybern.cli; print('json' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "polybern.cli", "exact", "--seq", "B", "--n", "2", "--k", "2"],

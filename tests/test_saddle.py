@@ -1,6 +1,7 @@
 """Direction function, saddle points, and log-space estimators."""
 
 import math
+import random
 import types
 import warnings
 from decimal import Decimal, localcontext
@@ -207,9 +208,10 @@ def test_f_inverse_at_a_binade_end(j):
         assert_solves_within_the_bound(1 / r)
 
 
-def newton_steps(monkeypatch, target):
-    # the Newton steps a cold solve of f(t) = target takes: each calls
-    # math.log1p once, and the start does not
+def newton_steps(monkeypatch, target, cold=True):
+    # the Newton steps a solve of f(t) = target takes: each calls
+    # math.log1p once, and the start does not; nor does the partner,
+    # whose log1p goes through _log1mexp and is not counted
     steps = [0]
     counting = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math) if name[0] != "_"})
 
@@ -217,12 +219,21 @@ def newton_steps(monkeypatch, target):
         steps[0] += 1
         return math.log1p(x)
 
+    log1mexp = saddle._log1mexp
+
+    def uncounted(t):
+        before = steps[0]
+        value = log1mexp(t)
+        steps[0] = before
+        return value
+
     counting.log1p = log1p
-    saddle._root.cache_clear()
+    if cold:
+        saddle._root.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(saddle, "math", counting)
+        patch.setattr(saddle, "_log1mexp", uncounted)
         saddle._root(target)
-    saddle._root.cache_clear()
     return steps[0]
 
 
@@ -230,13 +241,48 @@ LOG_SPACED = [300.0 ** (i / 249) for i in range(250)]
 
 
 def test_f_inverse_evaluates_f_a_few_times(monkeypatch):
-    # each Newton step evaluates log f once; above 37 the closed form
-    # evaluates it never
-    steps = [newton_steps(monkeypatch, target) for target in LOG_SPACED]
-    assert max(steps) <= 4
-    assert sum(steps) / len(steps) <= 2.5
+    # each Newton step evaluates log f once: from the tabulated start a
+    # cold target in [1, 37] takes exactly one step; above 37 the closed
+    # form, and a memo hit anywhere, take none. The start's table, which
+    # a process's first solve fills, is filled before counting.
+    saddle._fill_start_table()
+    for target in LOG_SPACED + [37.0]:
+        assert newton_steps(monkeypatch, target) == (1 if target <= 37.0 else 0), target
+        assert newton_steps(monkeypatch, target, cold=False) == 0, target
     for target in (37.5, 100.0, 699.0, CAP_RATIO):
         assert newton_steps(monkeypatch, target) == 0
+    saddle._root.cache_clear()
+
+
+def test_the_tabulated_start_is_within_2_to_the_minus_31(monkeypatch):
+    # the start of a solve on [1, 37] is within 2^-31 of the root,
+    # relative, so the stop rule (a step of at most 2^-30 t) ends Newton
+    # after one step: on 20000 log-uniform targets and at the midpoint in
+    # log target of every interval of the start's table, the last taken
+    # up to 37
+    saddle._fill_start_table()
+    rng = random.Random(25)
+    targets = [37.0 ** rng.random() for _ in range(20000)]
+    ends = [quintic[0] for quintic in saddle._QUINTICS] + [math.log(37.0)]
+    targets += [math.exp((lo + hi) / 2) for lo, hi in zip(ends, ends[1:])]
+    starts = []
+    recording = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math) if name[0] != "_"})
+
+    def exp(x):
+        # Newton's first e^-t is taken at the start
+        starts.append(-x)
+        return math.exp(x)
+
+    recording.exp = exp
+    roots = [saddle._root.__wrapped__(target)[0] for target in targets]
+    errors = []
+    with monkeypatch.context() as patch:
+        patch.setattr(saddle, "math", recording)
+        for target, root in zip(targets, roots):
+            starts.clear()
+            saddle._root.__wrapped__(target)
+            errors.append(abs(starts[0] - root) / root)
+    assert max(errors) <= 2.0**-31
 
 
 def test_a_repeated_ratio_evaluates_f_zero_times():
