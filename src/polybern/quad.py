@@ -6,7 +6,9 @@ circle estimates log B(n,k), which the caller compares with the count;
 the diagonal contour integral approaches its quadratic-peak (Laplace)
 prediction. Each integrand is conjugate-symmetric, so each rule evaluates
 one half of its N nodes and `_fold` counts each node off the real axis
-twice, for itself and its mirror.
+twice, for itself and its mirror. Each rule converts its real and integer
+operands to complex (or float) once per call rather than at every node; the
+operations on them are the same, so the floats are too.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ def _u_coefficients(k: int) -> list[float]:
     return [float(math.factorial(m) * stirling2(k + 1, m + 1)) for m in range(k + 1)]
 
 
-def _horner(coeffs: list[float], y: complex) -> complex:
-    acc = complex(0.0)
+def _horner(coeffs: list[complex] | list[float], y: complex) -> complex:
+    acc = 0j
     for c in reversed(coeffs):
         acc = acc * y + c
     return acc
@@ -79,7 +81,8 @@ def parseval_b(k: int, spec: QuadratureSpec) -> float:
     _check_k(k, PARSEVAL_GUARD, "parseval")
     if spec.nodes < 2 * k + 4:
         raise GuardError(f"nodes={spec.nodes} below exactness bound {2 * k + 4}")
-    coeffs = _u_coefficients(k)
+    # complex coefficients, so that Horner adds no float-to-complex promotion
+    coeffs = [complex(c) for c in _u_coefficients(k)]
     # |u| is even in phi (real coefficients)
     terms = [abs(_horner(coeffs, y)) ** 2 for y in _half_circle(spec.nodes)]
     return _fold(terms[0] + terms[-1], terms[1:-1], spec.nodes)
@@ -114,10 +117,13 @@ def laplace_integral_diag(k: int, spec: QuadratureSpec) -> LogEstimate:
     # singularity; terms are combined in log space since the peak value
     # grows like (1/log 2)^(2k+2). The exponent is even in phi, and no node
     # lies on the real axis.
-    power = -(2 * k + 2)
-    exponents = [power * g for g in _laplace_logs(spec.nodes)]
-    top = max(exponents)
-    return top + math.log(_fold(0.0, [math.exp(e - top) for e in exponents], spec.nodes))
+    # power < 0 and rounding is monotone, so power * min(logs) is the largest
+    # exponent power * g as a float
+    power = float(-(2 * k + 2))
+    logs = _laplace_logs(spec.nodes)
+    top = power * min(logs)
+    exp = math.exp
+    return top + math.log(_fold(0.0, [exp(power * g - top) for g in logs], spec.nodes))
 
 
 def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
@@ -135,18 +141,22 @@ def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
     if not (1 <= n <= RESIDUE_GUARD and 1 <= k <= RESIDUE_GUARD):
         raise GuardError(f"(n,k)=({n},{k}) outside residue guard 1..{RESIDUE_GUARD}")
     radius = _solve(n, k)[0]
+    # the operands each node would promote to complex, promoted once
+    scale, minus_n, k1, one = complex(radius), complex(-n), complex(k + 1), complex(1.0)
+    log, exp = cmath.log, cmath.exp
     logs = []
     try:
         for root in _half_circle(spec.nodes):
-            x = radius * root
-            lg = cmath.log(1.0 - cmath.exp(-x))
-            logs.append(-n * cmath.log(x) - lg - (k + 1) * cmath.log(-lg))
+            x = scale * root
+            lg = log(one - exp(-x))
+            logs.append(minus_n * log(x) - lg - k1 * log(-lg))
     except ValueError:  # cmath.log(0)
         raise ValueError(f"radius {radius} at ({n},{k}): 1 - exp(-x) rounds to 0 or 1 at a node") from None
     # Re exp(w - top), the terms rescaled by the peak magnitude; with w.real <= top
     # this is the float cmath.exp(w - top).real
     top = max(w.real for w in logs)
-    terms = [math.exp(w.real - top) * math.cos(w.imag) for w in logs]
+    rexp, cos = math.exp, math.cos
+    terms = [rexp(w.real - top) * cos(w.imag) for w in logs]
     mean = _fold(terms[0] + terms[-1], terms[1:-1], spec.nodes)
     if mean <= 0:
         raise ValueError(f"radius {radius} at ({n},{k}): quadrature mean {mean} lost positivity")

@@ -275,7 +275,7 @@ def test_parseval_equals_the_nodewise_rule(k):
         assert parseval_b(k, QuadratureSpec(nodes)).hex() == _nodewise_parseval(k, nodes).hex(), nodes
 
 
-@pytest.mark.parametrize("nodes", [512, 1024])
+@pytest.mark.parametrize("nodes", [8, 512, 1024, 4096])
 def test_laplace_equals_the_nodewise_rule(nodes):
     for k in range(301):
         assert laplace_integral_diag(k, QuadratureSpec(nodes)).hex() == _nodewise_laplace(k, nodes).hex(), k
@@ -313,3 +313,26 @@ def test_rule_values_are_the_same_float_on_every_python():
     assert parseval_b(2, QuadratureSpec(64)).hex() == "0x1.c000000000001p+3"
     assert laplace_integral_diag(0, QuadratureSpec(1024)).hex() == "0x1.da1ff992baf84p-3"
     assert residue_integral_b(2, 3, QuadratureSpec(1024)).hex() == "0x1.e9a479d409db2p+1"
+    # Read before each rule converted its operands once per call rather than
+    # at every node: the same floats on 3.10 to 3.13.
+    for n, k, nodes, value in (
+        (1, 1, 64, "0x1.65eb5e3addc40p-1"),
+        (12, 5, 1024, "0x1.a0bff549248abp+4"),
+        (37, 1, 1024, "0x1.40dfaa946f918p+5"),
+        (40, 40, 4096, "0x1.f0f9518bf5d7fp+7"),
+    ):
+        assert residue_integral_b(n, k, QuadratureSpec(nodes)).hex() == value, (n, k, nodes)
+    for k, nodes, value in (
+        (0, 512, "0x1.da22408cec5b0p-3"),
+        (0, 4096, "0x1.da1eceb48c480p-3"),
+        (300, 512, "0x1.b2e08cd9b513fp+7"),
+        (300, 4096, "0x1.b2e08cd9b513ep+7"),
+    ):
+        assert laplace_integral_diag(k, QuadratureSpec(nodes)).hex() == value, (k, nodes)
+    for k, nodes, value in (
+        (0, 64, "0x1.0000000000000p+0"),
+        (0, 4096, "0x1.0000000000000p+0"),
+        (20, 64, "0x1.930c8007e4251p+141"),
+        (20, 4096, "0x1.930c8007e4252p+141"),
+    ):
+        assert parseval_b(k, QuadratureSpec(nodes)).hex() == value, (k, nodes)
