@@ -46,7 +46,7 @@ def _check_ints(what: str, *values: int) -> None:
             raise ValueError(f"{what}, got {', '.join(map(repr, values))}")
 
 
-def _check_table_guard(n: int, k: int = 0) -> None:
+def _check_table_guard(n: int, k: int) -> None:
     # The caller's own indices, on every call: rows already cached do not
     # lift the bound.
     _check_ints("indices must be ints", n, k)

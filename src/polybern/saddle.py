@@ -91,16 +91,11 @@ def f_dir(t: float) -> float:
 # exactly, to 38, past f = 37. Each carries g and its first two
 # s-derivatives, from dt/ds = 1/l1 and d2t/ds2 = -l2/l1^3 with l1 the slope
 # of log f and l2 its derivative. The start is within 6.3e-11 of the root,
-# relative, on 20000 log-uniform targets. The first solve that needs the
-# table fills it (about 0.3 ms, which importing polybern then does not
-# pay): _QUINTICS with each interval's (s0, c0, ..., c5), the interpolant
-# being the sum of c_j (s - s0)^j, then _BREAKS with the interior nodes' s
-# for bisect, so that a solve that finds _BREAKS filled finds both filled.
-_BREAKS: list[float] = []
-_QUINTICS: list[tuple[float, ...]] = []
-
-
-def _fill_start_table() -> None:
+# relative, on 20000 log-uniform targets. The table is built once, at
+# import (about 0.2 ms): _QUINTICS holds each interval's (s0, c0, ..., c5),
+# the interpolant being the sum of c_j (s - s0)^j, and _BREAKS the interior
+# nodes' s for bisect.
+def _start_table() -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
     nodes = []
     for i in range(41):
         t = LOG2 * (38.0 / LOG2) ** (i / 40)
@@ -125,8 +120,10 @@ def _fill_start_table() -> None:
         c4 = (7.0 * slope_gap - 15.0 * gap - 2.0 * bend_gap) / h**4
         c5 = (6.0 * gap - 3.0 * slope_gap + bend_gap) / h**5
         quintics.append((s, g, dg, half, c3, c4, c5))
-    _QUINTICS[:] = quintics
-    _BREAKS[:] = [quintic[0] for quintic in quintics[1:]]
+    return tuple(quintic[0] for quintic in quintics[1:]), tuple(quintics)
+
+
+_BREAKS, _QUINTICS = _start_table()
 
 
 # Largest target f_inverse solves: f a margin below F_T_MAX, so that every
@@ -154,28 +151,26 @@ def _root(target: float) -> tuple[float, float]:
     if target > 37.0:
         t = target * (1.0 - 0.5 * math.exp(-target))
         return t, -_log1mexp(t)
-    if not _BREAKS:
-        _fill_start_table()
     s = math.log(target)
     s0, c0, c1, c2, c3, c4, c5 = _QUINTICS[bisect(_BREAKS, s)]
     d = s - s0
     t = target * (c0 + d * (c1 + d * (c2 + d * (c3 + d * (c4 + d * c5)))))
-    # Newton on log f(t) = log target. With log_one = log(1 - e^-t), so that
-    # 1 - e^-t = e^log_one, log f = log t - log_one - log(-log_one e^t): no
-    # 1 - e^-t is rounded apart from log_one. The slope of log f is
-    # 1/t - (1 + e^-t/log_one)/(1 - e^-t). Once a step is at most 2^-30 t,
-    # what is left is of order its square, far below f's rounding. The
-    # tabulated start is within 2^-31 t, so the first step is the last.
-    for _ in range(8):
-        e = math.exp(-t)
-        log_one = math.log1p(-e)
-        step = (math.log(t / target) - log_one - math.log(log_one / -e)) / (
-            1.0 / t - (1.0 + e / log_one) / (1.0 - e)
-        )
-        t -= step
-        if abs(step) <= 2.0**-30 * t:
-            return t, -_log1mexp(t)
-    raise ArithmeticError(f"Newton on f(t) = {target} did not settle in 8 steps")
+    # One Newton step on log f(t) = log target. With log_one = log(1 - e^-t),
+    # so that 1 - e^-t = e^log_one, log f = log t - log_one - log(-log_one e^t):
+    # no 1 - e^-t is rounded apart from log_one. The slope of log f is
+    # 1/t - (1 + e^-t/log_one)/(1 - e^-t). The tabulated start is within
+    # 2^-31 t, so the step is at most 2^-30 t and what is left is of order
+    # its square, far below f's rounding. A larger step means the table
+    # missed the root, an internal bug.
+    e = math.exp(-t)
+    log_one = math.log1p(-e)
+    step = (math.log(t / target) - log_one - math.log(log_one / -e)) / (
+        1.0 / t - (1.0 + e / log_one) / (1.0 - e)
+    )
+    t -= step
+    if not abs(step) <= 2.0**-30 * t:
+        raise ArithmeticError(f"Newton on f(t) = {target} did not settle in one step from its table")
+    return t, -_log1mexp(t)
 
 
 def f_inverse(r: float) -> float:

@@ -5,9 +5,13 @@ the acceptance report. Criteria 1 and 5 also enforce their runtime
 budgets; criterion 8 compares two full CLI verify runs byte for byte.
 """
 
+import dataclasses
+import math
 import subprocess
 import sys
 import time
+
+import pytest
 
 from polybern import verify
 
@@ -37,6 +41,130 @@ def test_criterion_1_checks_the_excedance_oracle(monkeypatch):
     result = verify.criterion_oracle_equivalence()
     assert not result.passed
     assert result.detail.startswith("excedance(1,0)=0 != C=1; excedance(1,1)=0 != C=1")
+
+
+def _failed_detail(monkeypatch, criterion, target, mutant):
+    # runs verify.<criterion> with verify.<target> (a layer function, as
+    # "saddle.f_dir", or one of verify's own imports) replaced by
+    # mutant(original); the criterion must FAIL, and its detail is returned
+    owner, _, name = target.rpartition(".")
+    module = getattr(verify, owner) if owner else verify
+    monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    result = getattr(verify, criterion)()
+    assert not result.passed
+    return result.detail
+
+
+def _plus_one(original):
+    return lambda *args: original(*args) + 1
+
+
+def _plus_one_where_rows_are(forbid):
+    # count_lonesum_restricted off by one for one value of its first flag
+    def mutant(original):
+        return lambda n, k, rows, cols: original(n, k, rows, cols) + (rows is forbid)
+
+    return mutant
+
+
+def _swapped_direction(original):
+    return lambda n, k: original(k, n)
+
+
+def _ml_without_its_shift(original):
+    return verify.saddle.bivar_asym_log
+
+
+def _order_ignored(original):
+    return lambda k, order=1: original(k, 1)
+
+
+def _residue_off_by_a_thousandth(original):
+    return lambda n, k, spec: original(n, k, spec) + 1e-3
+
+
+def _rho_off_by_a_thousandth(original):
+    def mutant(which):
+        params = original(which)
+        return dataclasses.replace(params, rho=params.rho + 1e-3)
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    ("criterion", "target", "mutant", "first"),
+    [
+        ("criterion_oracle_equivalence", "oracle.count_lonesum", _plus_one, "lonesum(0,0)=2 != B=1"),
+        ("criterion_oracle_equivalence", "oracle.count_gamma_free", _plus_one, "gamma(0,0)=2 != B=1"),
+        (
+            "criterion_oracle_equivalence",
+            "oracle.count_acyclic_orientations",
+            _plus_one,
+            "orientations(0,0)=2 != B=1",
+        ),
+        (
+            "criterion_oracle_equivalence",
+            "oracle.count_lonesum_restricted",
+            _plus_one_where_rows_are(False),
+            "restricted(0,0,F,T)=2 != C=1",
+        ),
+        (
+            "criterion_oracle_equivalence",
+            "oracle.count_lonesum_restricted",
+            _plus_one_where_rows_are(True),
+            "restricted(0,0,T,T)=2 != D=1",
+        ),
+        ("criterion_oracle_equivalence", "oracle.count_vesztergombi", _plus_one, "vesztergombi(0,0)=2 != B=1"),
+        ("criterion_formula_identities", "stirling2_explicit", _plus_one, "S(0,0) mismatch"),
+        ("criterion_saddle_layer", "saddle.saddle_point", _swapped_direction, "critical equation at (1,2)"),
+        ("criterion_specialization", "saddle.ml_asym_log", _ml_without_its_shift, "acsv vs ml at (1,1): "),
+        (
+            "criterion_asymptotic_accuracy",
+            "saddle.diag_asym_log",
+            _order_ignored,
+            "order 2 not strictly closer at k=10",
+        ),
+        (
+            "criterion_quadrature",
+            "quad.residue_integral_b",
+            _residue_off_by_a_thousandth,
+            "residue defect 9.99e-04 at (8,12)",
+        ),
+        (
+            "criterion_lclt",
+            "lclt.gaussian_params",
+            _rho_off_by_a_thousandth,
+            "does not truncate to 458 thousandths",
+        ),
+    ],
+)
+def test_a_wrong_value_fails_its_criterion(monkeypatch, criterion, target, mutant, first):
+    detail = _failed_detail(monkeypatch, criterion, target, mutant)
+    assert first in detail.split("; ")[0]
+
+
+def _nan(original):
+    return lambda *args: math.nan
+
+
+# A NaN compares False with everything, so each check is written to pass
+# only on a comparison that holds.
+@pytest.mark.parametrize(
+    ("criterion", "target", "first"),
+    [
+        ("criterion_saddle_layer", "saddle.f_dir", "f(log 2) != 1"),
+        ("criterion_specialization", "saddle.acsv_general_log", "acsv vs bivar at (1,1): nan"),
+        ("criterion_specialization", "saddle.bivar_asym_log", "acsv vs bivar at (1,1): nan"),
+        ("criterion_asymptotic_accuracy", "saddle.diag_asym_log", "order 2 not strictly closer at k=10"),
+        ("criterion_quadrature", "quad.parseval_b", "parseval at k=0"),
+        ("criterion_quadrature", "quad.laplace_integral_diag", "laplace ratio at k=100 off by more than 2%"),
+        ("criterion_quadrature", "quad.residue_integral_b", "residue defect nan at (8,12)"),
+        ("criterion_lclt", "lclt.ml_limit_shape", "ml discrepancy not decreasing: [nan, nan, nan]"),
+    ],
+)
+def test_a_nan_fails_its_criterion(monkeypatch, criterion, target, first):
+    detail = _failed_detail(monkeypatch, criterion, target, _nan)
+    assert detail.split("; ")[0] == first
 
 
 def test_criterion_2_formula_identities():

@@ -1,5 +1,6 @@
 """Direction function, saddle points, and log-space estimators."""
 
+import bisect
 import math
 import random
 import types
@@ -245,9 +246,7 @@ LOG_SPACED = [300.0 ** (i / 249) for i in range(250)]
 def test_f_inverse_evaluates_f_a_few_times(monkeypatch):
     # each Newton step evaluates log f once: from the tabulated start a
     # cold target in [1, 37] takes exactly one step; above 37 the closed
-    # form, and a memo hit anywhere, take none. The start's table, which
-    # a process's first solve fills, is filled before counting.
-    saddle._fill_start_table()
+    # form, and a memo hit anywhere, take none.
     for target in LOG_SPACED + [37.0]:
         assert newton_steps(monkeypatch, target) == (1 if target <= 37.0 else 0), target
         assert newton_steps(monkeypatch, target, cold=False) == 0, target
@@ -262,7 +261,6 @@ def test_the_tabulated_start_is_within_2_to_the_minus_31(monkeypatch):
     # after one step: on 20000 log-uniform targets and at the midpoint in
     # log target of every interval of the start's table, the last taken
     # up to 37
-    saddle._fill_start_table()
     rng = random.Random(25)
     targets = [37.0 ** rng.random() for _ in range(20000)]
     ends = [quintic[0] for quintic in saddle._QUINTICS] + [math.log(37.0)]
@@ -285,6 +283,20 @@ def test_the_tabulated_start_is_within_2_to_the_minus_31(monkeypatch):
             saddle._root.__wrapped__(target)
             errors.append(abs(starts[0] - root) / root)
     assert max(errors) <= 2.0**-31
+
+
+def test_a_start_the_table_misses_raises(monkeypatch):
+    # one coefficient off by 1e-6 moves the start of every target in its
+    # interval as far, so the one Newton step exceeds 2^-30 t: an internal
+    # bug, raised by name, not a root returned
+    index = bisect.bisect(saddle._BREAKS, math.log(3.0))
+    quintics = list(saddle._QUINTICS)
+    s0, c0, *rest = quintics[index]
+    quintics[index] = (s0, c0 * (1.0 + 1e-6), *rest)
+    monkeypatch.setattr(saddle, "_QUINTICS", tuple(quintics))
+    with pytest.raises(ArithmeticError) as error:
+        saddle._root.__wrapped__(3.0)
+    assert str(error.value) == "Newton on f(t) = 3.0 did not settle in one step from its table"
 
 
 def test_a_repeated_ratio_evaluates_f_zero_times():
