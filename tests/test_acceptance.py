@@ -2,7 +2,8 @@
 
 Each test prints one pass/fail line so a plain pytest -s run doubles as
 the acceptance report. Criteria 1 and 5 also enforce their runtime
-budgets; criterion 8 compares two full CLI verify runs byte for byte.
+budgets, and run_all its budget of 2 CPU seconds; criterion 8 compares
+two full CLI verify runs byte for byte.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import time
 
 import pytest
 
-from polybern import verify
+from polybern import exactcomb, verify
 
 
 def _report(result):
@@ -171,6 +172,23 @@ def test_criterion_2_formula_identities():
     _report(verify.criterion_formula_identities())
 
 
+def test_criterion_2_catches_a_wrong_weight(monkeypatch):
+    # (m+1)(m+2) in place of (m+1)^2 in the nested sum of B, C and D keeps
+    # B symmetric, so the first check to see it is the inclusion-exclusion,
+    # whose B has no weight.
+    def misweighted(n, k, dn, dk):
+        rows = exactcomb._stirling_rows(max(n + dn, k + dk))
+        total = 0
+        for m in range(min(n, k), -1, -1):
+            total = total * ((m + 1) * (m + 2)) + rows[n + dn][m + dn] * rows[k + dk][m + dk]
+        return total
+
+    monkeypatch.setattr(exactcomb, "_shifted_sum", misweighted)
+    result = verify.criterion_formula_identities()
+    assert not result.passed
+    assert result.detail.split("; ")[0] == "D(1,1) != inclusion-exclusion"
+
+
 def test_criterion_3_saddle_layer():
     _report(verify.criterion_saddle_layer())
 
@@ -193,6 +211,15 @@ def test_criterion_6_quadrature():
 
 def test_criterion_7_lclt():
     _report(verify.criterion_lclt())
+
+
+def test_run_all_within_its_cpu_budget():
+    # CPU time, not wall time, so a loaded machine cannot fail it.
+    start = time.process_time()
+    results = verify.run_all()
+    used = time.process_time() - start
+    assert all(result.passed for result in results)
+    assert used < 2.0, f"run_all took {used:.2f} CPU seconds"
 
 
 def test_criterion_8_deterministic_verify():

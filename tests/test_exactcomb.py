@@ -101,6 +101,24 @@ def test_inclusion_exclusion_agrees():
             assert ml_degree_inclusion_exclusion(n, k) == ml_degree(n, k)
 
 
+def _misweighted_shifted_sum(n, k, dn, dk):
+    # The nested sum with (m+1)(m+2) in place of (m+1)^2 per step.
+    rows = exactcomb._stirling_rows(max(n + dn, k + dk))
+    total = 0
+    for m in range(min(n, k), -1, -1):
+        total = total * ((m + 1) * (m + 2)) + rows[n + dn][m + dn] * rows[k + dk][m + dk]
+    return total
+
+
+def test_inclusion_exclusion_catches_a_wrong_weight(monkeypatch):
+    # The weight would cancel if B came from the same nested sum as D; the
+    # inclusion-exclusion reads B by rows from Kaneko's form, which has none.
+    monkeypatch.setattr(exactcomb, "_shifted_sum", _misweighted_shifted_sum)
+    for n in range(1, 8):
+        for k in range(1, 8):
+            assert ml_degree_inclusion_exclusion(n, k) != ml_degree(n, k), (n, k)
+
+
 def test_row_inclusion_exclusion_ties_c_to_d():
     for n in range(11):
         for k in range(11):

@@ -52,7 +52,7 @@ def test_is_lonesum_nested_rows():
     "n,k", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (4, 6), (6, 4)]
 )
 def test_lonesum_matches_closed_form(n, k):
-    assert count_lonesum(n, k) == poly_bernoulli(n, k)
+    assert count_lonesum(n, k) == sum(oracle._lonesum_census(n, k).values()) == poly_bernoulli(n, k)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 3), (2, 4), (4, 3), (6, 4)])
@@ -99,6 +99,40 @@ def test_restricted_rows_only_transposes():
                 n, k, forbid_zero_rows=True, forbid_zero_cols=False
             )
             assert no_zero_rows == c_relative(k, n)
+
+
+def test_census_is_read_only():
+    census = oracle._lonesum_census(2, 3)
+    with pytest.raises(TypeError):
+        census[True, True] = 0
+    with pytest.raises(TypeError):
+        del census[True, True]
+    assert oracle._lonesum_census(2, 3)[True, True] == ml_degree(2, 3)
+
+
+def test_census_sweeps_each_shape_once(monkeypatch):
+    sweeps = []
+
+    def counted(*args):
+        sweeps.append(args[:2])
+        return row_sets(*args)
+
+    row_sets = oracle._row_sets
+    monkeypatch.setattr(oracle, "_row_sets", counted)
+    oracle._lonesum_census.cache_clear()
+    for n, k in [(3, 4), (3, 4), (4, 3)]:
+        count_lonesum(n, k)
+        count_lonesum_restricted(n, k, False, True)
+        count_lonesum_restricted(n, k, True, True)
+    assert sweeps == [(3, 4), (4, 3)]
+
+
+@pytest.mark.parametrize("count", [count_lonesum, lambda n, k: count_lonesum_restricted(n, k, True, True)])
+def test_census_cache_refuses_what_the_sweep_refuses(count):
+    # 1.0 hashes as 1, so the int check comes before the cached census.
+    count(1, 1)
+    with pytest.raises(ValueError, match="dimensions must be ints"):
+        count(1.0, 1)
 
 
 @pytest.mark.parametrize(
