@@ -8,6 +8,7 @@ lossless conversion of huge counts to natural logs.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 # Counts are plain Python ints: arbitrary precision, nonnegative, and they
 # round-trip exactly through str()/int().
@@ -137,6 +138,15 @@ def _shifted_row(n: int, top: int, dn: int, dk: int) -> list[Count]:
     return row
 
 
+# 256 rows hold what a 16 x 16 grid of inclusion-exclusions reads, as
+# criterion 2 of verify makes. A row inside IE_GUARD is at most 65 ints,
+# 5.9 kB at (64, 64), so the cache keeps at most about 1.5 MB.
+@lru_cache(maxsize=256)
+def _b_row(n: int, top: int) -> tuple[Count, ...]:
+    # B(n, 0..top) from the one-row form, a tuple since callers share it.
+    return tuple(_shifted_row(n, top, 1, 1))
+
+
 def poly_bernoulli(n: int, k: int) -> Count:
     """Number of n x k lonesum 0-1 matrices, B(n,k).
 
@@ -178,7 +188,7 @@ def ml_degree_inclusion_exclusion(n: int, k: int) -> Count:
     signs = [-math.comb(k, ell) if ell % 2 else math.comb(k, ell) for ell in range(k + 1)]
     total = 0
     for m in range(n + 1):
-        row = _shifted_row(n - m, k, 1, 1)
+        row = _b_row(n - m, k)
         term = math.comb(n, m) * sum(sign * b for sign, b in zip(signs, reversed(row)))
         total += -term if m % 2 else term
     if total < 0:

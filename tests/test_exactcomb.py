@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from polybern import exactcomb
+from polybern import exactcomb, verify
 from polybern.exactcomb import (
     GuardError,
     c_relative,
@@ -115,6 +115,43 @@ def test_inclusion_exclusion_catches_a_wrong_weight(monkeypatch):
     # inclusion-exclusion reads B by rows from Kaneko's form, which has none.
     monkeypatch.setattr(exactcomb, "_shifted_sum", _misweighted_shifted_sum)
     for n in range(1, 8):
+        for k in range(1, 8):
+            assert ml_degree_inclusion_exclusion(n, k) != ml_degree(n, k), (n, k)
+
+
+@pytest.fixture
+def fresh_b_rows():
+    # Empties the inclusion-exclusion's row cache before and after, so a
+    # warm cache neither hides a patched _shifted_row nor keeps its rows.
+    exactcomb._b_row.cache_clear()
+    yield
+    exactcomb._b_row.cache_clear()
+
+
+def test_criterion_2_builds_each_row_once(monkeypatch, fresh_b_rows):
+    calls = []
+    shifted_row = exactcomb._shifted_row
+
+    def counted(*args):
+        calls.append(args)
+        return shifted_row(*args)
+
+    monkeypatch.setattr(exactcomb, "_shifted_row", counted)
+    assert verify.criterion_formula_identities().passed
+    assert sorted(calls) == [(j, top, 1, 1) for j in range(16) for top in range(16)]
+
+
+def test_b_row_is_a_shared_tuple(fresh_b_rows):
+    row = exactcomb._b_row(5, 7)
+    assert row == tuple(poly_bernoulli(5, k) for k in range(8))
+    assert exactcomb._b_row(5, 7) is row
+
+
+def test_inclusion_exclusion_sees_a_wrong_row(monkeypatch, fresh_b_rows):
+    # Each row read one index too far down: B(j+1, .) in place of B(j, .).
+    shifted_row = exactcomb._shifted_row
+    monkeypatch.setattr(exactcomb, "_shifted_row", lambda n, top, dn, dk: shifted_row(n + 1, top, dn, dk))
+    for n in range(8):
         for k in range(1, 8):
             assert ml_degree_inclusion_exclusion(n, k) != ml_degree(n, k), (n, k)
 

@@ -4,12 +4,17 @@ import ast
 import functools
 import itertools
 import operator
+import random
+import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polybern import oracle
+from polybern import oracle, verify
 from polybern.exactcomb import GuardError, c_relative, ml_degree, poly_bernoulli
 from polybern.oracle import (
     count_acyclic_orientations,
@@ -110,21 +115,76 @@ def test_census_is_read_only():
     assert oracle._lonesum_census(2, 3)[True, True] == ml_degree(2, 3)
 
 
+def record_layers(monkeypatch):
+    # Patches the sweep to note (row test, width, height) for each layer it
+    # builds, and empties the sweep cache so that every layer is built anew.
+    keys = {}
+    built = []
+    init, add_row = oracle._Sweep.__init__, oracle._Sweep._add_row
+
+    def noted_init(sweep, fits, summarize, width):
+        init(sweep, fits, summarize, width)
+        keys[sweep] = fits.__name__, width
+
+    def noted_add_row(sweep):
+        add_row(sweep)
+        built.append((*keys[sweep], len(sweep._tallies) - 1))
+
+    monkeypatch.setattr(oracle._Sweep, "__init__", noted_init)
+    monkeypatch.setattr(oracle._Sweep, "_add_row", noted_add_row)
+    oracle._sweep.cache_clear()
+    return built
+
+
 def test_census_sweeps_each_shape_once(monkeypatch):
-    sweeps = []
-
-    def counted(*args):
-        sweeps.append(args[:2])
-        return row_sets(*args)
-
-    row_sets = oracle._row_sets
-    monkeypatch.setattr(oracle, "_row_sets", counted)
-    oracle._lonesum_census.cache_clear()
+    built = record_layers(monkeypatch)
     for n, k in [(3, 4), (3, 4), (4, 3)]:
         count_lonesum(n, k)
         count_lonesum_restricted(n, k, False, True)
         count_lonesum_restricted(n, k, True, True)
-    assert sweeps == [(3, 4), (4, 3)]
+    assert built == [("_comparable", 3, height) for height in (1, 2, 3, 4)]
+
+
+def test_a_width_grows_only_to_the_tallest_shape_asked(monkeypatch):
+    built = record_layers(monkeypatch)
+    assert count_gamma_free(3, 5) == poly_bernoulli(3, 5)
+    assert built == [("_gamma_free_below", 3, height) for height in range(1, 6)]
+    for n, k in [(5, 3), (3, 4), (2, 3), (3, 3), (3, 5)]:
+        assert count_gamma_free(n, k) == poly_bernoulli(n, k)
+    assert built[5:] == [("_gamma_free_below", 2, height) for height in (1, 2, 3)]
+    assert count_gamma_free(6, 3) == poly_bernoulli(6, 3)
+    assert built[-1] == ("_gamma_free_below", 3, 6)
+
+
+def test_criterion_1_builds_each_layer_once(monkeypatch):
+    built = record_layers(monkeypatch)
+    assert verify.criterion_oracle_equivalence().passed
+    grid = [(n, k) for n in range(17) for k in range(17) if n * k <= 16]
+    tallest = {}
+    for n, k in grid:
+        tallest[min(n, k)] = max(tallest.get(min(n, k), 0), n, k)
+    expected = [
+        (test, width, height)
+        for test in ("_comparable", "_gamma_free_below", "_acyclic_with")
+        for width, top in tallest.items()
+        for height in range(1, top + 1)
+    ]
+    assert sorted(built) == sorted(expected)
+    # Asked again, in any order and transposed, the grid builds nothing.
+    for n, k in reversed(grid):
+        count_lonesum(k, n)
+        count_gamma_free(k, n)
+        count_acyclic_orientations(k, n)
+    assert len(built) == len(expected)
+
+
+def test_the_sweep_drops_its_layer_at_the_guard():
+    oracle._sweep.cache_clear()
+    count_acyclic_orientations(3, 9)
+    sweep = oracle._sweep(oracle._acyclic_with, oracle._total, 3)
+    assert sweep._layer is not None
+    assert count_acyclic_orientations(10, 3) == poly_bernoulli(10, 3)
+    assert sweep._layer is None and len(sweep._tallies) == 11
 
 
 @pytest.mark.parametrize("count", [count_lonesum, lambda n, k: count_lonesum_restricted(n, k, True, True)])
@@ -230,11 +290,11 @@ def test_excedance_guard():
 SMALL_SHAPES = [(n, k) for n in range(13) for k in range(13) if n * k <= 12]
 
 
-@pytest.mark.parametrize("n,k", SMALL_SHAPES)
-def test_set_sweep_matches_plain_enumeration(n, k):
+@functools.cache
+def plain_counts(n, k):
     # Every n x k matrix, untransposed, filtered by each property's prefix
-    # test; the counters sweep the narrower side, so shapes with n < k check
-    # the transposed sweep against this enumeration.
+    # test: the lonesum matrices by (no zero row, no zero column), and the
+    # number of Γ-free matrices and of acyclic orientations.
     full = (1 << k) - 1
     lonesum = Counter()
     gamma = orient = 0
@@ -245,6 +305,11 @@ def test_set_sweep_matches_plain_enumeration(n, k):
             lonesum[all(rows), union == full] += 1
         gamma += all(oracle._gamma_free_below(*p) for p in prefixes)
         orient += all(oracle._acyclic_with(*p) for p in prefixes)
+    return lonesum, gamma, orient
+
+
+def assert_counters_enumerate(n, k):
+    lonesum, gamma, orient = plain_counts(n, k)
     assert oracle._lonesum_census(n, k) == lonesum
     assert count_lonesum(n, k) == sum(lonesum.values())
     for forbid in itertools.product((False, True), repeat=2):
@@ -252,6 +317,64 @@ def test_set_sweep_matches_plain_enumeration(n, k):
         assert count_lonesum_restricted(n, k, *forbid) == sum(kept)
     assert count_gamma_free(n, k) == gamma
     assert count_acyclic_orientations(n, k) == orient
+
+
+@pytest.mark.parametrize("n,k", SMALL_SHAPES)
+def test_set_sweep_matches_plain_enumeration(n, k):
+    # The counters sweep the narrower side, so shapes with n < k check the
+    # transposed sweep against this enumeration.
+    assert_counters_enumerate(n, k)
+
+
+ORDERS = {
+    "as drawn": lambda shapes: shapes,
+    "ascending": lambda shapes: sorted(shapes, key=lambda shape: (min(shape), max(shape))),
+    "descending": lambda shapes: sorted(shapes, key=lambda shape: (min(shape), max(shape)), reverse=True),
+    "transposed first": lambda shapes: [(k, n) for n, k in shapes] + shapes,
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.sampled_from(SMALL_SHAPES), min_size=1, max_size=12), st.sampled_from(sorted(ORDERS)))
+def test_request_order_does_not_matter(shapes, order):
+    # Each draw starts from empty sweeps, so a layer built for one shape
+    # is read by the shapes after it in the drawn order.
+    oracle._sweep.cache_clear()
+    for n, k in ORDERS[order](shapes):
+        assert_counters_enumerate(n, k)
+
+
+def test_threads_sharing_the_sweeps_read_the_same_counts():
+    # Each thread asks for the same shapes in its own order while the
+    # interpreter switches threads as often as it can.
+    shapes = [shape for shape in SMALL_SHAPES if min(shape) >= 2] + [(5, 6), (6, 5), (3, 10)]
+    expected = {shape: poly_bernoulli(*shape) for shape in shapes}
+    failures = []
+
+    def ask(seed):
+        order = shapes.copy()
+        random.Random(seed).shuffle(order)
+        try:
+            for n, k in order:
+                got = (count_lonesum(n, k), count_gamma_free(n, k), count_acyclic_orientations(n, k))
+                if got != (expected[n, k],) * 3:
+                    failures.append((n, k, got))
+        except Exception as exc:  # reported below, in the test's own thread
+            failures.append(exc)
+
+    oracle._sweep.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 @pytest.mark.parametrize("m", range(8))
