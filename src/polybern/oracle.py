@@ -86,6 +86,8 @@ class _Sweep(Generic[Tally]):
 
 # One sweep per row test and width: three tests at widths 0 to 5, since no
 # wider shape fits the guard, so every sweep the counters use stays cached.
+# Their layers take about 0.4 MB after verify's criterion 1, and at most
+# about 5 MB, with every sweep one row below its guard (tracemalloc).
 @lru_cache(maxsize=18)
 def _sweep(fits: RowTest, summarize: Callable[[Layer, int], Tally], width: int) -> _Sweep[Tally]:
     return _Sweep(fits, summarize, width)
