@@ -138,13 +138,12 @@ def _shifted_row(n: int, top: int, dn: int, dk: int) -> list[Count]:
     return row
 
 
-# 256 rows hold what a 16 x 16 grid of inclusion-exclusions reads, as
-# criterion 2 of verify makes. A row inside IE_GUARD is at most 65 ints,
-# 5.9 kB at (64, 64), so the cache keeps at most about 1.5 MB.
-@lru_cache(maxsize=256)
-def _b_row(n: int, top: int) -> tuple[Count, ...]:
-    # B(n, 0..top) from the one-row form, a tuple since callers share it.
-    return tuple(_shifted_row(n, top, 1, 1))
+# One row per n inside IE_GUARD, each read by every k: criterion 2 of
+# verify builds 16. The 65 rows of 65 ints take about 0.29 MB (tracemalloc).
+@lru_cache(maxsize=IE_GUARD + 1)
+def _b_row(n: int) -> tuple[Count, ...]:
+    # B(n, 0..IE_GUARD) from the one-row form, a tuple since callers share it.
+    return tuple(_shifted_row(n, IE_GUARD, 1, 1))
 
 
 def poly_bernoulli(n: int, k: int) -> Count:
@@ -184,12 +183,12 @@ def ml_degree_inclusion_exclusion(n: int, k: int) -> Count:
     _check_table_guard(n, k)
     if n > IE_GUARD or k > IE_GUARD:
         raise GuardError(f"(n,k)=({n},{k}) exceeds inclusion-exclusion guard {IE_GUARD}")
-    # signs[l] = (-1)^l C(k,l), read against the row from its far end
+    # signs[l] = (-1)^l C(k,l), read against B(n-m, k-l)
     signs = [-math.comb(k, ell) if ell % 2 else math.comb(k, ell) for ell in range(k + 1)]
     total = 0
     for m in range(n + 1):
-        row = _b_row(n - m, k)
-        term = math.comb(n, m) * sum(sign * b for sign, b in zip(signs, reversed(row)))
+        row = _b_row(n - m)
+        term = math.comb(n, m) * sum(sign * b for sign, b in zip(signs, row[k::-1]))
         total += -term if m % 2 else term
     if total < 0:
         raise ArithmeticError(f"inclusion-exclusion for D({n},{k}) came out negative")

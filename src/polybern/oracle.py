@@ -12,19 +12,19 @@ permanent recurrence). Each sweep checks its own size guard first.
 
 The matrix counters share one sweep per row test and width. It grows a
 row at a time as taller shapes ask for it, and every shape of that width,
-and its transpose, reads the tally of its height: the count, or for
-lonesum the census by zero-row and zero-column flags, whose sum is the
-plain count and each restricted count a part of it. A sweep keeps its
-current layer until the guard height, and per height at most four ints.
+and its transpose, reads the census of its height: the matrices by
+(no zero row, no zero column), at most four ints, whose sum is the plain
+count and each restricted count a part of it. A sweep keeps its current
+layer until the guard height.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Collection, Hashable, Iterable, Mapping, Sequence
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import ge, or_
 from types import MappingProxyType
-from typing import Generic, TypeVar
 
 from .exactcomb import Count, GuardError, _check_ints
 
@@ -32,56 +32,61 @@ from .exactcomb import Count, GuardError, _check_ints
 MATRIX_GUARD = 30
 PERMUTATION_GUARD = 14
 
-State = TypeVar("State", bound=Hashable)
-Tally = TypeVar("Tally")
 # A matrix sweep's state is its set of distinct rows, each a bitmask; a row
 # test decides from that set whether a new row fits below it.
 Layer = dict[frozenset[int], Count]
 RowTest = Callable[[frozenset[int], int], bool]
+Census = Mapping[tuple[bool, bool], Count]
 
 
-def _tally(layer: dict[State, Count], moves: Sequence[Callable[[State], Iterable[State]]]) -> dict[State, Count]:
-    # Step j maps each state to the states moves[j] reaches from it, and
-    # each reached state to the number of paths from the layer's states,
-    # each weighted by its count, that reach it.
-    for move in moves:
-        step: dict[State, Count] = {}
-        for state, ways in layer.items():
-            for reached in move(state):
-                step[reached] = step.get(reached, 0) + ways
-        layer = step
-    return layer
+def _tally(layer: Mapping[Hashable, Count], move: Callable[[Hashable], Iterable[Hashable]]) -> dict[Hashable, Count]:
+    # One step: each state `move` reaches from the layer's states, and the
+    # number of paths, each weighted by its start state's count, reaching it.
+    step: dict[Hashable, Count] = {}
+    for state, ways in layer.items():
+        for reached in move(state):
+            step[reached] = step.get(reached, 0) + ways
+    return step
 
 
-class _Sweep(Generic[Tally]):
+def _census(layer: Layer, full: int) -> Census:
+    # Matrices by (no zero row, no zero column), read-only since every
+    # caller shares it. A column is zero iff the rows' union lacks it: Γ-free
+    # and orientation rows are no chain, so their largest row need not be it.
+    census: dict[tuple[bool, bool], Count] = {}
+    for rows, ways in layer.items():
+        flags = 0 not in rows, reduce(or_, rows, 0) == full
+        census[flags] = census.get(flags, 0) + ways
+    return MappingProxyType(census)
+
+
+class _Sweep:
     # Every matrix of `width`-bit rows, each row fitting the rows above it,
     # grown one row at a time as taller shapes ask for it. `fits` must read
     # the rows above only as a set, which is the state. The sweep keeps its
-    # current layer and, per height reached, that layer's tally by
-    # `summarize`. At the guard height no shape reads further, so the layer
-    # is dropped there. Growing holds the lock, so that two threads cannot
-    # add the same row twice.
+    # current layer and, per height reached, that layer's census. At the
+    # guard height no shape reads further, so the layer is dropped there.
+    # Growing holds the lock, so two threads cannot add the same row twice.
 
-    def __init__(self, fits: RowTest, summarize: Callable[[Layer, int], Tally], width: int) -> None:
+    def __init__(self, fits: RowTest, width: int) -> None:
         rows = range(1 << width)
-        self._grow = [lambda above: (above | {row} for row in rows if fits(above, row))]
-        self._summarize = summarize
+        self._grow = lambda above: (above | {row} for row in rows if fits(above, row))
         self._full = rows[-1]
         self._guard = MATRIX_GUARD // max(width, 1)
         self._layer: Layer | None = {frozenset(): 1}
-        self._tallies = [summarize(self._layer, self._full)]
+        self._censuses = [_census(self._layer, self._full)]
         self._lock = threading.Lock()
 
     def _add_row(self) -> None:
         layer = _tally(self._layer, self._grow)
-        self._tallies.append(self._summarize(layer, self._full))
-        self._layer = layer if len(self._tallies) <= self._guard else None
+        self._censuses.append(_census(layer, self._full))
+        self._layer = layer if len(self._censuses) <= self._guard else None
 
-    def tally(self, height: int) -> Tally:
+    def census(self, height: int) -> Census:
         with self._lock:
-            while len(self._tallies) <= height:
+            while len(self._censuses) <= height:
                 self._add_row()
-        return self._tallies[height]
+        return self._censuses[height]
 
 
 # One sweep per row test and width: three tests at widths 0 to 5, since no
@@ -89,35 +94,22 @@ class _Sweep(Generic[Tally]):
 # Their layers take about 0.4 MB after verify's criterion 1, and at most
 # about 5 MB, with every sweep one row below its guard (tracemalloc).
 @lru_cache(maxsize=18)
-def _sweep(fits: RowTest, summarize: Callable[[Layer, int], Tally], width: int) -> _Sweep[Tally]:
-    return _Sweep(fits, summarize, width)
+def _sweep(fits: RowTest, width: int) -> _Sweep:
+    return _Sweep(fits, width)
 
 
-def _swept(n: int, k: int, fits: RowTest, summarize: Callable[[Layer, int], Tally]) -> Tally:
-    # The tally of the n x k matrices whose rows each fit the rows above,
+def _swept(n: int, k: int, fits: RowTest) -> Census:
+    # The census of the n x k matrices whose rows each fit the rows above,
     # read from the sweep of max(n, k) rows of min(n, k) bits: the matrix
-    # or its transpose, so the property must be closed under transpose.
+    # or its transpose, so the property must be closed under transpose and
+    # for n < k the census's flags are the transpose's, (no zero column, no
+    # zero row).
     _check_ints("dimensions must be ints", n, k)
     if n < 0 or k < 0:
         raise ValueError("matrix dimensions must be nonnegative")
     if max(n, k, n * k) > MATRIX_GUARD:
         raise GuardError(f"{n}x{k} exceeds enumeration guard {MATRIX_GUARD} on n*k or a side")
-    return _sweep(fits, summarize, min(n, k)).tally(max(n, k))
-
-
-def _total(layer: Layer, full: int) -> Count:
-    return sum(layer.values())
-
-
-def _chain_flags(layer: Layer, full: int) -> Mapping[tuple[bool, bool], Count]:
-    # Matrices of comparable rows by (no zero row, no zero column), at most
-    # four ints, read-only since every caller shares it. Comparable rows
-    # form a chain under inclusion: the largest is the union.
-    census: dict[tuple[bool, bool], Count] = {}
-    for rows, ways in layer.items():
-        flags = 0 not in rows, max(rows, default=0) == full
-        census[flags] = census.get(flags, 0) + ways
-    return MappingProxyType(census)
+    return _sweep(fits, min(n, k)).census(max(n, k))
 
 
 def _comparable(rows: Collection[int], row: int) -> bool:
@@ -137,6 +129,8 @@ def is_lonesum(rows: Sequence[int]) -> bool:
     """
     _check_ints("rows must be ints", *rows)
     rows = [int(r) for r in rows]  # a bool reads as its int; ~ on a bool is deprecated
+    if any(r < 0 for r in rows):
+        raise ValueError(f"rows must be nonnegative bitmasks, got {', '.join(map(repr, rows))}")
     return all(_comparable(rows[:i], rows[i]) for i in range(len(rows)))
 
 
@@ -172,36 +166,28 @@ def _acyclic_with(rows: Collection[int], row: int) -> bool:
     return True
 
 
-def _lonesum_census(n: int, k: int) -> Mapping[tuple[bool, bool], Count]:
-    # Lonesum matrices by (no zero row, no zero column). Transposing swaps
-    # the two flags.
-    census = _swept(n, k, _comparable, _chain_flags)
-    return census if n >= k else MappingProxyType({flags[::-1]: ways for flags, ways in census.items()})
-
-
 def count_lonesum(n: int, k: int) -> Count:
     """Number of n x k lonesum matrices by exhaustive sweep (n*k, n, k <= 30)."""
-    return sum(_lonesum_census(n, k).values())
+    return sum(_swept(n, k, _comparable).values())
 
 
 def count_lonesum_restricted(n: int, k: int, forbid_zero_rows: bool, forbid_zero_cols: bool) -> Count:
     """Lonesum count with all-zero rows and/or columns excluded (n*k, n, k <= 30).
 
-    (False, True) matches c_relative; (True, True) matches ml_degree.
+    (False, True) matches c_relative(n, k), (True, False) matches
+    c_relative(k, n) and (True, True) matches ml_degree(n, k).
     """
     flags = forbid_zero_rows, forbid_zero_cols  # a bool, or 0 or 1 read as one
     if not all(isinstance(flag, int) and flag in (0, 1) for flag in flags):
         raise ValueError(f"flags must be bools, got {', '.join(map(repr, flags))}")
-    return sum(
-        count
-        for (rows_ok, cols_ok), count in _lonesum_census(n, k).items()
-        if rows_ok >= forbid_zero_rows and cols_ok >= forbid_zero_cols
-    )
+    census = _swept(n, k, _comparable)
+    forbid = flags if n >= k else flags[::-1]
+    return sum(count for found, count in census.items() if all(map(ge, found, forbid)))
 
 
 def count_gamma_free(n: int, k: int) -> Count:
     """Number of n x k matrices avoiding (1,1 / 1,0) and (1,1 / 1,1) (n*k, n, k <= 30)."""
-    return _swept(n, k, _gamma_free_below, _total)
+    return sum(_swept(n, k, _gamma_free_below).values())
 
 
 def count_acyclic_orientations(n: int, k: int) -> Count:
@@ -212,7 +198,7 @@ def count_acyclic_orientations(n: int, k: int) -> Count:
     four-cycle criterion. Transposing reverses every edge, which keeps an
     orientation acyclic.
     """
-    return _swept(n, k, _acyclic_with, _total)
+    return sum(_swept(n, k, _acyclic_with).values())
 
 
 def _count_permutations(m: int, allowed: Callable[[int], range]) -> Count:
@@ -221,9 +207,11 @@ def _count_permutations(m: int, allowed: Callable[[int], range]) -> Count:
     # so far fix the position, so the state is their mask.
     if m > PERMUTATION_GUARD:
         raise GuardError(f"permutation length {m} exceeds enumeration guard {PERMUTATION_GUARD}")
-    layers = [[1 << v for v in allowed(j)] for j in range(1, m + 1)]
-    moves = [lambda used, bits=bits: (used | b for b in bits if not used & b) for bits in layers]
-    return sum(_tally({0: 1}, moves).values())
+    layer: Mapping[Hashable, Count] = {0: 1}
+    for j in range(1, m + 1):
+        bits = [1 << v for v in allowed(j)]
+        layer = _tally(layer, lambda used: (used | b for b in bits if not used & b))
+    return sum(layer.values())
 
 
 def count_vesztergombi(n: int, k: int) -> Count:

@@ -195,6 +195,8 @@ RAISES = {
     ),
     (ValueError, "^dimensions must be ints, got 1, nan$"): ("count_vesztergombi(1, nan)",),
     (ValueError, r"^rows must be ints, got 1, 0\.5$"): ("is_lonesum([1, 0.5])",),
+    (ValueError, "^rows must be nonnegative bitmasks, got -3, 5$"): ("is_lonesum([-3, 5])",),
+    (ValueError, "^rows must be nonnegative bitmasks, got -1, 1$"): ("is_lonesum([-1, 1])",),
     (ValueError, "^count must be an int, got 2.0$"): ("log_of_count(2.0)",),
     (ValueError, "^nodes must be even and >= 8, got True$"): ("QuadratureSpec(True)",),
     # a flag is a bool, or 0 or 1 read as one

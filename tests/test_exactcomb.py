@@ -138,13 +138,13 @@ def test_criterion_2_builds_each_row_once(monkeypatch, fresh_b_rows):
 
     monkeypatch.setattr(exactcomb, "_shifted_row", counted)
     assert verify.criterion_formula_identities().passed
-    assert sorted(calls) == [(j, top, 1, 1) for j in range(16) for top in range(16)]
+    assert sorted(calls) == [(j, exactcomb.IE_GUARD, 1, 1) for j in range(16)]
 
 
 def test_b_row_is_a_shared_tuple(fresh_b_rows):
-    row = exactcomb._b_row(5, 7)
-    assert row == tuple(poly_bernoulli(5, k) for k in range(8))
-    assert exactcomb._b_row(5, 7) is row
+    row = exactcomb._b_row(5)
+    assert row == tuple(poly_bernoulli(5, k) for k in range(exactcomb.IE_GUARD + 1))
+    assert exactcomb._b_row(5) is row
 
 
 def test_inclusion_exclusion_sees_a_wrong_row(monkeypatch, fresh_b_rows):

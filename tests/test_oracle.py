@@ -53,11 +53,19 @@ def test_is_lonesum_nested_rows():
     assert is_lonesum(from_rows([[1, 1], [1, 0]]))
 
 
+@pytest.mark.parametrize("rows", [[-3, 5], [-1, 1], [0, -1], [True, -2]])
+def test_is_lonesum_refuses_a_negative_row(rows):
+    # A negative int has no bitmask of set columns: -1 would read as a row
+    # of every column, comparable with any other row.
+    with pytest.raises(ValueError, match="^rows must be nonnegative bitmasks, got "):
+        is_lonesum(rows)
+
+
 @pytest.mark.parametrize(
     "n,k", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (4, 6), (6, 4)]
 )
 def test_lonesum_matches_closed_form(n, k):
-    assert count_lonesum(n, k) == sum(oracle._lonesum_census(n, k).values()) == poly_bernoulli(n, k)
+    assert count_lonesum(n, k) == sum(oracle._swept(n, k, oracle._comparable).values()) == poly_bernoulli(n, k)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 3), (2, 4), (4, 3), (6, 4)])
@@ -107,12 +115,12 @@ def test_restricted_rows_only_transposes():
 
 
 def test_census_is_read_only():
-    census = oracle._lonesum_census(2, 3)
+    census = oracle._swept(2, 3, oracle._comparable)
     with pytest.raises(TypeError):
         census[True, True] = 0
     with pytest.raises(TypeError):
         del census[True, True]
-    assert oracle._lonesum_census(2, 3)[True, True] == ml_degree(2, 3)
+    assert oracle._swept(2, 3, oracle._comparable)[True, True] == ml_degree(2, 3)
 
 
 def record_layers(monkeypatch):
@@ -122,13 +130,13 @@ def record_layers(monkeypatch):
     built = []
     init, add_row = oracle._Sweep.__init__, oracle._Sweep._add_row
 
-    def noted_init(sweep, fits, summarize, width):
-        init(sweep, fits, summarize, width)
+    def noted_init(sweep, fits, width):
+        init(sweep, fits, width)
         keys[sweep] = fits.__name__, width
 
     def noted_add_row(sweep):
         add_row(sweep)
-        built.append((*keys[sweep], len(sweep._tallies) - 1))
+        built.append((*keys[sweep], len(sweep._censuses) - 1))
 
     monkeypatch.setattr(oracle._Sweep, "__init__", noted_init)
     monkeypatch.setattr(oracle._Sweep, "_add_row", noted_add_row)
@@ -181,15 +189,16 @@ def test_criterion_1_builds_each_layer_once(monkeypatch):
 def test_the_sweep_drops_its_layer_at_the_guard():
     oracle._sweep.cache_clear()
     count_acyclic_orientations(3, 9)
-    sweep = oracle._sweep(oracle._acyclic_with, oracle._total, 3)
+    sweep = oracle._sweep(oracle._acyclic_with, 3)
     assert sweep._layer is not None
     assert count_acyclic_orientations(10, 3) == poly_bernoulli(10, 3)
-    assert sweep._layer is None and len(sweep._tallies) == 11
+    assert sweep._layer is None and len(sweep._censuses) == 11
 
 
 @pytest.mark.parametrize("count", [count_lonesum, lambda n, k: count_lonesum_restricted(n, k, True, True)])
 def test_census_cache_refuses_what_the_sweep_refuses(count):
-    # 1.0 hashes as 1, so the int check comes before the cached census.
+    # The sweep cache is keyed by width and 1.0 hashes as 1, so the int
+    # check must come before the sweep is looked up.
     count(1, 1)
     with pytest.raises(ValueError, match="dimensions must be ints"):
         count(1.0, 1)
@@ -290,33 +299,45 @@ def test_excedance_guard():
 SMALL_SHAPES = [(n, k) for n in range(13) for k in range(13) if n * k <= 12]
 
 
+# Each matrix counter with its sweep's row test.
+SWEEPS = [
+    (count_lonesum, oracle._comparable),
+    (count_gamma_free, oracle._gamma_free_below),
+    (count_acyclic_orientations, oracle._acyclic_with),
+]
+
+
 @functools.cache
 def plain_counts(n, k):
     # Every n x k matrix, untransposed, filtered by each property's prefix
-    # test: the lonesum matrices by (no zero row, no zero column), and the
-    # number of Γ-free matrices and of acyclic orientations.
+    # test (lonesum's agreeing with is_lonesum) and tallied, as the sweeps
+    # are, by (no zero row, no zero column): one census per entry of SWEEPS.
     full = (1 << k) - 1
-    lonesum = Counter()
-    gamma = orient = 0
+    censuses = [Counter() for _ in SWEEPS]
     for rows in itertools.product(range(1 << k), repeat=n):
-        prefixes = [(rows[:i], rows[i]) for i in range(n)]
-        if is_lonesum(rows):
-            union = functools.reduce(operator.or_, rows, 0)
-            lonesum[all(rows), union == full] += 1
-        gamma += all(oracle._gamma_free_below(*p) for p in prefixes)
-        orient += all(oracle._acyclic_with(*p) for p in prefixes)
-    return lonesum, gamma, orient
+        flags = all(rows), functools.reduce(operator.or_, rows, 0) == full
+        kept = [all(fits(rows[:i], rows[i]) for i in range(n)) for _, fits in SWEEPS]
+        assert kept[0] == is_lonesum(rows), rows
+        for census, fit in zip(censuses, kept):
+            if fit:
+                census[flags] += 1
+    return censuses
+
+
+def as_asked(census, n, k):
+    # A sweep's census of an n x k shape with its flags in the shape's own
+    # order: for n < k the sweep holds the transpose, whose flags are swapped.
+    return {flags if n >= k else flags[::-1]: ways for flags, ways in census.items()}
 
 
 def assert_counters_enumerate(n, k):
-    lonesum, gamma, orient = plain_counts(n, k)
-    assert oracle._lonesum_census(n, k) == lonesum
-    assert count_lonesum(n, k) == sum(lonesum.values())
+    for (count, fits), plain in zip(SWEEPS, plain_counts(n, k)):
+        assert as_asked(oracle._swept(n, k, fits), n, k) == plain, fits.__name__
+        assert count(n, k) == sum(plain.values()), fits.__name__
+    lonesum = plain_counts(n, k)[0]
     for forbid in itertools.product((False, True), repeat=2):
         kept = [count for flags, count in lonesum.items() if all(map(operator.ge, flags, forbid))]
         assert count_lonesum_restricted(n, k, *forbid) == sum(kept)
-    assert count_gamma_free(n, k) == gamma
-    assert count_acyclic_orientations(n, k) == orient
 
 
 @pytest.mark.parametrize("n,k", SMALL_SHAPES)
@@ -324,6 +345,20 @@ def test_set_sweep_matches_plain_enumeration(n, k):
     # The counters sweep the narrower side, so shapes with n < k check the
     # transposed sweep against this enumeration.
     assert_counters_enumerate(n, k)
+
+
+def test_every_census_gives_the_relatives_inside_the_guard():
+    # Each property is closed under transpose and, like lonesum, counted by
+    # B, so each census parts into C(n, k) matrices with no zero column,
+    # C(k, n) with no zero row and D(n, k) with neither.
+    shapes = [(n, k) for n in range(31) for k in range(31) if max(n, k, n * k) <= oracle.MATRIX_GUARD]
+    assert len(shapes) == 172
+    for _, fits in SWEEPS:
+        for n, k in shapes:
+            census = as_asked(oracle._swept(n, k, fits), n, k)
+            parts = [sum(ways for flags, ways in census.items() if flags[i]) for i in (1, 0)]
+            expected = c_relative(n, k), c_relative(k, n), ml_degree(n, k)
+            assert (*parts, census.get((True, True), 0)) == expected, (fits.__name__, n, k)
 
 
 ORDERS = {
