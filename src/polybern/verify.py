@@ -40,61 +40,51 @@ def _result(index: int, name: str, failures: list[str], detail_ok: str) -> Crite
 
 def criterion_oracle_equivalence() -> CriterionResult:
     """Brute-force counts agree exactly with the formula layer."""
-    failures: list[str] = []
     matrix_pairs = [(n, k) for n in range(17) for k in range(17) if n * k <= 16]
-    for n, k in matrix_pairs:
-        b = poly_bernoulli(n, k)
-        for label, got in (
-            ("lonesum", oracle.count_lonesum(n, k)),
-            ("gamma", oracle.count_gamma_free(n, k)),
-            ("orientations", oracle.count_acyclic_orientations(n, k)),
-        ):
-            if got != b:
-                failures.append(f"{label}({n},{k})={got} != B={b}")
-        c_got = oracle.count_lonesum_restricted(n, k, False, True)
-        if c_got != c_relative(n, k):
-            failures.append(f"restricted({n},{k},F,T)={c_got} != C={c_relative(n, k)}")
-        d_got = oracle.count_lonesum_restricted(n, k, True, True)
-        if d_got != ml_degree(n, k):
-            failures.append(f"restricted({n},{k},T,T)={d_got} != D={ml_degree(n, k)}")
     perm_pairs = [(n, k) for n in range(9) for k in range(9) if n + k <= 8]
-    for n, k in perm_pairs:
-        v = oracle.count_vesztergombi(n, k)
-        if v != poly_bernoulli(n, k):
-            failures.append(f"vesztergombi({n},{k})={v} != B={poly_bernoulli(n, k)}")
-        if n >= 1:  # the excedance word needs r = n >= 1
-            e = oracle.count_excedance_word(n, k)
-            if e != c_relative(n, k):
-                failures.append(f"excedance({n},{k})={e} != C={c_relative(n, k)}")
-    return _result(
-        1,
-        "oracle-equivalence",
-        failures,
-        f"{len(matrix_pairs)} matrix shapes, {len(perm_pairs)} permutation shapes",
+    word_pairs = [(n, k) for n, k in perm_pairs if n >= 1]  # the excedance word needs r = n >= 1
+    restricted = oracle.count_lonesum_restricted
+    # (label, counter, sequence letter, formula, shapes), built per call so
+    # that a replaced counter or formula is the one checked
+    checks = (
+        ("lonesum({},{})", oracle.count_lonesum, "B", poly_bernoulli, matrix_pairs),
+        ("gamma({},{})", oracle.count_gamma_free, "B", poly_bernoulli, matrix_pairs),
+        ("orientations({},{})", oracle.count_acyclic_orientations, "B", poly_bernoulli, matrix_pairs),
+        ("restricted({},{},F,T)", lambda n, k: restricted(n, k, False, True), "C", c_relative, matrix_pairs),
+        ("restricted({},{},T,T)", lambda n, k: restricted(n, k, True, True), "D", ml_degree, matrix_pairs),
+        ("vesztergombi({},{})", oracle.count_vesztergombi, "B", poly_bernoulli, perm_pairs),
+        ("excedance({},{})", oracle.count_excedance_word, "C", c_relative, word_pairs),
     )
+    failures: list[str] = []
+    for label, count, letter, formula, shapes in checks:
+        for n, k in shapes:
+            got, want = count(n, k), formula(n, k)
+            if got != want:
+                failures.append(f"{label.format(n, k)}={got} != {letter}={want}")
+    shapes = f"{len(matrix_pairs)} matrix shapes, {len(perm_pairs)} permutation shapes"
+    return _result(1, "oracle-equivalence", failures, shapes)
+
+
+def _diagonal_square_sum(k: int) -> int:
+    return sum((math.factorial(m) * stirling2(k + 1, m + 1)) ** 2 for m in range(k + 1))
 
 
 def criterion_formula_identities() -> CriterionResult:
     """Exact identities among the closed-form counts."""
-    failures: list[str] = []
-    for n in range(31):
-        for k in range(n + 1, 31):
-            if poly_bernoulli(n, k) != poly_bernoulli(k, n):
-                failures.append(f"B({n},{k}) asymmetric")
-    for n in range(16):
-        for k in range(16):
-            if ml_degree(n, k) != ml_degree_inclusion_exclusion(n, k):
-                failures.append(f"D({n},{k}) != inclusion-exclusion")
-    for n in range(41):
-        for m in range(n + 1):
-            if stirling2(n, m) != stirling2_explicit(n, m):
-                failures.append(f"S({n},{m}) mismatch")
-    for k in range(41):
-        square_sum = sum(
-            (math.factorial(m) * stirling2(k + 1, m + 1)) ** 2 for m in range(k + 1)
-        )
-        if square_sum != poly_bernoulli(k, k):
-            failures.append(f"diagonal square sum k={k}")
+    # (failure text, grid, left side, right side), built per call as in criterion 1
+    identities = (
+        ("B({},{}) asymmetric", [(n, k) for n in range(31) for k in range(n + 1, 31)],
+         poly_bernoulli, lambda n, k: poly_bernoulli(k, n)),
+        ("D({},{}) != inclusion-exclusion", [(n, k) for n in range(16) for k in range(16)],
+         ml_degree, ml_degree_inclusion_exclusion),
+        ("S({},{}) mismatch", [(n, m) for n in range(41) for m in range(n + 1)],
+         stirling2, stirling2_explicit),
+        ("diagonal square sum k={}", [(k,) for k in range(41)],
+         _diagonal_square_sum, lambda k: poly_bernoulli(k, k)),
+    )
+    failures = [
+        text.format(*args) for text, grid, lhs, rhs in identities for args in grid if lhs(*args) != rhs(*args)
+    ]
     return _result(2, "formula-identities", failures, "symmetry, IE, Stirling, diagonal sums")
 
 
