@@ -68,12 +68,32 @@ def _plus_one_where_rows_are(forbid):
     return mutant
 
 
+def _plus_one_above_the_diagonal(original):
+    return lambda n, k: original(n, k) + (n < k)
+
+
 def _swapped_direction(original):
     return lambda n, k: original(k, n)
 
 
+def _times_one_plus_a_billionth(original):
+    return lambda *args: original(*args) * (1 + 1e-9)
+
+
+def _plus_a_billionth_past_one(original):
+    return lambda r: original(r) + 1e-9 * (r > 1)
+
+
 def _ml_without_its_shift(original):
     return verify.saddle.bivar_asym_log
+
+
+def _less_a_hundredth_per_row(original):
+    return lambda n, k: original(n, k) - 0.01 * n
+
+
+def _less_a_tenth(original):
+    return lambda *args: original(*args) - 0.1
 
 
 def _order_ignored(original):
@@ -117,13 +137,28 @@ def _rho_off_by_a_thousandth(original):
         ),
         ("criterion_oracle_equivalence", "oracle.count_vesztergombi", _plus_one, "vesztergombi(0,0)=2 != B=1"),
         ("criterion_formula_identities", "stirling2_explicit", _plus_one, "S(0,0) mismatch"),
+        ("criterion_formula_identities", "poly_bernoulli", _plus_one_above_the_diagonal, "B(0,1) asymmetric"),
         ("criterion_saddle_layer", "saddle.saddle_point", _swapped_direction, "critical equation at (1,2)"),
+        ("criterion_saddle_layer", "saddle.f_inverse", _times_one_plus_a_billionth, "f_inverse(1) != log 2"),
+        ("criterion_saddle_layer", "saddle.f_inverse", _plus_a_billionth_past_one, "variety identity at r="),
         ("criterion_specialization", "saddle.ml_asym_log", _ml_without_its_shift, "acsv vs ml at (1,1): "),
         (
             "criterion_asymptotic_accuracy",
             "saddle.diag_asym_log",
             _order_ignored,
             "order 2 not strictly closer at k=10",
+        ),
+        (
+            "criterion_asymptotic_accuracy",
+            "saddle.ml_asym_log",
+            _less_a_hundredth_per_row,
+            "ml errors not decreasing along (2t,3t): ",
+        ),
+        (
+            "criterion_asymptotic_accuracy",
+            "saddle.ml_asym_log",
+            _less_a_tenth,
+            "ml error at t=16 is 0.1085 > 0.05",
         ),
         (
             "criterion_quadrature",

@@ -209,6 +209,10 @@ RAISES = {
         "parseval_b(-1, QuadratureSpec(64))", "laplace_integral_diag(-1, QuadratureSpec(8))",
     ),
     (ValueError, "^dimensions must be nonnegative$"): ("count_vesztergombi(-1, 2)",),
+    (ValueError, "^matrix dimensions must be nonnegative$"): (
+        "count_lonesum(-1, 2)", "count_gamma_free(2, -1)", "count_acyclic_orientations(-1, 0)",
+        "count_lonesum_restricted(-1, 2, False, True)",
+    ),
     (ValueError, r"^k=11 outside 0\.\.10$"): ("ml_scaled_coefficient(10, 11)",),
     (ValueError, r"^k=-1 outside 0\.\.10$"): ("ml_scaled_coefficient(10, -1)",),
     (GuardError, "^k=21 exceeds parseval guard 20$"): ("parseval_b(21, QuadratureSpec(64))",),
