@@ -53,14 +53,11 @@ def test_section_prints_its_committed_bytes(digest, count, argv):
 
 
 if __name__ == "__main__":
-    lines = []
-    for line in DIGESTS.read_text(encoding="utf-8").splitlines():
-        if line and not line.startswith("#"):
-            argv = line.split(" ", 2)[2]
-            code, out = _run(argv)
-            if code != 0:
-                raise SystemExit(f"polybern {argv} exited {code}; {DIGESTS.name} left as it was")
-            count = out.count(b"\n")
-            line = f"{hashlib.sha256(out).hexdigest()} {count} {argv}"
-        lines.append(line)
+    lines = [line for line in DIGESTS.read_text(encoding="utf-8").splitlines() if line.startswith("#")]
+    for _, _, argv in _sections():
+        code, out = _run(argv)
+        if code != 0:
+            raise SystemExit(f"polybern {argv} exited {code}; {DIGESTS.name} left as it was")
+        count = out.count(b"\n")
+        lines.append(f"{hashlib.sha256(out).hexdigest()} {count} {argv}")
     DIGESTS.write_text("\n".join(lines) + "\n", encoding="utf-8")
