@@ -26,14 +26,20 @@ _TAIL_RATIO = 1e-8
 # stays finite below it.
 _MAX_ROW = 10**300
 
+# The shift pair (dn, dk) of each Gaussian sequence, as the exact layer
+# and the estimators take it.
+_SHIFTS = {"B": POLY_BERNOULLI_GF, "D": ML_DEGREE_GF}
+
 
 @dataclass(frozen=True)
 class GaussianParams:
     """Constants of one limiting Gaussian density.
 
     rho is the exponential scaling rate, amplitude/mean_rate/variance_rate
-    the density constants, prefactor the sequence-specific multiple of the
-    density (1 for B, exp(-1)(1 - exp(-1)) for D).
+    the density constants, prefactor the sequence's multiple of the
+    density: exp(-(1 - dn) rho - (1 - dk)) for its shift pair (dn, dk), the
+    generating function's numerator at the pole (rho, 1). That is 1 for B
+    and exp(-1)(1 - exp(-1)) for D.
     """
 
     rho: float
@@ -86,7 +92,8 @@ def gaussian_params(which: str) -> GaussianParams:
     amplitude = math.e / ((1.0 - log_em1) * (math.e - 1.0))
     mean_rate = amplitude / math.e
     variance_rate = mean_rate**2 * log_em1
-    prefactor = 1.0 if which == "B" else math.exp(-1.0) * (1.0 - math.exp(-1.0))
+    dn, dk = _SHIFTS[which]
+    prefactor = math.exp(-(1 - dn) * rho - (1 - dk))
     return GaussianParams(
         rho=rho,
         amplitude=amplitude,
@@ -181,7 +188,7 @@ def lclt_rows(n: int, which: str, window: float | None = None) -> tuple[list[Row
     if not 2 <= n <= SCALED_N_GUARD:
         raise GuardError(f"n={n} outside 2..{SCALED_N_GUARD}")
     p = gaussian_params(which)
-    counts = _shifted_row(n, window_limit(n, p), *(POLY_BERNOULLI_GF if which == "B" else ML_DEGREE_GF))
+    counts = _shifted_row(n, window_limit(n, p), *_SHIFTS[which])
     log_rate, log_n_factorial = n * math.log(p.rho), math.lgamma(n + 1)
     rows = []
     for k, count in enumerate(counts):

@@ -10,19 +10,19 @@ width min(n, k). A permutation is placed one position at a time, each
 from its own range, and the state is the mask of values used (the bitmask
 permanent recurrence). Each sweep checks its own size guard first.
 
-The matrix counters share one sweep per row test and width. It grows a
-row at a time as taller shapes ask for it, and every shape of that width,
-and its transpose, reads the census of its height: the matrices by
-(no zero row, no zero column), at most four ints, whose sum is the plain
-count and each restricted count a part of it. A sweep keeps its current
-layer until the guard height.
+The matrix counters share one sweep per row test and width, kept in one
+table. It grows a row at a time as taller shapes ask for it, and every
+shape of that width, and its transpose, reads the census of its height:
+the matrices by (no zero row, no zero column), at most four ints, whose
+sum is the plain count and each restricted count a part of it. A sweep
+keeps its current layer until the guard height.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Collection, Hashable, Iterable, Mapping, Sequence
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import ge, or_
 from types import MappingProxyType
 
@@ -60,42 +60,16 @@ def _census(layer: Layer, full: int) -> Census:
     return MappingProxyType(census)
 
 
-class _Sweep:
-    # Every matrix of `width`-bit rows, each row fitting the rows above it,
-    # grown one row at a time as taller shapes ask for it. `fits` must read
-    # the rows above only as a set, which is the state. The sweep keeps its
-    # current layer and, per height reached, that layer's census. At the
-    # guard height no shape reads further, so the layer is dropped there.
-    # Growing holds the lock, so two threads cannot add the same row twice.
-
-    def __init__(self, fits: RowTest, width: int) -> None:
-        rows = range(1 << width)
-        self._grow = lambda above: (above | {row} for row in rows if fits(above, row))
-        self._full = rows[-1]
-        self._guard = MATRIX_GUARD // max(width, 1)
-        self._layer: Layer | None = {frozenset(): 1}
-        self._censuses = [_census(self._layer, self._full)]
-        self._lock = threading.Lock()
-
-    def _add_row(self) -> None:
-        layer = _tally(self._layer, self._grow)
-        self._censuses.append(_census(layer, self._full))
-        self._layer = layer if len(self._censuses) <= self._guard else None
-
-    def census(self, height: int) -> Census:
-        with self._lock:
-            while len(self._censuses) <= height:
-                self._add_row()
-        return self._censuses[height]
-
-
 # One sweep per row test and width: three tests at widths 0 to 5, since no
-# wider shape fits the guard, so every sweep the counters use stays cached.
-# Their layers take about 0.4 MB after verify's criterion 1, and at most
-# about 5 MB, with every sweep one row below its guard (tracemalloc).
-@lru_cache(maxsize=18)
-def _sweep(fits: RowTest, width: int) -> _Sweep:
-    return _Sweep(fits, width)
+# wider shape fits the guard. Each entry is [layer, censuses]: the sweep's
+# current layer and, per height reached, that layer's census. At the guard
+# height no shape reads further, so the layer is dropped there. The table
+# takes about 0.42 MB after verify's criterion 1 and 0.14 MB once every shape
+# is asked, and at most about 5.0 MB, with every sweep one row below its
+# guard (tracemalloc). All growth holds the one lock, so each layer is built
+# once even when threads ask for the same sweep.
+_sweeps: dict[tuple[RowTest, int], list] = {}
+_sweeps_lock = threading.Lock()
 
 
 def _swept(n: int, k: int, fits: RowTest) -> Census:
@@ -103,13 +77,26 @@ def _swept(n: int, k: int, fits: RowTest) -> Census:
     # read from the sweep of max(n, k) rows of min(n, k) bits: the matrix
     # or its transpose, so the property must be closed under transpose and
     # for n < k the census's flags are the transpose's, (no zero column, no
-    # zero row).
+    # zero row). `fits` must read the rows above only as a set, which is the
+    # state.
     _check_ints("dimensions must be ints", n, k)
     if n < 0 or k < 0:
         raise ValueError("matrix dimensions must be nonnegative")
     if max(n, k, n * k) > MATRIX_GUARD:
         raise GuardError(f"{n}x{k} exceeds enumeration guard {MATRIX_GUARD} on n*k or a side")
-    return _sweep(fits, min(n, k)).census(max(n, k))
+    width, height = min(n, k), max(n, k)
+    rows = range(1 << width)
+    with _sweeps_lock:
+        if (fits, width) not in _sweeps:
+            empty: Layer = {frozenset(): 1}
+            _sweeps[fits, width] = [empty, [_census(empty, rows[-1])]]
+        sweep = _sweeps[fits, width]
+        censuses = sweep[1]
+        while len(censuses) <= height:
+            layer = _tally(sweep[0], lambda above: (above | {row} for row in rows if fits(above, row)))
+            censuses.append(_census(layer, rows[-1]))
+            sweep[0] = layer if len(censuses) <= MATRIX_GUARD // max(width, 1) else None
+        return censuses[height]
 
 
 def _comparable(rows: Collection[int], row: int) -> bool:

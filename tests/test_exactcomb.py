@@ -1,6 +1,9 @@
 """Exact integer layer: closed-form counts, identities, and guards."""
 
 import math
+import random
+import sys
+import threading
 
 import pytest
 
@@ -292,3 +295,35 @@ def test_table_growth_is_transparent():
     big = poly_bernoulli(90, 90)
     assert poly_bernoulli(3, 3) == small
     assert big > 0
+
+
+def test_threads_growing_the_triangle_read_the_same_numbers(monkeypatch):
+    # Each thread grows the triangle from its first row, asking in its own
+    # order, while the interpreter switches threads as often as it can.
+    asks = [(n, m) for n in range(0, 301, 7) for m in sorted({0, 1, n // 2, n}) if m <= n]
+    expected = {ask: stirling2_explicit(*ask) for ask in asks}
+    failures = []
+
+    def ask(seed):
+        order = asks.copy()
+        random.Random(seed).shuffle(order)
+        try:
+            for n, m in order:
+                if stirling2(n, m) != expected[n, m]:
+                    failures.append((n, m))
+        except Exception as exc:  # reported below, in the test's own thread
+            failures.append(exc)
+
+    monkeypatch.setattr(exactcomb, "_rows", [[1]])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []

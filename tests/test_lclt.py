@@ -45,9 +45,7 @@ def test_gaussian_constants_printed_digits(field, digits):
 
 def test_prefactors():
     assert gaussian_params("B").prefactor == 1.0
-    assert gaussian_params("D").prefactor == pytest.approx(
-        math.exp(-1.0) * (1.0 - math.exp(-1.0)), rel=1e-15
-    )
+    assert gaussian_params("D").prefactor == math.exp(-1.0) * (1.0 - math.exp(-1.0))
 
 
 def test_gaussian_params_shared_shape():

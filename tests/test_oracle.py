@@ -124,23 +124,21 @@ def test_census_is_read_only():
 
 
 def record_layers(monkeypatch):
-    # Patches the sweep to note (row test, width, height) for each layer it
-    # builds, and empties the sweep cache so that every layer is built anew.
-    keys = {}
+    # Wraps the sweep reader to note (row test, width, height) for each layer
+    # a call builds, and empties the sweep table so that every layer is built
+    # anew.
     built = []
-    init, add_row = oracle._Sweep.__init__, oracle._Sweep._add_row
+    swept = oracle._swept
 
-    def noted_init(sweep, fits, width):
-        init(sweep, fits, width)
-        keys[sweep] = fits.__name__, width
+    def noted_swept(n, k, fits):
+        key = fits, min(n, k)
+        before = len(oracle._sweeps[key][1]) if key in oracle._sweeps else 1
+        census = swept(n, k, fits)
+        built.extend((fits.__name__, key[1], height) for height in range(before, len(oracle._sweeps[key][1])))
+        return census
 
-    def noted_add_row(sweep):
-        add_row(sweep)
-        built.append((*keys[sweep], len(sweep._censuses) - 1))
-
-    monkeypatch.setattr(oracle._Sweep, "__init__", noted_init)
-    monkeypatch.setattr(oracle._Sweep, "_add_row", noted_add_row)
-    oracle._sweep.cache_clear()
+    monkeypatch.setattr(oracle, "_swept", noted_swept)
+    oracle._sweeps.clear()
     return built
 
 
@@ -187,17 +185,17 @@ def test_criterion_1_builds_each_layer_once(monkeypatch):
 
 
 def test_the_sweep_drops_its_layer_at_the_guard():
-    oracle._sweep.cache_clear()
+    oracle._sweeps.clear()
     count_acyclic_orientations(3, 9)
-    sweep = oracle._sweep(oracle._acyclic_with, 3)
-    assert sweep._layer is not None
+    sweep = oracle._sweeps[oracle._acyclic_with, 3]
+    assert sweep[0] is not None
     assert count_acyclic_orientations(10, 3) == poly_bernoulli(10, 3)
-    assert sweep._layer is None and len(sweep._censuses) == 11
+    assert sweep[0] is None and len(sweep[1]) == 11
 
 
 @pytest.mark.parametrize("count", [count_lonesum, lambda n, k: count_lonesum_restricted(n, k, True, True)])
 def test_census_cache_refuses_what_the_sweep_refuses(count):
-    # The sweep cache is keyed by width and 1.0 hashes as 1, so the int
+    # The sweep table is keyed by width and 1.0 hashes as 1, so the int
     # check must come before the sweep is looked up.
     count(1, 1)
     with pytest.raises(ValueError, match="dimensions must be ints"):
@@ -359,6 +357,11 @@ def test_every_census_gives_the_relatives_inside_the_guard():
             parts = [sum(ways for flags, ways in census.items() if flags[i]) for i in (1, 0)]
             expected = c_relative(n, k), c_relative(k, n), ml_degree(n, k)
             assert (*parts, census.get((True, True), 0)) == expected, (fits.__name__, n, k)
+    # The table is bounded as the shapes are: one sweep per row test at
+    # widths 0 to 5, each asked up to its guard height and so without a layer.
+    assert len(oracle._sweeps) == 18
+    assert set(oracle._sweeps) == {(fits, width) for _, fits in SWEEPS for width in range(6)}
+    assert all(layer is None for layer, _ in oracle._sweeps.values())
 
 
 ORDERS = {
@@ -374,7 +377,7 @@ ORDERS = {
 def test_request_order_does_not_matter(shapes, order):
     # Each draw starts from empty sweeps, so a layer built for one shape
     # is read by the shapes after it in the drawn order.
-    oracle._sweep.cache_clear()
+    oracle._sweeps.clear()
     for n, k in ORDERS[order](shapes):
         assert_counters_enumerate(n, k)
 
@@ -397,7 +400,7 @@ def test_threads_sharing_the_sweeps_read_the_same_counts():
         except Exception as exc:  # reported below, in the test's own thread
             failures.append(exc)
 
-    oracle._sweep.cache_clear()
+    oracle._sweeps.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
