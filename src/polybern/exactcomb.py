@@ -116,20 +116,26 @@ def _shifted_sum(n: int, k: int, dn: int, dk: int) -> Count:
     return total
 
 
+def _u_row(n: int, delta: int) -> list[Count]:
+    # u_delta(n) = (m! S(n+delta, m+delta)) for m = 0..n, Kaneko's coefficient
+    # row (1997); it reads row n+delta, so its caller checks the table guard.
+    stirling = _stirling_rows(n + delta)[n + delta]
+    row = []
+    factorial = 1  # m!
+    for m in range(n + 1):
+        row.append(factorial * stirling[m + delta])
+        factorial *= m + 1
+    return row
+
+
 def _shifted_row(n: int, top: int, dn: int, dk: int) -> list[Count]:
     # _shifted_sum(n, k, dn, dk) for k = 0..top from the single Stirling
-    # row n+1-dn: sum_j (-1)^(n-j) j! S(n+1-dn, j+1-dn) (j+dk)^k, Kaneko's
+    # row n+1-dn: sum_j (-1)^(n-j) u_{1-dn}(n)_j (j+dk)^k, Kaneko's
     # one-row form of B at (1,1). Step k -> k+1 multiplies term j by the
     # small int j+dk, so a whole row costs about one triangle sum; for a
     # single value the triangle sum is faster.
     _check_table_guard(n, top)
-    stirling = _stirling_rows(n + 1 - dn)[n + 1 - dn]
-    terms = []
-    factorial = 1  # j!
-    for j in range(n + 1):
-        term = factorial * stirling[j + 1 - dn]
-        terms.append(-term if (n - j) % 2 else term)
-        factorial *= j + 1
+    terms = [-u if (n - j) % 2 else u for j, u in enumerate(_u_row(n, 1 - dn))]
     bases = range(dk, n + 1 + dk)
     row = [sum(terms)]
     for _ in range(top):

@@ -85,7 +85,7 @@ def _square_gap(k: float, centre: float) -> float:
 
 def gaussian_params(which: str) -> GaussianParams:
     """Limit constants for sequence 'B' or 'D'; closed forms, no fitting."""
-    if which not in ("B", "D"):
+    if not isinstance(which, str) or which not in _SHIFTS:  # a list would raise TypeError
         raise ValueError(f"which must be 'B' or 'D', got {which!r}")
     log_em1 = math.log(math.e - 1.0)
     rho = 1.0 - log_em1

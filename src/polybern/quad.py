@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .exactcomb import GuardError, LogEstimate, _check_ints, stirling2
+from .exactcomb import GuardError, LogEstimate, _check_ints, _u_row
 from .saddle import _solve
 
 TWO_PI = 2.0 * math.pi
@@ -53,11 +53,6 @@ def _check_k(k: int, guard: int, rule: str) -> None:
         raise GuardError(f"k={k} exceeds {rule} guard {guard}")
 
 
-def _u_coefficients(k: int) -> list[float]:
-    # m! S(k+1,m+1) for m = 0..k; parseval_b reads them once for all nodes.
-    return [float(math.factorial(m) * stirling2(k + 1, m + 1)) for m in range(k + 1)]
-
-
 def _horner(coeffs: list[complex] | list[float], y: complex) -> complex:
     acc = 0j
     for c in reversed(coeffs):
@@ -82,7 +77,7 @@ def parseval_b(k: int, spec: QuadratureSpec) -> float:
     if spec.nodes < 2 * k + 4:
         raise GuardError(f"nodes={spec.nodes} below exactness bound {2 * k + 4}")
     # complex coefficients, so that Horner adds no float-to-complex promotion
-    coeffs = [complex(c) for c in _u_coefficients(k)]
+    coeffs = [complex(u) for u in _u_row(k, 1)]
     # |u| is even in phi (real coefficients)
     terms = [abs(_horner(coeffs, y)) ** 2 for y in _half_circle(spec.nodes)]
     return _fold(terms[0] + terms[-1], terms[1:-1], spec.nodes)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import lclt, oracle, quad, saddle
 from .exactcomb import (
+    _u_row,
     c_relative,
     log_of_count,
     ml_degree,
@@ -65,10 +66,6 @@ def criterion_oracle_equivalence() -> CriterionResult:
     return _result(1, "oracle-equivalence", failures, shapes)
 
 
-def _diagonal_square_sum(k: int) -> int:
-    return sum((math.factorial(m) * stirling2(k + 1, m + 1)) ** 2 for m in range(k + 1))
-
-
 def criterion_formula_identities() -> CriterionResult:
     """Exact identities among the closed-form counts."""
     # (failure text, grid, left side, right side), built per call as in criterion 1
@@ -80,7 +77,7 @@ def criterion_formula_identities() -> CriterionResult:
         ("S({},{}) mismatch", [(n, m) for n in range(41) for m in range(n + 1)],
          stirling2, stirling2_explicit),
         ("diagonal square sum k={}", [(k,) for k in range(41)],
-         _diagonal_square_sum, lambda k: poly_bernoulli(k, k)),
+         lambda k: sum(u * u for u in _u_row(k, 1)), lambda k: poly_bernoulli(k, k)),
     )
     failures = [
         text.format(*args) for text, grid, lhs, rhs in identities for args in grid if lhs(*args) != rhs(*args)

@@ -72,6 +72,10 @@ def _plus_one_above_the_diagonal(original):
     return lambda n, k: original(n, k) + (n < k)
 
 
+def _last_coefficient_plus_one(original):
+    return lambda n, delta: [*original(n, delta)[:-1], original(n, delta)[-1] + 1]
+
+
 def _swapped_direction(original):
     return lambda n, k: original(k, n)
 
@@ -138,6 +142,7 @@ def _rho_off_by_a_thousandth(original):
         ("criterion_oracle_equivalence", "oracle.count_vesztergombi", _plus_one, "vesztergombi(0,0)=2 != B=1"),
         ("criterion_formula_identities", "stirling2_explicit", _plus_one, "S(0,0) mismatch"),
         ("criterion_formula_identities", "poly_bernoulli", _plus_one_above_the_diagonal, "B(0,1) asymmetric"),
+        ("criterion_formula_identities", "_u_row", _last_coefficient_plus_one, "diagonal square sum k=0"),
         ("criterion_saddle_layer", "saddle.saddle_point", _swapped_direction, "critical equation at (1,2)"),
         ("criterion_saddle_layer", "saddle.f_inverse", _times_one_plus_a_billionth, "f_inverse(1) != log 2"),
         ("criterion_saddle_layer", "saddle.f_inverse", _plus_a_billionth_past_one, "variety identity at r="),

@@ -172,6 +172,8 @@ RAISES = {
     # the names are 'B', 'D' and 'ML' exactly, as the CLI offers them
     (ValueError, "^which must be 'B' or 'D', got 'b'$"): ("lclt_rows(20, 'b')", "gaussian_params('b')"),
     (ValueError, "^which must be 'B' or 'D', got 'd'$"): ("lclt_rows(20, 'd')",),
+    # an unhashable name is refused by the same message, not by TypeError
+    (ValueError, r"^which must be 'B' or 'D', got \[\]$"): ("lclt_rows(20, [])", "gaussian_params([])"),
     (ValueError, "^which must be 'B' or 'D', got 'ml'$"): (
         "lclt_rows(20, 'ml')", "lclt_discrepancy(20, 'ml')",
     ),

@@ -273,6 +273,20 @@ def test_shifted_row_b_has_kanekos_coefficients(n):
     assert exactcomb._shifted_row(n, n, 1, 1) == expected
 
 
+@pytest.mark.parametrize("delta", [0, 1])
+def test_u_row_is_factorials_times_a_stirling_row(delta):
+    for n in [*range(41), 255, 511]:
+        expected = [math.factorial(m) * stirling2(n + delta, m + delta) for m in range(n + 1)]
+        assert exactcomb._u_row(n, delta) == expected
+
+
+def test_u_row_reaches_the_top_of_the_triangle():
+    # u_1(512) reads row 513, the last the table guard lets B(512, k) read.
+    row = exactcomb._u_row(512, 1)
+    assert len(row) == 513
+    assert row[-1] == math.factorial(512)
+
+
 def _forward_shifted_sum(n, k, dn, dk):
     # The sum term by term from m = 0 up, carrying the weight (m!)^2.
     rows = exactcomb._stirling_rows(max(n + dn, k + dk))

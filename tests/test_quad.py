@@ -6,13 +6,12 @@ import re
 
 import pytest
 
-from polybern.exactcomb import GuardError, log_of_count, poly_bernoulli
+from polybern.exactcomb import GuardError, _u_row, log_of_count, poly_bernoulli
 from polybern.quad import (
     NODES_GUARD,
     QuadratureSpec,
     _horner,
     _laplace_log,
-    _u_coefficients,
     laplace_integral_diag,
     parseval_b,
     residue_integral_b,
@@ -143,7 +142,7 @@ def test_residue_doubling_is_stable():
 
 
 def _full_parseval(k, nodes):
-    coeffs = _u_coefficients(k)
+    coeffs = [float(u) for u in _u_row(k, 1)]
     return sum(abs(_horner(coeffs, cmath.exp(1j * (2 * math.pi * j / nodes)))) ** 2 for j in range(nodes)) / nodes
 
 
@@ -224,7 +223,7 @@ def _nodewise_parseval(k, nodes):
     # each root j = 0..N/2 from its angle, not from the residue rule's
     # table of unit roots
     two_pi = 2.0 * math.pi
-    coeffs = _u_coefficients(k)
+    coeffs = [float(u) for u in _u_row(k, 1)]
     terms = [abs(_horner(coeffs, cmath.exp(1j * (two_pi * j / nodes)))) ** 2 for j in range(nodes // 2 + 1)]
     return (terms[0] + terms[-1] + 2.0 * math.fsum(terms[1:-1])) / nodes
 
