@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -288,12 +289,16 @@ def test_u_row_reaches_the_top_of_the_triangle():
 
 
 def _forward_shifted_sum(n, k, dn, dk):
-    # The sum term by term from m = 0 up, carrying the weight (m!)^2.
-    rows = exactcomb._stirling_rows(max(n + dn, k + dk))
+    # The sum term by term from m = 0 up, carrying the weight (m!)^2. The
+    # rows come through the triangle's accessor, which derives the odd rows
+    # above 256; stirling2 cannot stand in, as row 513 is past its guard.
+    width = min(n, k) + 1
+    top = exactcomb._stirling_row(n + dn, width + dn)
+    side = exactcomb._stirling_row(k + dk, width + dk)
     total = 0
     square = 1
-    for m in range(min(n, k) + 1):
-        total += square * rows[n + dn][m + dn] * rows[k + dk][m + dk]
+    for m in range(width):
+        total += square * top[m + dn] * side[m + dk]
         square *= (m + 1) * (m + 1)
     return total
 
@@ -302,6 +307,49 @@ def _forward_shifted_sum(n, k, dn, dk):
 @pytest.mark.parametrize("n,k", [(512, 512), (512, 0), (0, 512), (511, 256), (300, 511), (1, 1)])
 def test_nested_sum_equals_the_forward_sum(n, k, dn, dk):
     assert exactcomb._shifted_sum(n, k, dn, dk) == _forward_shifted_sum(n, k, dn, dk)
+
+
+def _odd_rows_kept_above_256():
+    return [r for r, row in enumerate(exactcomb._rows) if r > 256 and r % 2 and row is not None]
+
+
+def test_the_triangle_keeps_only_the_even_rows_above_256(monkeypatch):
+    # Growth to 301 ends on an odd row; growth on to 513 starts from it.
+    monkeypatch.setattr(exactcomb, "_rows", [[1]])
+    tracemalloc.start()
+    try:
+        exactcomb._stirling_rows(301)
+        assert _odd_rows_kept_above_256() == []
+        exactcomb._stirling_rows(513)
+        table_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(exactcomb._rows) == 514
+    assert _odd_rows_kept_above_256() == []
+    # 25.4 MiB when the triangle kept every row.
+    assert table_bytes < 16 * 2**20
+    for n in (257, 301, 511):
+        for m in (0, 1, 2, n // 4, n // 2, n - 1, n):
+            assert stirling2(n, m) == stirling2_explicit(n, m), (n, m)
+    # Reference rows by the plain recurrence, one at a time; u_delta(n) reads
+    # row n + delta, derived wherever that row is odd and above 256.
+    row = [1]
+    for r in range(1, 514):
+        row = [0] + [m * row[m] + row[m - 1] for m in range(1, r)] + [1]
+        if r > 256 and r % 2:
+            for delta in (0, 1):
+                n = r - delta
+                if n <= exactcomb.TABLE_GUARD:
+                    expected = [math.factorial(m) * row[m + delta] for m in range(n + 1)]
+                    assert exactcomb._u_row(n, delta) == expected, (n, delta)
+
+
+@pytest.mark.parametrize("top", [511, 512])
+def test_arakawa_kaneko_alternating_sum_vanishes_at_the_guard(top):
+    # sum_l (-1)^l B(N-l, l) = 0 for N >= 1 (Arakawa and Kaneko). The terms
+    # read rows 1..N+1 of both parities; at N = 512 a B one too large
+    # wherever min(n, k) > 40 leaves the sum at -1.
+    assert sum((-1) ** ell * poly_bernoulli(top - ell, ell) for ell in range(top + 1)) == 0
 
 
 def test_table_growth_is_transparent():
