@@ -309,23 +309,19 @@ def test_nested_sum_equals_the_forward_sum(n, k, dn, dk):
     assert exactcomb._shifted_sum(n, k, dn, dk) == _forward_shifted_sum(n, k, dn, dk)
 
 
-def _odd_rows_kept_above_256():
-    return [r for r, row in enumerate(exactcomb._rows) if r > 256 and r % 2 and row is not None]
-
-
 def test_the_triangle_keeps_only_the_even_rows_above_256(monkeypatch):
     # Growth to 301 ends on an odd row; growth on to 513 starts from it.
     monkeypatch.setattr(exactcomb, "_rows", [[1]])
     tracemalloc.start()
     try:
         exactcomb._stirling_rows(301)
-        assert _odd_rows_kept_above_256() == []
+        assert all(row is None for row in exactcomb._rows[257::2])
         exactcomb._stirling_rows(513)
         table_bytes = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len(exactcomb._rows) == 514
-    assert _odd_rows_kept_above_256() == []
+    assert all(row is None for row in exactcomb._rows[257::2])
     # 25.4 MiB when the triangle kept every row.
     assert table_bytes < 16 * 2**20
     for n in (257, 301, 511):
