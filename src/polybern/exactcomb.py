@@ -19,14 +19,11 @@ Count = int
 LogEstimate = float
 
 # Largest n or k a caller may pass to the exact tables. B(n, k) and C(n, k)
-# read row n + 1, so the triangle reaches at most row TABLE_GUARD + 1. It
-# keeps every row up to _DENSE_ROWS and above that only the even ones.
+# read row n + 1, so the triangle reaches at most row TABLE_GUARD + 1.
 TABLE_GUARD = 512
 
-# The top of the triangle's every-row part. An odd row above it is one
-# recurrence step from the even row below, derived when read: row 257 in
-# about 40 us, row 513 in 0.13 ms, 3% of B(512, 512). Rows 0..513 take
-# 14.4 MiB kept this way, 25.4 MiB all kept (tracemalloc, Python 3.11).
+# The triangle keeps every row up to here and only the even rows above:
+# rows 0..513 take 14.4 MiB so, 25.4 MiB all kept (tracemalloc, Python 3.11).
 _DENSE_ROWS = 256
 
 # Largest n or k ml_degree_inclusion_exclusion takes. Its n+1 rows of B each
@@ -39,9 +36,7 @@ class GuardError(ValueError):
     """A size guard was exceeded (table bound or enumeration bound)."""
 
 
-# _rows[n] is the row S(n, 0..n), or None for an odd n above _DENSE_ROWS.
-# Growth extends a copy and rebinds the name instead of mutating the list,
-# so a reader holding the old list keeps a valid triangle.
+# The Stirling triangle, read and grown by _stirling_row alone.
 _rows: list[list[Count] | None] = [[1]]
 
 
@@ -74,28 +69,23 @@ def _step(prev: list[Count], width: int) -> list[Count]:
     return row
 
 
-def _stirling_rows(n: int) -> list[list[Count] | None]:
-    # The triangle through row n, grown by the two-term recurrence.
+def _stirling_row(r: int, width: int) -> list[Count]:
+    # A row whose first `width` entries are S(r, 0..width-1), read by
+    # stirling2 and the sums. _rows[r] is the row S(r, 0..r), or None for an
+    # odd r above _DENSE_ROWS: that row is one recurrence step from the row
+    # below, derived `width` wide and local to the call (row 257 in about
+    # 40 us, row 513 in 0.13 ms, 3% of B(512, 512)). Growth extends a copy
+    # and rebinds the name instead of mutating the list, so a reader holding
+    # the old list keeps a valid triangle and no lock is needed.
     global _rows
     rows = _rows
-    if n < len(rows):
-        return rows
-    rows = rows.copy()
-    prev = rows[-1] or _step(rows[-2], len(rows))
-    for size in range(len(rows), n + 1):
-        prev = _step(prev, size + 1)
-        rows.append(None if size > _DENSE_ROWS and size % 2 else prev)
-    _rows = rows
-    return rows
-
-
-def _stirling_row(r: int, width: int) -> list[Count]:
-    # A row whose first `width` entries are S(r, 0..width-1): the stored row,
-    # or an odd row above _DENSE_ROWS derived that wide from the row below,
-    # local to the call. stirling2 and the sums read the triangle here.
-    rows = _rows
     if r >= len(rows):
-        rows = _stirling_rows(r)
+        rows = rows.copy()
+        prev = rows[-1] or _step(rows[-2], len(rows))
+        for size in range(len(rows), r + 1):
+            prev = _step(prev, size + 1)
+            rows.append(None if size > _DENSE_ROWS and size % 2 else prev)
+        _rows = rows
     row = rows[r]
     if row is None:
         row = _step(rows[r - 1], width)

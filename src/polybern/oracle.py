@@ -114,6 +114,7 @@ def is_lonesum(rows: Sequence[int]) -> bool:
 
     The matrix is given as its rows, each a bitmask of its set columns.
     """
+    rows = list(rows)  # an iterator is read once, before the int check
     _check_ints("rows must be ints", *rows)
     rows = [int(r) for r in rows]  # a bool reads as its int; ~ on a bool is deprecated
     if any(r < 0 for r in rows):

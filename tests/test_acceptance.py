@@ -15,6 +15,7 @@ import time
 import pytest
 
 from polybern import exactcomb, verify
+from test_exactcomb import misweighted_shifted_sum
 
 
 def _report(result):
@@ -216,14 +217,7 @@ def test_criterion_2_catches_a_wrong_weight(monkeypatch):
     # (m+1)(m+2) in place of (m+1)^2 in the nested sum of B, C and D keeps
     # B symmetric, so the first check to see it is the inclusion-exclusion,
     # whose B has no weight.
-    def misweighted(n, k, dn, dk):
-        rows = exactcomb._stirling_rows(max(n + dn, k + dk))
-        total = 0
-        for m in range(min(n, k), -1, -1):
-            total = total * ((m + 1) * (m + 2)) + rows[n + dn][m + dn] * rows[k + dk][m + dk]
-        return total
-
-    monkeypatch.setattr(exactcomb, "_shifted_sum", misweighted)
+    monkeypatch.setattr(exactcomb, "_shifted_sum", misweighted_shifted_sum)
     result = verify.criterion_formula_identities()
     assert not result.passed
     assert result.detail.split("; ")[0] == "D(1,1) != inclusion-exclusion"

@@ -105,19 +105,29 @@ def test_inclusion_exclusion_agrees():
             assert ml_degree_inclusion_exclusion(n, k) == ml_degree(n, k)
 
 
-def _misweighted_shifted_sum(n, k, dn, dk):
-    # The nested sum with (m+1)(m+2) in place of (m+1)^2 per step.
-    rows = exactcomb._stirling_rows(max(n + dn, k + dk))
-    total = 0
-    for m in range(min(n, k), -1, -1):
-        total = total * ((m + 1) * (m + 2)) + rows[n + dn][m + dn] * rows[k + dk][m + dk]
-    return total
+def mutant_shifted_sum(weight=lambda m: (m + 1) * (m + 1), slip=lambda m: 0):
+    # A stand-in for exactcomb._shifted_sum: its nested sum, with weight(m)
+    # in place of the (m+1)^2 per step and slip(m) added to term m.
+    def shifted_sum(n, k, dn, dk):
+        low = min(n, k)
+        top = exactcomb._stirling_row(n + dn, low + 1 + dn)
+        side = exactcomb._stirling_row(k + dk, low + 1 + dk)
+        total = 0
+        for m in range(low, -1, -1):
+            total = total * weight(m) + top[m + dn] * side[m + dk] + slip(m)
+        return total
+
+    return shifted_sum
+
+
+# The nested sum with (m+1)(m+2) in place of (m+1)^2 per step.
+misweighted_shifted_sum = mutant_shifted_sum(weight=lambda m: (m + 1) * (m + 2))
 
 
 def test_inclusion_exclusion_catches_a_wrong_weight(monkeypatch):
     # The weight would cancel if B came from the same nested sum as D; the
     # inclusion-exclusion reads B by rows from Kaneko's form, which has none.
-    monkeypatch.setattr(exactcomb, "_shifted_sum", _misweighted_shifted_sum)
+    monkeypatch.setattr(exactcomb, "_shifted_sum", misweighted_shifted_sum)
     for n in range(1, 8):
         for k in range(1, 8):
             assert ml_degree_inclusion_exclusion(n, k) != ml_degree(n, k), (n, k)
@@ -314,9 +324,9 @@ def test_the_triangle_keeps_only_the_even_rows_above_256(monkeypatch):
     monkeypatch.setattr(exactcomb, "_rows", [[1]])
     tracemalloc.start()
     try:
-        exactcomb._stirling_rows(301)
+        exactcomb._stirling_row(301, 1)
         assert all(row is None for row in exactcomb._rows[257::2])
-        exactcomb._stirling_rows(513)
+        exactcomb._stirling_row(513, 1)
         table_bytes = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -343,9 +353,30 @@ def test_the_triangle_keeps_only_the_even_rows_above_256(monkeypatch):
 @pytest.mark.parametrize("top", [511, 512])
 def test_arakawa_kaneko_alternating_sum_vanishes_at_the_guard(top):
     # sum_l (-1)^l B(N-l, l) = 0 for N >= 1 (Arakawa and Kaneko). The terms
-    # read rows 1..N+1 of both parities; at N = 512 a B one too large
-    # wherever min(n, k) > 40 leaves the sum at -1.
-    assert sum((-1) ** ell * poly_bernoulli(top - ell, ell) for ell in range(top + 1)) == 0
+    # read rows 1..N+1 of both parities.
+    assert _alternating_sum(top) == 0
+
+
+def _alternating_sum(top):
+    return sum((-1) ** ell * poly_bernoulli(top - ell, ell) for ell in range(top + 1))
+
+
+def _one_too_large_above_40(n, k, dn, dk, shifted_sum=exactcomb._shifted_sum):
+    return shifted_sum(n, k, dn, dk) + (min(n, k) > 40)
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [_one_too_large_above_40, mutant_shifted_sum(slip=lambda m: m > 40)],
+    ids=["value-above-40", "term-above-40"],
+)
+def test_the_alternating_sum_sees_an_error_past_criterion_2(monkeypatch, mutant):
+    # B one too large wherever min(n, k) > 40, or each of its terms with
+    # m > 40 one too large: criterion 2 reads n, k <= 40 and misses both.
+    # N = 512, since the sum pairs l with N - l, and for an odd N the two
+    # terms have opposite signs, so the added ones cancel.
+    monkeypatch.setattr(exactcomb, "_shifted_sum", mutant)
+    assert _alternating_sum(512) != 0
 
 
 def test_table_growth_is_transparent():

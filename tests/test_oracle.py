@@ -53,6 +53,15 @@ def test_is_lonesum_nested_rows():
     assert is_lonesum(from_rows([[1, 1], [1, 0]]))
 
 
+@pytest.mark.parametrize("rows,expected", [([0b11, 0b01], True), ([0b01, 0b10], False)], ids=["lonesum", "not"])
+@pytest.mark.parametrize(
+    "form", [list, tuple, iter, lambda rows: (row for row in rows)], ids=["list", "tuple", "iterator", "generator"]
+)
+def test_is_lonesum_reads_any_iterable_of_rows(rows, expected, form):
+    # An iterator or generator is read once, so its rows reach the test.
+    assert is_lonesum(form(rows)) is expected
+
+
 @pytest.mark.parametrize("rows", [[-3, 5], [-1, 1], [0, -1], [True, -2]])
 def test_is_lonesum_refuses_a_negative_row(rows):
     # A negative int has no bitmask of set columns: -1 would read as a row

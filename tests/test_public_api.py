@@ -87,3 +87,20 @@ def test_the_int_check_is_spelled_once():
                 if any("must be an int" in text or "must be ints" in text for text in texts):
                     spelled.append(f"{path.name}:{node.lineno}")
     assert spelled == []
+
+
+def test_the_stirling_triangle_has_one_owner():
+    # exactcomb._stirling_row alone grows, stores and reads _rows, so the
+    # rule of which rows it keeps lives in one function; the module-level
+    # assignment is no function and is exempt
+    owners = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(c, ast.Name) and c.id == "_rows"
+                or isinstance(c, ast.Attribute) and c.attr == "_rows"
+                or isinstance(c, ast.Global) and "_rows" in c.names
+                for c in ast.walk(node)
+            ):
+                owners.add(f"{path.stem}.{node.name}")
+    assert owners == {"exactcomb._stirling_row"}
