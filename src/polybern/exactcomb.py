@@ -76,20 +76,22 @@ def _stirling_row(r: int, width: int) -> list[Count]:
     # below, derived `width` wide and local to the call (row 257 in about
     # 40 us, row 513 in 0.13 ms, 3% of B(512, 512)). Growth extends a copy
     # and rebinds the name instead of mutating the list, so a reader holding
-    # the old list keeps a valid triangle and no lock is needed.
+    # the old list keeps a valid triangle and no lock is needed. A read that
+    # grows the table returns the top row it has just computed, whole.
     global _rows
     rows = _rows
-    if r >= len(rows):
-        rows = rows.copy()
-        prev = rows[-1] or _step(rows[-2], len(rows))
-        for size in range(len(rows), r + 1):
-            prev = _step(prev, size + 1)
-            rows.append(None if size > _DENSE_ROWS and size % 2 else prev)
-        _rows = rows
-    row = rows[r]
-    if row is None:
-        row = _step(rows[r - 1], width)
-    return row
+    if r < len(rows):
+        row = rows[r]
+        if row is None:
+            row = _step(rows[r - 1], width)
+        return row
+    rows = rows.copy()
+    prev = rows[-1] or _step(rows[-2], len(rows))
+    for size in range(len(rows), r + 1):
+        prev = _step(prev, size + 1)
+        rows.append(None if size > _DENSE_ROWS and size % 2 else prev)
+    _rows = rows
+    return prev
 
 
 def stirling2(n: int, m: int) -> Count:

@@ -21,7 +21,7 @@ keeps its current layer until the guard height.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Collection, Hashable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Hashable, Iterable, Mapping
 from functools import reduce
 from operator import ge, or_
 from types import MappingProxyType
@@ -109,7 +109,7 @@ def _comparable(rows: Collection[int], row: int) -> bool:
     return True
 
 
-def is_lonesum(rows: Sequence[int]) -> bool:
+def is_lonesum(rows: Iterable[int]) -> bool:
     """True iff no 2x2 submatrix equals (1,0 / 0,1) or (0,1 / 1,0).
 
     The matrix is given as its rows, each a bitmask of its set columns.

@@ -1,10 +1,10 @@
 """Golden outputs: every section of tests/cli_digests.txt prints its committed bytes.
 
 Each line of that file is the sha256 of one `polybern` command's stdout,
-its line count, and the command's arguments. CI builds its cross-version
-file from the same lines and checks the same digests on every Python it
-runs. When a change alters output on purpose, rewrite the file from the
-changed tree and commit it with the change:
+its line count, and the command's arguments. This test is the file's one
+reader; CI runs it with the rest of tier-1 on every Python it supports,
+so the same digests hold on each. When a change alters output on purpose,
+rewrite the file from the changed tree and commit it with the change:
 
     PYTHONPATH=src python tests/test_cli_digests.py
 """

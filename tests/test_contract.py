@@ -10,7 +10,7 @@ import signal
 import types
 import typing
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable
 
 import pytest
 from hypothesis import example, given, settings
@@ -61,8 +61,9 @@ def _strategy(hint):
         return st.sampled_from([v for v in INTS if 8 <= v <= quad.NODES_GUARD and v % 2 == 0]).map(hint)
     if origin is tuple:  # a shift pair: each entry 0 or 1 in the domain
         return st.tuples(*[st.sampled_from([0, 1])] * len(args)) | st.tuples(*map(_strategy, args))
-    if origin is Sequence:
-        return st.lists(_strategy(args[0]), max_size=4)
+    if origin is Iterable:  # lists, tuples and fresh iterators, each read once
+        items = st.lists(_strategy(args[0]), max_size=4)
+        return items | items.map(tuple) | items.map(iter)
     if origin in (types.UnionType, typing.Union):  # 3.10 hints a None default as Optional
         return st.one_of([st.none() if a is type(None) else _strategy(a) for a in args])
     raise TypeError(f"no strategy for {hint!r}")

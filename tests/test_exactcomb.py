@@ -350,6 +350,25 @@ def test_the_triangle_keeps_only_the_even_rows_above_256(monkeypatch):
                     assert exactcomb._u_row(n, delta) == expected, (n, delta)
 
 
+def test_growth_computes_each_row_once(monkeypatch):
+    # Growth from row 0 to the odd row 301 takes one recurrence step per
+    # row, 301 in all, and the read returns the top row it grew instead of
+    # deriving it again from the row below. Each step is logged by the
+    # length of the row it starts from.
+    steps = []
+    step = exactcomb._step
+
+    def counted(prev, width):
+        steps.append(len(prev))
+        return step(prev, width)
+
+    monkeypatch.setattr(exactcomb, "_step", counted)
+    monkeypatch.setattr(exactcomb, "_rows", [[1]])
+    row = exactcomb._stirling_row(301, 1)
+    assert steps == list(range(1, 302))
+    assert row[:3] == [0, 1, 2**300 - 1]
+
+
 @pytest.mark.parametrize("top", [511, 512])
 def test_arakawa_kaneko_alternating_sum_vanishes_at_the_guard(top):
     # sum_l (-1)^l B(N-l, l) = 0 for N >= 1 (Arakawa and Kaneko). The terms
