@@ -14,7 +14,6 @@ import math
 import sys
 from collections.abc import Sequence
 
-from . import lclt, oracle, quad, saddle, verify
 from .exactcomb import GuardError, c_relative, log_of_count, ml_degree, poly_bernoulli
 
 EXIT_OK = 0
@@ -23,21 +22,25 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 
 
-# sequence -> (exact count, smooth-point estimator), for `exact --seq` and
-# `asym --target` alike.
+# sequence -> (exact count, the name of its smooth-point estimator in
+# saddle), for `exact --seq` and `asym --target` alike. This table and
+# _ORACLES name their saddle and oracle functions instead of holding them:
+# each command imports its own layers when it runs, so that `exact` loads
+# no layer but exactcomb.
 _FAMILY = {
-    "B": (poly_bernoulli, saddle.bivar_asym_log),
-    "C": (c_relative, saddle.excedance_asym_log),
-    "D": (ml_degree, saddle.ml_asym_log),
+    "B": (poly_bernoulli, "bivar_asym_log"),
+    "C": (c_relative, "excedance_asym_log"),
+    "D": (ml_degree, "ml_asym_log"),
 }
 
-# oracle name -> (brute-force counter, the formula it checks), for `oracle --which`.
+# oracle name -> (the name of its brute-force counter in oracle, the formula
+# it checks), for `oracle --which`.
 _ORACLES = {
-    "lonesum": (oracle.count_lonesum, poly_bernoulli),
-    "gamma": (oracle.count_gamma_free, poly_bernoulli),
-    "orient": (oracle.count_acyclic_orientations, poly_bernoulli),
-    "veszt": (oracle.count_vesztergombi, poly_bernoulli),
-    "excedance": (oracle.count_excedance_word, c_relative),
+    "lonesum": ("count_lonesum", poly_bernoulli),
+    "gamma": ("count_gamma_free", poly_bernoulli),
+    "orient": ("count_acyclic_orientations", poly_bernoulli),
+    "veszt": ("count_vesztergombi", poly_bernoulli),
+    "excedance": ("count_excedance_word", c_relative),
 }
 
 # header, rows, and named trailer records (name -> field -> value)
@@ -113,7 +116,10 @@ def _run_exact(args: argparse.Namespace) -> _Table:
 
 
 def _run_oracle(args: argparse.Namespace) -> _Table:
-    oracle_fn, formula_fn = _ORACLES[args.which]
+    from . import oracle
+
+    oracle_name, formula_fn = _ORACLES[args.which]
+    oracle_fn = getattr(oracle, oracle_name)
     rows: list[Sequence[object]] = []
     for n in args.n:
         for k in args.k:
@@ -124,7 +130,10 @@ def _run_oracle(args: argparse.Namespace) -> _Table:
 
 
 def _run_asym(args: argparse.Namespace) -> _Table:
-    count, estimate = _FAMILY[args.target]
+    from . import saddle
+
+    count, estimator = _FAMILY[args.target]
+    estimate = getattr(saddle, estimator)
     rows: list[Sequence[object]] = []
     for n in args.n:
         for k in args.k:
@@ -140,6 +149,8 @@ def _run_asym(args: argparse.Namespace) -> _Table:
 
 
 def _run_quad(args: argparse.Namespace) -> _Table:
+    from . import quad, saddle
+
     if args.which != "residue" and args.n is not None:
         raise ValueError(f"quad --which {args.which} takes no --n")
     if args.which == "residue" and args.n is None:
@@ -170,6 +181,8 @@ def _run_quad(args: argparse.Namespace) -> _Table:
 
 
 def _run_lclt(args: argparse.Namespace) -> _Table:
+    from . import lclt
+
     rows, report = lclt.lclt_rows(args.n, args.which, args.window)
     trailer = {"n": report.n, "sup": report.sup, "argmax_k": report.argmax_k}
     return ["k", "scaled", "reference"], rows, {"discrepancy": trailer}
@@ -213,6 +226,8 @@ def _write(output: str | None, text: str) -> None:
 
 
 def _run_verify() -> int:
+    from . import verify
+
     results = verify.run_all()
     for line in verify.report_lines(results):
         sys.stdout.write(line + "\n")

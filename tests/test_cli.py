@@ -310,16 +310,36 @@ def test_repeat_runs_identical(capsys):
     assert first == second
 
 
-def test_importing_the_cli_does_not_load_json():
-    # json costs milliseconds of every cold start, and only --format json
-    # uses it
+# What a command loads only when it uses it: json (--format json), the
+# layers other than exactcomb, and dataclasses, which those layers import.
+ON_FIRST_USE = (
+    "json", "dataclasses", "polybern.saddle", "polybern.quad", "polybern.lclt", "polybern.oracle",
+    "polybern.verify",
+)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import polybern, polybern.cli",
+        "from polybern.cli import main; main(['exact', '--seq', 'B', '--n', '3', '--k', '3'])",
+    ],
+    ids=["import", "exact"],
+)
+def test_the_cli_loads_only_what_its_command_uses(code):
+    # every command starts a fresh interpreter, whose imports cost more than
+    # the counts `exact` prints
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, polybern.cli; print('json' in sys.modules)"],
+        [sys.executable, "-c", f"{code}\nimport sys; print(*sorted(sys.modules))"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert [m for m in loaded if m in ON_FIRST_USE] == []
+    assert [m for m in loaded if m.partition(".")[0] == "polybern"] == [
+        "polybern", "polybern.cli", "polybern.exactcomb",
+    ]
 
 
 def test_console_script_entry_point():

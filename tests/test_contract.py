@@ -118,7 +118,8 @@ def test_every_public_function_is_finite_or_value_error(call):
     assert _finite(value), value
 
 
-NAMESPACE = {**vars(exactcomb), **vars(lclt), **vars(polybern)}
+# the root binds a name only once it is read, so read every exported name
+NAMESPACE = {**vars(exactcomb), **vars(lclt), **{name: getattr(polybern, name) for name in polybern.__all__}}
 NAMESPACE.update(B=lclt.gaussian_params("B"), inf=math.inf, nan=math.nan)
 
 # (exception, message pattern) -> the calls that raise it

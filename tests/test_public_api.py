@@ -4,6 +4,8 @@ import ast
 import doctest
 import importlib
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,8 +40,43 @@ def test_readme_command_runs(capsys, argv):
     assert capsys.readouterr().out
 
 
+def _top_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    yield target.id
+
+
 def test_every_exported_name_exists():
     assert all(hasattr(polybern, name) for name in polybern.__all__)
+    # the root loads each layer on first use: an exported name is the very
+    # object the one layer that defines it holds
+    homes = {}
+    for path in SOURCES:
+        for name in _top_level_names(ast.parse(path.read_text(encoding="utf-8"))):
+            homes.setdefault(name, []).append(path.stem)
+    for name in polybern.__all__:
+        if name != "__version__":
+            [home] = homes[name]
+            assert getattr(polybern, name) is getattr(importlib.import_module(f"polybern.{home}"), name)
+    assert set(polybern.__all__) <= set(dir(polybern))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        polybern.no_such_name
+    namespace = {}
+    exec("from polybern import *", namespace)
+    assert all(namespace[name] is getattr(polybern, name) for name in polybern.__all__)
+    # in a fresh interpreter a name is bound when first read, and a layer
+    # is an attribute of the root, as when the root imported them all
+    code = (
+        "import polybern as pb; "
+        "print(pb.quad.__name__, 'f_dir' in vars(pb), pb.f_dir.__module__, 'f_dir' in vars(pb))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "polybern.quad False polybern.saddle True\n"
 
 
 def test_every_public_definition_is_used_or_exported():
