@@ -22,13 +22,15 @@ LogEstimate = float
 # read row n + 1, so the triangle reaches at most row TABLE_GUARD + 1.
 TABLE_GUARD = 512
 
-# The triangle keeps every row up to here and only the even rows above:
-# rows 0..513 take 14.4 MiB so, 25.4 MiB all kept (tracemalloc, Python 3.11).
+# The triangle keeps every row up to here and one row in four above (r % 4
+# == 0): rows 0..513 take 8.96 MiB so, 14.4 MiB with every even row kept and
+# 25.4 MiB with every row (tracemalloc, Python 3.11).
 _DENSE_ROWS = 256
 
-# Largest n or k ml_degree_inclusion_exclusion takes. Its n+1 rows of B each
-# cost about one triangle sum, so its time grows steeply: 0.021 s at (64, 64),
-# 0.16 s at (120, 120) and 1.6 s at (240, 240) (Python 3.11, x86-64).
+# Largest n or k ml_degree_inclusion_exclusion takes. It reads n+1 rows of B,
+# each costing about 45 triangle sums at n = 64, so its time grows steeply:
+# 0.021 s at (64, 64), 0.16 s at (120, 120) and 1.6 s at (240, 240) (Python
+# 3.11, x86-64).
 IE_GUARD = 64
 
 
@@ -71,27 +73,34 @@ def _step(prev: list[Count], width: int) -> list[Count]:
 
 def _stirling_row(r: int, width: int) -> list[Count]:
     # A row whose first `width` entries are S(r, 0..width-1), read by
-    # stirling2 and the sums. _rows[r] is the row S(r, 0..r), or None for an
-    # odd r above _DENSE_ROWS: that row is one recurrence step from the row
-    # below, derived `width` wide and local to the call (row 257 in about
-    # 40 us, row 513 in 0.13 ms, 3% of B(512, 512)). Growth extends a copy
-    # and rebinds the name instead of mutating the list, so a reader holding
-    # the old list keeps a valid triangle and no lock is needed. A read that
-    # grows the table returns the top row it has just computed, whole.
+    # stirling2 and the sums. _rows[r] is the row S(r, 0..r), or None above
+    # _DENSE_ROWS where r % 4 != 0: that row is derived from the kept row
+    # r - r % 4, one to three recurrence steps `width` wide and local to the
+    # call (one step takes about 40 us at row 257 and 0.13 ms at row 513).
+    # Growth starts from the top kept row, computes each row above it once,
+    # extends a copy and rebinds the name instead of mutating the list, so a
+    # reader holding the old list keeps a valid triangle and no lock is
+    # needed. A read that grows the table returns the top row it has just
+    # computed, whole.
     global _rows
     rows = _rows
     if r < len(rows):
         row = rows[r]
         if row is None:
-            row = _step(rows[r - 1], width)
+            row = rows[r - r % 4]
+            for _ in range(r % 4):
+                row = _step(row, width)
         return row
-    rows = rows.copy()
-    prev = rows[-1] or _step(rows[-2], len(rows))
-    for size in range(len(rows), r + 1):
-        prev = _step(prev, size + 1)
-        rows.append(None if size > _DENSE_ROWS and size % 2 else prev)
+    known = len(rows) - 1
+    if rows[known] is None:
+        known -= known % 4
+    rows = rows[: known + 1]
+    row = rows[known]
+    for size in range(known + 1, r + 1):
+        row = _step(row, size + 1)
+        rows.append(None if size > _DENSE_ROWS and size % 4 else row)
     _rows = rows
-    return prev
+    return row
 
 
 def stirling2(n: int, m: int) -> Count:
@@ -131,7 +140,10 @@ def _shifted_sum(n: int, k: int, dn: int, dk: int) -> Count:
     # weight is a small multiplier and each term costs one big product.
     _check_table_guard(n, k)
     low = min(n, k)
-    top, side = _stirling_row(n + dn, low + 1 + dn), _stirling_row(k + dk, low + 1 + dk)
+    top = _stirling_row(n + dn, low + 1 + dn)
+    # On a diagonal such as B(k, k) both sides read one row, and dn >= dk,
+    # so the row already read is wide enough: a derived row is derived once.
+    side = top if n + dn == k + dk else _stirling_row(k + dk, low + 1 + dk)
     total = 0
     for m in range(low, -1, -1):
         total = total * ((m + 1) * (m + 1)) + top[m + dn] * side[m + dk]
@@ -154,8 +166,11 @@ def _shifted_row(n: int, top: int, dn: int, dk: int) -> list[Count]:
     # _shifted_sum(n, k, dn, dk) for k = 0..top from the single Stirling
     # row n+1-dn: sum_j (-1)^(n-j) u_{1-dn}(n)_j (j+dk)^k, Kaneko's
     # one-row form of B at (1,1). Step k -> k+1 multiplies term j by the
-    # small int j+dk, so a whole row costs about one triangle sum; for a
-    # single value the triangle sum is faster.
+    # small int j+dk. A whole row costs as much as 45-70 triangle sums at
+    # its top k, but only 26-80% of its values summed one by one (B, top = n
+    # = 64 and 256, and n = 500 with top = 512; Python 3.11, x86-64): so
+    # lclt and the inclusion-exclusion, which need every k, read rows, and
+    # a single value keeps the triangle sum.
     _check_table_guard(n, top)
     terms = [-u if (n - j) % 2 else u for j, u in enumerate(_u_row(n, 1 - dn))]
     bases = range(dk, n + 1 + dk)

@@ -319,35 +319,93 @@ def test_nested_sum_equals_the_forward_sum(n, k, dn, dk):
     assert exactcomb._shifted_sum(n, k, dn, dk) == _forward_shifted_sum(n, k, dn, dk)
 
 
-def test_the_triangle_keeps_only_the_even_rows_above_256(monkeypatch):
-    # Growth to 301 ends on an odd row; growth on to 513 starts from it.
+def _plain_rows(top):
+    # S(r, 0..r) for r = 0..top by the plain recurrence, one row at a time.
+    row = [1]
+    yield row
+    for r in range(1, top + 1):
+        row = [0] + [m * row[m] + row[m - 1] for m in range(1, r)] + [1]
+        yield row
+
+
+def _assert_one_row_in_four_kept_above_256():
+    rows = exactcomb._rows
+    assert all(row is not None for row in rows[:257])
+    assert all((row is None) == bool(r % 4) for r, row in enumerate(rows) if r > 256)
+
+
+def test_the_triangle_keeps_one_row_in_four_above_256(monkeypatch):
+    # Growth to 301 ends on a row it does not keep; growth on to 513 starts
+    # from the kept row 300 below it.
     monkeypatch.setattr(exactcomb, "_rows", [[1]])
     tracemalloc.start()
     try:
         exactcomb._stirling_row(301, 1)
-        assert all(row is None for row in exactcomb._rows[257::2])
+        assert len(exactcomb._rows) == 302
+        _assert_one_row_in_four_kept_above_256()
         exactcomb._stirling_row(513, 1)
         table_bytes = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len(exactcomb._rows) == 514
-    assert all(row is None for row in exactcomb._rows[257::2])
-    # 25.4 MiB when the triangle kept every row.
-    assert table_bytes < 16 * 2**20
-    for n in (257, 301, 511):
+    _assert_one_row_in_four_kept_above_256()
+    # 8.96 MiB measured; 14.4 MiB with every even row kept, 25.4 MiB with
+    # every row.
+    assert table_bytes < 10 * 2**20
+    for n in (257, 258, 259, 260, 301, 511, 512):
         for m in (0, 1, 2, n // 4, n // 2, n - 1, n):
             assert stirling2(n, m) == stirling2_explicit(n, m), (n, m)
-    # Reference rows by the plain recurrence, one at a time; u_delta(n) reads
-    # row n + delta, derived wherever that row is odd and above 256.
-    row = [1]
-    for r in range(1, 514):
-        row = [0] + [m * row[m] + row[m - 1] for m in range(1, r)] + [1]
-        if r > 256 and r % 2:
+    # u_delta(n) reads row n + delta, derived from the kept row below
+    # wherever it is not kept.
+    for r, row in enumerate(_plain_rows(513)):
+        if r > 256:
             for delta in (0, 1):
                 n = r - delta
                 if n <= exactcomb.TABLE_GUARD:
                     expected = [math.factorial(m) * row[m + delta] for m in range(n + 1)]
                     assert exactcomb._u_row(n, delta) == expected, (n, delta)
+
+
+def _logged_steps(monkeypatch):
+    # Logs each recurrence step by the length of the row it starts from and
+    # the width it is asked for.
+    steps = []
+    step = exactcomb._step
+
+    def logged(prev, width):
+        steps.append((len(prev), width))
+        return step(prev, width)
+
+    monkeypatch.setattr(exactcomb, "_step", logged)
+    return steps
+
+
+def test_a_read_above_256_takes_at_most_three_steps_at_its_width(monkeypatch):
+    # A row the table does not keep is r % 4 steps from the kept row below,
+    # each as wide as the reader asks; the kept rows take none.
+    monkeypatch.setattr(exactcomb, "_rows", [[1]])
+    exactcomb._stirling_row(513, 1)
+    steps = _logged_steps(monkeypatch)
+    for r, expected in enumerate(_plain_rows(513)):
+        if r <= 256:
+            continue
+        for width in (1, r // 2, r + 1):
+            steps.clear()
+            row = exactcomb._stirling_row(r, width)
+            assert len(steps) == r % 4, (r, width)
+            assert all(asked == width for _, asked in steps), (r, width)
+            assert row[:width] == expected[:width], (r, width)
+
+
+def test_a_diagonal_sum_reads_its_one_row_once(monkeypatch):
+    # B(510, 510) reads row 511, 512 wide, for both sides: three steps from
+    # row 508, not six.
+    monkeypatch.setattr(exactcomb, "_rows", [[1]])
+    exactcomb._stirling_row(513, 1)
+    steps = _logged_steps(monkeypatch)
+    value = poly_bernoulli(510, 510)
+    assert steps == [(509, 512), (510, 512), (511, 512)]
+    assert value == _forward_shifted_sum(510, 510, 1, 1)
 
 
 def test_growth_computes_each_row_once(monkeypatch):
