@@ -22,10 +22,12 @@ LogEstimate = float
 # read row n + 1, so the triangle reaches at most row TABLE_GUARD + 1.
 TABLE_GUARD = 512
 
-# The triangle keeps every row up to here and one row in four above (r % 4
-# == 0): rows 0..513 take 8.96 MiB so, 14.4 MiB with every even row kept and
-# 25.4 MiB with every row (tracemalloc, Python 3.11).
-_DENSE_ROWS = 256
+# The triangle keeps every row up to here, and past it row r when r % s == 0
+# for a stride s that doubles each time r doubles: 2 on rows 129..256, 4 on
+# 257..512. Rows 0..513 take 7.52 MiB so, 8.96 MiB with one row in four kept
+# above 256 and every row below, and 25.4 MiB with every row (tracemalloc,
+# Python 3.11); the table grows x4, not x8, each time its top row doubles.
+_DENSE_ROWS = 128
 
 # Largest n or k ml_degree_inclusion_exclusion takes. It reads n+1 rows of B,
 # each costing about 45 triangle sums at n = 64, so its time grows steeply:
@@ -73,32 +75,40 @@ def _step(prev: list[Count], width: int) -> list[Count]:
 
 def _stirling_row(r: int, width: int) -> list[Count]:
     # A row whose first `width` entries are S(r, 0..width-1), read by
-    # stirling2 and the sums. _rows[r] is the row S(r, 0..r), or None above
-    # _DENSE_ROWS where r % 4 != 0: that row is derived from the kept row
-    # r - r % 4, one to three recurrence steps `width` wide and local to the
-    # call (one step takes about 40 us at row 257 and 0.13 ms at row 513).
-    # Growth starts from the top kept row, computes each row above it once,
-    # extends a copy and rebinds the name instead of mutating the list, so a
-    # reader holding the old list keeps a valid triangle and no lock is
-    # needed. A read that grows the table returns the top row it has just
-    # computed, whole.
+    # stirling2 and the sums. _rows[r] is the row S(r, 0..r), or None where
+    # the stride rule at _DENSE_ROWS does not keep it: that row is derived
+    # from the kept row r - r % s below, r % s recurrence steps `width` wide
+    # and local to the call. A step costs about r^2 and the sum that reads
+    # the row about r^3, so a stride that grows with r keeps the derived
+    # row's share of a read level. One step takes about 14 us at row 129,
+    # 35 us at 257 and 0.11 ms at 513; a single B or D value costs about 11%
+    # more on rows 129..255 and 15% more on 257..511 than with every row
+    # kept. Growth starts from the top kept row, computes each row above it
+    # once, extends a copy and rebinds the name instead of mutating the
+    # list, so a reader holding the old list keeps a valid triangle and no
+    # lock is needed. A read that grows the table returns the top row it
+    # has just computed, whole.
     global _rows
     rows = _rows
     if r < len(rows):
         row = rows[r]
         if row is None:
-            row = rows[r - r % 4]
-            for _ in range(r % 4):
+            known = r - 1
+            while rows[known] is None:
+                known -= 1
+            row = rows[known]
+            for _ in range(r - known):
                 row = _step(row, width)
         return row
     known = len(rows) - 1
-    if rows[known] is None:
-        known -= known % 4
+    while rows[known] is None:
+        known -= 1
     rows = rows[: known + 1]
     row = rows[known]
     for size in range(known + 1, r + 1):
         row = _step(row, size + 1)
-        rows.append(None if size > _DENSE_ROWS and size % 4 else row)
+        stride = 1 << ((size - 1) // _DENSE_ROWS).bit_length()
+        rows.append(None if size % stride else row)
     _rows = rows
     return row
 

@@ -328,13 +328,18 @@ def _plain_rows(top):
         yield row
 
 
-def _assert_one_row_in_four_kept_above_256():
+def _stride(r):
+    # The table keeps row r when r % _stride(r) == 0: the stride doubles
+    # each time the row doubles past 128.
+    return 1 if r <= 128 else 2 if r <= 256 else 4 if r <= 512 else 8
+
+
+def _assert_the_stride_rule_keeps_the_rows():
     rows = exactcomb._rows
-    assert all(row is not None for row in rows[:257])
-    assert all((row is None) == bool(r % 4) for r, row in enumerate(rows) if r > 256)
+    assert all((row is None) == bool(r % _stride(r)) for r, row in enumerate(rows))
 
 
-def test_the_triangle_keeps_one_row_in_four_above_256(monkeypatch):
+def test_the_triangle_keeps_the_rows_its_stride_divides(monkeypatch):
     # Growth to 301 ends on a row it does not keep; growth on to 513 starts
     # from the kept row 300 below it.
     monkeypatch.setattr(exactcomb, "_rows", [[1]])
@@ -342,23 +347,23 @@ def test_the_triangle_keeps_one_row_in_four_above_256(monkeypatch):
     try:
         exactcomb._stirling_row(301, 1)
         assert len(exactcomb._rows) == 302
-        _assert_one_row_in_four_kept_above_256()
+        _assert_the_stride_rule_keeps_the_rows()
         exactcomb._stirling_row(513, 1)
         table_bytes = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len(exactcomb._rows) == 514
-    _assert_one_row_in_four_kept_above_256()
-    # 8.96 MiB measured; 14.4 MiB with every even row kept, 25.4 MiB with
-    # every row.
-    assert table_bytes < 10 * 2**20
-    for n in (257, 258, 259, 260, 301, 511, 512):
+    _assert_the_stride_rule_keeps_the_rows()
+    # 7.52 MiB measured; 8.96 MiB with every row to 256 and one in four
+    # above, 14.4 MiB with every even row above 256, 25.4 MiB with every row.
+    assert table_bytes < 8 * 2**20
+    for n in (128, 129, 130, 131, 256, 257, 258, 259, 260, 301, 511, 512):
         for m in (0, 1, 2, n // 4, n // 2, n - 1, n):
             assert stirling2(n, m) == stirling2_explicit(n, m), (n, m)
     # u_delta(n) reads row n + delta, derived from the kept row below
     # wherever it is not kept.
     for r, row in enumerate(_plain_rows(513)):
-        if r > 256:
+        if r > 128:
             for delta in (0, 1):
                 n = r - delta
                 if n <= exactcomb.TABLE_GUARD:
@@ -380,19 +385,17 @@ def _logged_steps(monkeypatch):
     return steps
 
 
-def test_a_read_above_256_takes_at_most_three_steps_at_its_width(monkeypatch):
-    # A row the table does not keep is r % 4 steps from the kept row below,
-    # each as wide as the reader asks; the kept rows take none.
+def test_a_read_takes_its_distance_from_the_kept_row_in_steps_at_its_width(monkeypatch):
+    # A row the table does not keep is r % _stride(r) steps from the kept
+    # row below, each as wide as the reader asks; the kept rows take none.
     monkeypatch.setattr(exactcomb, "_rows", [[1]])
     exactcomb._stirling_row(513, 1)
     steps = _logged_steps(monkeypatch)
     for r, expected in enumerate(_plain_rows(513)):
-        if r <= 256:
-            continue
         for width in (1, r // 2, r + 1):
             steps.clear()
             row = exactcomb._stirling_row(r, width)
-            assert len(steps) == r % 4, (r, width)
+            assert len(steps) == r % _stride(r), (r, width)
             assert all(asked == width for _, asked in steps), (r, width)
             assert row[:width] == expected[:width], (r, width)
 
@@ -442,18 +445,46 @@ def _one_too_large_above_40(n, k, dn, dk, shifted_sum=exactcomb._shifted_sum):
     return shifted_sum(n, k, dn, dk) + (min(n, k) > 40)
 
 
-@pytest.mark.parametrize(
+# B, C and D one too large wherever min(n, k) > 40, or each term of the sum
+# with m > 40 one too large: criterion 2 reads n, k <= 40 and misses both.
+mutants_past_criterion_2 = pytest.mark.parametrize(
     "mutant",
     [_one_too_large_above_40, mutant_shifted_sum(slip=lambda m: m > 40)],
     ids=["value-above-40", "term-above-40"],
 )
+
+
+@mutants_past_criterion_2
 def test_the_alternating_sum_sees_an_error_past_criterion_2(monkeypatch, mutant):
-    # B one too large wherever min(n, k) > 40, or each of its terms with
-    # m > 40 one too large: criterion 2 reads n, k <= 40 and misses both.
     # N = 512, since the sum pairs l with N - l, and for an odd N the two
     # terms have opposite signs, so the added ones cancel.
     monkeypatch.setattr(exactcomb, "_shifted_sum", mutant)
     assert _alternating_sum(512) != 0
+
+
+def _fermat_congruences_hold():
+    # For a prime p, S(p, m) = 0 (mod p) for 1 < m < p, so only the m = 0
+    # and m = 1 terms of the sums survive: B(p, k) = 2^k, C(p, k) = 1 and
+    # D(p, k) = [k >= 1] (mod p) for k = 0..p (Brewbaker 2008 for B). The
+    # primes put p and p + 1 on both sides of rows 128 and 256. B at 509
+    # reads row 510 and, at every third k, rows k + 1 of each residue mod 4
+    # up to 508; every k took 0.9-1.2 s against 0.6 s (Python 3.11, x86-64).
+    # Stops at the first miss.
+    return all(
+        poly_bernoulli(p, k) % p == pow(2, k, p) and c_relative(p, k) % p == 1 and ml_degree(p, k) % p == (k >= 1)
+        for p in (127, 131, 251, 257)
+        for k in range(p + 1)
+    ) and all(poly_bernoulli(509, k) % 509 == pow(2, k, 509) for k in range(0, 510, 3))
+
+
+def test_fermat_congruences_hold_in_every_stride_band():
+    assert _fermat_congruences_hold()
+
+
+@mutants_past_criterion_2
+def test_the_fermat_congruences_see_an_error_past_criterion_2(monkeypatch, mutant):
+    monkeypatch.setattr(exactcomb, "_shifted_sum", mutant)
+    assert not _fermat_congruences_hold()
 
 
 def test_table_growth_is_transparent():
