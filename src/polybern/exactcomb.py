@@ -82,7 +82,7 @@ def _stirling_row(r: int, width: int) -> list[Count]:
     # the row about r^3, so a stride that grows with r keeps the derived
     # row's share of a read level. One step takes about 14 us at row 129,
     # 35 us at 257 and 0.11 ms at 513; a single B or D value costs about 11%
-    # more on rows 129..255 and 15% more on 257..511 than with every row
+    # more on rows 129..255 and 17% more on 257..511 than with every row
     # kept. Growth starts from the top kept row, computes each row above it
     # once, extends a copy and rebinds the name instead of mutating the
     # list, so a reader holding the old list keeps a valid triangle and no

@@ -468,8 +468,8 @@ def _fermat_congruences_hold():
     # D(p, k) = [k >= 1] (mod p) for k = 0..p (Brewbaker 2008 for B). The
     # primes put p and p + 1 on both sides of rows 128 and 256. B at 509
     # reads row 510 and, at every third k, rows k + 1 of each residue mod 4
-    # up to 508; every k took 0.9-1.2 s against 0.6 s (Python 3.11, x86-64).
-    # Stops at the first miss.
+    # up to 508: with every k there this test took 0.9-1.2 s, against 0.6 s
+    # (Python 3.11, x86-64). Stops at the first miss.
     return all(
         poly_bernoulli(p, k) % p == pow(2, k, p) and c_relative(p, k) % p == 1 and ml_degree(p, k) % p == (k >= 1)
         for p in (127, 131, 251, 257)
