@@ -219,6 +219,20 @@ def test_log_of_count_huge():
         float(value)
 
 
+def test_log_of_count_is_the_two_branch_formula_bit_for_bit():
+    # The float log of a count of at most 53 bits, else the log of its
+    # 53-bit head plus shift * log 2, at every width to 600 bits and on
+    # both sides of each power of two.
+    for b in range(1, 601):
+        for c in (2**b - 1, 2**b, 2**b + 1):
+            nb = c.bit_length()
+            if nb <= 53:
+                expected = math.log(c)
+            else:
+                expected = math.log(c >> (nb - 53)) + (nb - 53) * math.log(2.0)
+            assert log_of_count(c).hex() == expected.hex(), c
+
+
 def test_guard_trip_leaves_rows_unchanged(monkeypatch):
     rows = exactcomb._rows
     size = len(rows)
