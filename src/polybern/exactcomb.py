@@ -75,41 +75,38 @@ def _step(prev: list[Count], width: int) -> list[Count]:
 
 def _stirling_row(r: int, width: int) -> list[Count]:
     # A row whose first `width` entries are S(r, 0..width-1), read by
-    # stirling2 and the sums. _rows[r] is the row S(r, 0..r), or None where
-    # the stride rule at _DENSE_ROWS does not keep it: that row is derived
-    # from the kept row r - r % s below, r % s recurrence steps `width` wide
-    # and local to the call. A step costs about r^2 and the sum that reads
-    # the row about r^3, so a stride that grows with r keeps the derived
-    # row's share of a read level. One step takes about 14 us at row 129,
-    # 35 us at 257 and 0.11 ms at 513; a single B or D value costs about 11%
-    # more on rows 129..255 and 17% more on 257..511 than with every row
-    # kept. Growth starts from the top kept row, computes each row above it
-    # once, extends a copy and rebinds the name instead of mutating the
-    # list, so a reader holding the old list keeps a valid triangle and no
-    # lock is needed. A read that grows the table returns the top row it
-    # has just computed, whole.
+    # stirling2 and the sums. _rows[r] is the row S(r, 0..r), returned as
+    # it is, or None where the stride rule at _DENSE_ROWS does not keep it.
+    # Any other read walks down once to the nearest kept row: inside the
+    # table it derives row r from there in r % s recurrence steps `width`
+    # wide, local to the call; past the top it grows the table from there.
+    # A step costs about r^2 and the sum that reads the row about r^3, so a
+    # stride that grows with r keeps the derived row's share of a read
+    # level. One step takes about 14 us at row 129, 35 us at 257 and 0.11 ms
+    # at 513; a single B or D value costs about 11% more on rows 129..255
+    # and 17% more on 257..511 than with every row kept. Growth computes
+    # each row above the kept row once, extends a copy and rebinds the name
+    # instead of mutating the list, so a reader holding the old list keeps
+    # a valid triangle and no lock is needed. A read that grows the table
+    # returns the top row it has just computed, whole.
     global _rows
     rows = _rows
-    if r < len(rows):
-        row = rows[r]
-        if row is None:
-            known = r - 1
-            while rows[known] is None:
-                known -= 1
-            row = rows[known]
+    row = rows[r] if r < len(rows) else None
+    if row is None:
+        known = min(r, len(rows) - 1)
+        while rows[known] is None:
+            known -= 1
+        row = rows[known]
+        if r < len(rows):
             for _ in range(r - known):
                 row = _step(row, width)
-        return row
-    known = len(rows) - 1
-    while rows[known] is None:
-        known -= 1
-    rows = rows[: known + 1]
-    row = rows[known]
-    for size in range(known + 1, r + 1):
-        row = _step(row, size + 1)
-        stride = 1 << ((size - 1) // _DENSE_ROWS).bit_length()
-        rows.append(None if size % stride else row)
-    _rows = rows
+        else:
+            rows = rows[: known + 1]
+            for size in range(known + 1, r + 1):
+                row = _step(row, size + 1)
+                stride = 1 << ((size - 1) // _DENSE_ROWS).bit_length()
+                rows.append(None if size % stride else row)
+            _rows = rows
     return row
 
 
@@ -251,14 +248,12 @@ def ml_degree_inclusion_exclusion(n: int, k: int) -> Count:
 def log_of_count(c: Count) -> LogEstimate:
     """Natural log of a positive count, relative error below 1e-12.
 
-    Large counts are reduced by bit shift to a 53-bit head before the float
-    log, so the value never goes through a lossy full-width conversion.
+    Every count is shifted right to a head of at most 53 bits before the
+    float log and shift * log 2 is added back, so the value never goes
+    through a lossy full-width conversion; the shift is zero below 54 bits.
     """
     _check_ints("count must be an int", c)
     if c <= 0:
         raise ValueError("count must be positive to take its log")
-    nb = c.bit_length()
-    if nb <= 53:
-        return math.log(c)
-    shift = nb - 53
+    shift = max(c.bit_length() - 53, 0)
     return math.log(c >> shift) + shift * math.log(2.0)

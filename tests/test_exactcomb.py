@@ -314,8 +314,9 @@ def test_u_row_reaches_the_top_of_the_triangle():
 
 def _forward_shifted_sum(n, k, dn, dk):
     # The sum term by term from m = 0 up, carrying the weight (m!)^2. The
-    # rows come through the triangle's accessor, which derives the odd rows
-    # above 256; stirling2 cannot stand in, as row 513 is past its guard.
+    # rows come through the triangle's accessor, which derives every row
+    # the stride does not keep, from row 129 up; stirling2 cannot stand in,
+    # as row 513 is past its guard.
     width = min(n, k) + 1
     top = exactcomb._stirling_row(n + dn, width + dn)
     side = exactcomb._stirling_row(k + dk, width + dk)
@@ -401,7 +402,8 @@ def _logged_steps(monkeypatch):
 
 def test_a_read_takes_its_distance_from_the_kept_row_in_steps_at_its_width(monkeypatch):
     # A row the table does not keep is r % _stride(r) steps from the kept
-    # row below, each as wide as the reader asks; the kept rows take none.
+    # row below, each as wide as the reader asks; a kept row takes none and
+    # is the table's own list, not a copy.
     monkeypatch.setattr(exactcomb, "_rows", [[1]])
     exactcomb._stirling_row(513, 1)
     steps = _logged_steps(monkeypatch)
@@ -412,6 +414,8 @@ def test_a_read_takes_its_distance_from_the_kept_row_in_steps_at_its_width(monke
             assert len(steps) == r % _stride(r), (r, width)
             assert all(asked == width for _, asked in steps), (r, width)
             assert row[:width] == expected[:width], (r, width)
+            if r % _stride(r) == 0:
+                assert row is exactcomb._rows[r], (r, width)
 
 
 def test_a_diagonal_sum_reads_its_one_row_once(monkeypatch):
