@@ -85,7 +85,7 @@ def _stirling_row(r: int, width: int) -> list[Count]:
     # level. One step takes about 14 us at row 129, 35 us at 257 and 0.11 ms
     # at 513; a single B or D value costs about 11% more on rows 129..255
     # and 17% more on 257..511 than with every row kept. Growth computes
-    # each row above the kept row once, extends a copy and rebinds the name
+    # each row above that kept row once, extends a copy and rebinds the name
     # instead of mutating the list, so a reader holding the old list keeps
     # a valid triangle and no lock is needed. A read that grows the table
     # returns the top row it has just computed, whole.

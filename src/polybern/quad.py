@@ -147,7 +147,7 @@ def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
             logs.append(minus_n * log(x) - lg - k1 * log(-lg))
     except ValueError:  # cmath.log(0)
         raise ValueError(f"radius {radius} at ({n},{k}): 1 - exp(-x) rounds to 0 or 1 at a node") from None
-    # Re exp(w - top), the terms rescaled by the peak magnitude
+    # each term rescaled by the peak magnitude, so none overflows
     top = max(w.real for w in logs)
     terms = [exp(w - top).real for w in logs]
     mean = _fold(terms[0] + terms[-1], terms[1:-1], spec.nodes)
