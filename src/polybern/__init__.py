@@ -10,6 +10,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "exactcomb": (
         "GuardError",
+        "ML_DEGREE_GF",
+        "POLY_BERNOULLI_GF",
         "c_relative",
         "log_of_count",
         "ml_degree",
@@ -41,8 +43,6 @@ _EXPORTS = {
     ),
     "saddle": (
         "CompactnessWarning",
-        "ML_DEGREE_GF",
-        "POLY_BERNOULLI_GF",
         "acsv_general_log",
         "bivar_asym_log",
         "diag_asym_log",

@@ -14,7 +14,8 @@ import math
 import sys
 from collections.abc import Sequence
 
-from .exactcomb import GuardError, c_relative, log_of_count, ml_degree, poly_bernoulli
+import polybern
+from polybern import GuardError, c_relative, log_of_count, ml_degree, poly_bernoulli
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -22,19 +23,18 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 
 
-# sequence -> (exact count, the name of its smooth-point estimator in
-# saddle), for `exact --seq` and `asym --target` alike. This table and
-# _ORACLES name their saddle and oracle functions instead of holding them:
-# each command imports its own layers when it runs, so that `exact` loads
-# no layer but exactcomb.
+# sequence -> (exact count, the name of its smooth-point estimator), for
+# `exact --seq` and `asym --target` alike. This table and _ORACLES hold the
+# names of saddle and oracle functions, read through the package root, which
+# loads each layer on first use: `exact` loads no layer but exactcomb.
 _FAMILY = {
     "B": (poly_bernoulli, "bivar_asym_log"),
     "C": (c_relative, "excedance_asym_log"),
     "D": (ml_degree, "ml_asym_log"),
 }
 
-# oracle name -> (the name of its brute-force counter in oracle, the formula
-# it checks), for `oracle --which`.
+# oracle name -> (the name of its brute-force counter, the formula it
+# checks), for `oracle --which`.
 _ORACLES = {
     "lonesum": ("count_lonesum", poly_bernoulli),
     "gamma": ("count_gamma_free", poly_bernoulli),
@@ -116,10 +116,8 @@ def _run_exact(args: argparse.Namespace) -> _Table:
 
 
 def _run_oracle(args: argparse.Namespace) -> _Table:
-    from . import oracle
-
     oracle_name, formula_fn = _ORACLES[args.which]
-    oracle_fn = getattr(oracle, oracle_name)
+    oracle_fn = getattr(polybern, oracle_name)
     rows: list[Sequence[object]] = []
     for n in args.n:
         for k in args.k:
@@ -130,10 +128,8 @@ def _run_oracle(args: argparse.Namespace) -> _Table:
 
 
 def _run_asym(args: argparse.Namespace) -> _Table:
-    from . import saddle
-
     count, estimator = _FAMILY[args.target]
-    estimate = getattr(saddle, estimator)
+    estimate = getattr(polybern, estimator)
     rows: list[Sequence[object]] = []
     for n in args.n:
         for k in args.k:
@@ -141,7 +137,7 @@ def _run_asym(args: argparse.Namespace) -> _Table:
             if args.order == 1:
                 log_estimate = estimate(n, k)
             elif args.target == "B" and n == k:
-                log_estimate = saddle.diag_asym_log(k, 2)
+                log_estimate = polybern.diag_asym_log(k, 2)
             else:
                 raise ValueError("order 2 exists on the B diagonal only")
             rows.append([n, k, log_exact, log_estimate, math.exp(log_exact - log_estimate) - 1.0])
@@ -149,41 +145,37 @@ def _run_asym(args: argparse.Namespace) -> _Table:
 
 
 def _run_quad(args: argparse.Namespace) -> _Table:
-    from . import quad, saddle
-
     if args.which != "residue" and args.n is not None:
         raise ValueError(f"quad --which {args.which} takes no --n")
     if args.which == "residue" and args.n is None:
         raise ValueError("quad --which residue needs --n")
-    spec = quad.QuadratureSpec(nodes=args.nodes)
+    spec = polybern.QuadratureSpec(nodes=args.nodes)
     rows: list[Sequence[object]] = []
     if args.which == "parseval":
         for k in args.k:
-            value = quad.parseval_b(k, spec)
+            value = polybern.parseval_b(k, spec)
             exact = poly_bernoulli(k, k)
             rows.append([k, value, str(exact), value / exact - 1.0])
         return ["k", "value", "exact", "relative_defect"], rows, {}
     if args.which == "laplace":
         for k in args.k:
-            log_integral = quad.laplace_integral_diag(k, spec)
+            log_integral = polybern.laplace_integral_diag(k, spec)
             if k == 0:  # diag_asym_log starts at k = 1
                 rows.append([k, log_integral, None, None])
                 continue
-            log_prediction = saddle.diag_asym_log(k, 1) - 2.0 * math.lgamma(k + 1)
+            log_prediction = polybern.diag_asym_log(k, 1) - 2.0 * math.lgamma(k + 1)
             rows.append([k, log_integral, log_prediction, math.exp(log_integral - log_prediction) - 1.0])
         return ["k", "log_integral", "log_prediction", "ratio_defect"], rows, {}
     for n in args.n:
         for k in args.k:
-            log_integral = quad.residue_integral_b(n, k, spec)
+            log_integral = polybern.residue_integral_b(n, k, spec)
             log_exact = log_of_count(poly_bernoulli(n, k))
             rows.append([n, k, log_integral, log_exact, log_integral - log_exact])
     return ["n", "k", "log_integral", "log_exact", "log_defect"], rows, {}
 
 
 def _run_lclt(args: argparse.Namespace) -> _Table:
-    from . import lclt
-
-    rows, report = lclt.lclt_rows(args.n, args.which, args.window)
+    rows, report = polybern.lclt.lclt_rows(args.n, args.which, args.window)
     trailer = {"n": report.n, "sup": report.sup, "argmax_k": report.argmax_k}
     return ["k", "scaled", "reference"], rows, {"discrepancy": trailer}
 
@@ -226,10 +218,8 @@ def _write(output: str | None, text: str) -> None:
 
 
 def _run_verify() -> int:
-    from . import verify
-
-    results = verify.run_all()
-    for line in verify.report_lines(results):
+    results = polybern.run_all()
+    for line in polybern.report_lines(results):
         sys.stdout.write(line + "\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 

@@ -18,6 +18,8 @@ Count = int
 # positive quantity.
 LogEstimate = float
 
+LOG2 = math.log(2.0)
+
 # Largest n or k a caller may pass to the exact tables. B(n, k) and C(n, k)
 # read row n + 1, so the triangle reaches at most row TABLE_GUARD + 1.
 TABLE_GUARD = 512
@@ -140,6 +142,13 @@ def stirling2_explicit(n: int, m: int) -> Count:
     return q
 
 
+# Numerator shifts (dn, dk) of the shared denominator exp(-x) + exp(-y) - 1:
+# the numerator is exp(-(1-dn) x - (1-dk) y), so B is (1, 1), C is (1, 0)
+# and D = ML is (0, 0), the same pairs _shifted_sum takes.
+POLY_BERNOULLI_GF = (1, 1)
+ML_DEGREE_GF = (0, 0)
+
+
 def _shifted_sum(n: int, k: int, dn: int, dk: int) -> Count:
     # sum_m (m!)^2 S(n+dn, m+dn) S(k+dk, m+dk): B, C and D are the shift
     # pairs (1,1), (1,0) and (0,0) (Kaneko 1997). Nested from the top term
@@ -256,4 +265,4 @@ def log_of_count(c: Count) -> LogEstimate:
     if c <= 0:
         raise ValueError("count must be positive to take its log")
     shift = max(c.bit_length() - 53, 0)
-    return math.log(c >> shift) + shift * math.log(2.0)
+    return math.log(c >> shift) + shift * LOG2

@@ -10,8 +10,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactcomb import GuardError, _check_ints, _shifted_row, log_of_count, ml_degree
-from .saddle import LOG2, ML_DEGREE_GF, POLY_BERNOULLI_GF
+from .exactcomb import (
+    LOG2,
+    ML_DEGREE_GF,
+    POLY_BERNOULLI_GF,
+    GuardError,
+    _check_ints,
+    _shifted_row,
+    log_of_count,
+    ml_degree,
+)
 
 SCALED_N_GUARD = 200
 SCALED_K_GUARD = 400

@@ -13,9 +13,7 @@ import warnings
 from bisect import bisect
 from dataclasses import dataclass
 
-from .exactcomb import LogEstimate, _check_ints
-
-LOG2 = math.log(2.0)
+from .exactcomb import LOG2, ML_DEGREE_GF, POLY_BERNOULLI_GF, LogEstimate, _check_ints
 
 # Second-order diagonal correction constant in closed form.
 SECOND_ORDER_C = (2 * LOG2**3 + 3 * LOG2**2 - 12 * LOG2 + 6) / (16 * (1 - LOG2) ** 2)
@@ -54,13 +52,6 @@ class SaddlePoint:
     a: float
     b: float
     ratio: float
-
-
-# Numerator shifts (dn, dk) of the shared denominator exp(-x) + exp(-y) - 1:
-# the numerator is exp(-(1-dn) x - (1-dk) y), so B is (1, 1), C is (1, 0)
-# and D = ML is (0, 0), the same pairs as in exactcomb.
-POLY_BERNOULLI_GF = (1, 1)
-ML_DEGREE_GF = (0, 0)
 
 
 def _log1mexp(t: float) -> float:
