@@ -78,6 +78,12 @@ def criterion_formula_identities() -> CriterionResult:
          stirling2, stirling2_explicit),
         ("diagonal square sum k={}", [(k,) for k in range(41)],
          lambda k: sum(u * u for u in _u_row(k, 1)), lambda k: poly_bernoulli(k, k)),
+        # Fermat analogues (Brewbaker 2008): B(p, k) = 2^k, C(p, k) = 1 and
+        # D(p, k) = 1 mod a prime p for 1 <= k <= p, here on kept rows 130
+        # and 132 and derived rows 129 and 131
+        ("B, C, D({},{}) not 2^k, 1, 1 mod p", [(131, k) for k in (41, 66, 129, 130, 131)],
+         lambda p, k: (poly_bernoulli(p, k) % p, c_relative(p, k) % p, ml_degree(p, k) % p),
+         lambda p, k: (pow(2, k, p), 1, 1)),
     )
     failures = [
         text.format(*args) for text, grid, lhs, rhs in identities for args in grid if lhs(*args) != rhs(*args)

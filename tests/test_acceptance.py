@@ -15,7 +15,7 @@ import time
 import pytest
 
 from polybern import exactcomb, verify
-from test_exactcomb import misweighted_shifted_sum
+from test_exactcomb import misweighted_shifted_sum, mutants_past_criterion_2
 
 
 def _report(result):
@@ -221,6 +221,16 @@ def test_criterion_2_catches_a_wrong_weight(monkeypatch):
     result = verify.criterion_formula_identities()
     assert not result.passed
     assert result.detail.split("; ")[0] == "D(1,1) != inclusion-exclusion"
+
+
+@mutants_past_criterion_2
+def test_criterion_2_sees_an_error_past_row_40(monkeypatch, mutant):
+    # Every other identity reads n, k <= 40, so the Fermat congruences at
+    # p = 131 alone fail, at each of their five k.
+    monkeypatch.setattr(exactcomb, "_shifted_sum", mutant)
+    result = verify.criterion_formula_identities()
+    assert not result.passed
+    assert result.detail == "; ".join(f"B, C, D(131,{k}) not 2^k, 1, 1 mod p" for k in (41, 66, 129, 130, 131))
 
 
 def test_criterion_3_saddle_layer():

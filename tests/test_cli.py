@@ -310,25 +310,36 @@ def test_repeat_runs_identical(capsys):
     assert first == second
 
 
-# What a command loads only when it uses it: json (--format json), the
-# layers other than exactcomb, and dataclasses, which those layers import.
-ON_FIRST_USE = (
-    "json", "dataclasses", "polybern.saddle", "polybern.quad", "polybern.lclt", "polybern.oracle",
-    "polybern.verify",
-)
+# The polybern modules each command loads, by its first word ("import" for
+# `import polybern, polybern.cli` alone). Every command loads the root, the
+# CLI and exactcomb; quad loads saddle, since the residue rule solves the
+# saddle point.
+EVERY_COMMAND = ["polybern", "polybern.cli", "polybern.exactcomb"]
 
 
 @pytest.mark.parametrize(
-    "code",
+    ("argv", "modules"),
     [
-        "import polybern, polybern.cli",
-        "from polybern.cli import main; main(['exact', '--seq', 'B', '--n', '3', '--k', '3'])",
+        ("import", EVERY_COMMAND),
+        ("exact --seq B --n 3 --k 3", EVERY_COMMAND),
+        ("oracle --which orient --n 2 --k 2", [*EVERY_COMMAND, "polybern.oracle"]),
+        ("asym --target B --n 5 --k 5", [*EVERY_COMMAND, "polybern.saddle"]),
+        ("quad --which parseval --k 3 --nodes 64", [*EVERY_COMMAND, "polybern.quad", "polybern.saddle"]),
+        ("lclt --which B --n 10", [*EVERY_COMMAND, "polybern.lclt"]),
+        (
+            "verify",
+            [
+                *EVERY_COMMAND, "polybern.lclt", "polybern.oracle", "polybern.quad", "polybern.saddle",
+                "polybern.verify",
+            ],
+        ),
     ],
-    ids=["import", "exact"],
+    ids=["import", "exact", "oracle", "asym", "quad", "lclt", "verify"],
 )
-def test_the_cli_loads_only_what_its_command_uses(code):
+def test_the_cli_loads_only_what_its_command_uses(argv, modules):
     # every command starts a fresh interpreter, whose imports cost more than
     # the counts `exact` prints
+    code = "import polybern, polybern.cli" if argv == "import" else f"from polybern.cli import main; main({argv.split()})"
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}\nimport sys; print(*sorted(sys.modules))"],
         capture_output=True,
@@ -336,10 +347,11 @@ def test_the_cli_loads_only_what_its_command_uses(code):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.splitlines()[-1].split()
-    assert [m for m in loaded if m in ON_FIRST_USE] == []
-    assert [m for m in loaded if m.partition(".")[0] == "polybern"] == [
-        "polybern", "polybern.cli", "polybern.exactcomb",
-    ]
+    assert [m for m in loaded if m.partition(".")[0] == "polybern"] == modules
+    # json only for --format json, and dataclasses only with a layer that
+    # defines a dataclass: exactcomb and oracle define none
+    defines_one = {"polybern.saddle", "polybern.quad", "polybern.lclt", "polybern.verify"}
+    assert [m for m in loaded if m in ("json", "dataclasses")] == (["dataclasses"] if defines_one & {*modules} else [])
 
 
 def test_console_script_entry_point():
