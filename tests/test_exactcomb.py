@@ -464,8 +464,8 @@ def _one_too_large_above_40(n, k, dn, dk, shifted_sum=exactcomb._shifted_sum):
 
 
 # B, C and D one too large wherever min(n, k) > 40, or each term of the sum
-# with m > 40 one too large: criterion 2's identities read n, k <= 40 but
-# for its Fermat congruences at p = 131, so only those see either.
+# with m > 40 one too large: every identity of criterion 2 except its Fermat
+# congruences at p = 131 reads n, k <= 40, so only those see either.
 mutants_past_criterion_2 = pytest.mark.parametrize(
     "mutant",
     [_one_too_large_above_40, mutant_shifted_sum(slip=lambda m: m > 40)],
