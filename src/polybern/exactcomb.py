@@ -142,16 +142,16 @@ def stirling2_explicit(n: int, m: int) -> Count:
     return q
 
 
-# Numerator shifts (dn, dk) of the shared denominator exp(-x) + exp(-y) - 1:
-# the numerator is exp(-(1-dn) x - (1-dk) y), so B is (1, 1), C is (1, 0)
-# and D = ML is (0, 0), the same pairs _shifted_sum takes.
-POLY_BERNOULLI_GF = (1, 1)
-ML_DEGREE_GF = (0, 0)
+# Shift pairs (dn, dk) of B, C and D = ML, as _shifted_sum takes them: over the
+# shared denominator exp(-x) + exp(-y) - 1 the numerator is exp(-(1-dn) x - (1-dk) y).
+SHIFTS = {"B": (1, 1), "C": (1, 0), "D": (0, 0)}
+POLY_BERNOULLI_GF = SHIFTS["B"]
+ML_DEGREE_GF = SHIFTS["D"]
 
 
 def _shifted_sum(n: int, k: int, dn: int, dk: int) -> Count:
     # sum_m (m!)^2 S(n+dn, m+dn) S(k+dk, m+dk): B, C and D are the shift
-    # pairs (1,1), (1,0) and (0,0) (Kaneko 1997). Nested from the top term
+    # pairs of SHIFTS (Kaneko 1997). Nested from the top term
     # down, sum_m (m!)^2 t_m = t_0 + 1^2 (t_1 + 2^2 (t_2 + ...)), so the
     # weight is a small multiplier and each term costs one big product.
     _check_table_guard(n, k)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 from .exactcomb import (
     LOG2,
-    ML_DEGREE_GF,
-    POLY_BERNOULLI_GF,
+    SHIFTS,
     GuardError,
     _check_ints,
     _shifted_row,
@@ -33,10 +32,6 @@ _TAIL_RATIO = 1e-8
 # Largest row n the float formulas take: n times the rate constants
 # stays finite below it.
 _MAX_ROW = 10**300
-
-# The shift pair (dn, dk) of each Gaussian sequence, as the exact layer
-# and the estimators take it.
-_SHIFTS = {"B": POLY_BERNOULLI_GF, "D": ML_DEGREE_GF}
 
 
 @dataclass(frozen=True)
@@ -93,14 +88,14 @@ def _square_gap(k: float, centre: float) -> float:
 
 def gaussian_params(which: str) -> GaussianParams:
     """Limit constants for sequence 'B' or 'D'; closed forms, no fitting."""
-    if not isinstance(which, str) or which not in _SHIFTS:  # a list would raise TypeError
+    if which not in ("B", "D"):
         raise ValueError(f"which must be 'B' or 'D', got {which!r}")
     log_em1 = math.log(math.e - 1.0)
     rho = 1.0 - log_em1
     amplitude = math.e / ((1.0 - log_em1) * (math.e - 1.0))
     mean_rate = amplitude / math.e
     variance_rate = mean_rate**2 * log_em1
-    dn, dk = _SHIFTS[which]
+    dn, dk = SHIFTS[which]
     prefactor = math.exp(-(1 - dn) * rho - (1 - dk))
     return GaussianParams(
         rho=rho,
@@ -196,7 +191,7 @@ def lclt_rows(n: int, which: str, window: float | None = None) -> tuple[list[Row
     if not 2 <= n <= SCALED_N_GUARD:
         raise GuardError(f"n={n} outside 2..{SCALED_N_GUARD}")
     p = gaussian_params(which)
-    counts = _shifted_row(n, window_limit(n, p), *_SHIFTS[which])
+    counts = _shifted_row(n, window_limit(n, p), *SHIFTS[which])
     log_rate, log_n_factorial = n * math.log(p.rho), math.lgamma(n + 1)
     rows = []
     for k, count in enumerate(counts):

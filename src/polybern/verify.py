@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import lclt, oracle, quad, saddle
 from .exactcomb import (
+    SHIFTS,
     _u_row,
     c_relative,
     log_of_count,
@@ -39,25 +40,35 @@ def _result(index: int, name: str, failures: list[str], detail_ok: str) -> Crite
     return CriterionResult(index, name, True, detail_ok)
 
 
+def _family() -> dict[str, tuple]:
+    # Letter -> (label, exact count, estimator, shift pair) in criterion 4's
+    # order, built per call so that a replaced function is the one checked.
+    return {
+        "B": ("bivar", poly_bernoulli, saddle.bivar_asym_log, SHIFTS["B"]),
+        "D": ("ml", ml_degree, saddle.ml_asym_log, SHIFTS["D"]),
+        "C": ("excedance", c_relative, saddle.excedance_asym_log, SHIFTS["C"]),
+    }
+
+
 def criterion_oracle_equivalence() -> CriterionResult:
     """Brute-force counts agree exactly with the formula layer."""
     matrix_pairs = [(n, k) for n in range(17) for k in range(17) if n * k <= 16]
     perm_pairs = [(n, k) for n in range(9) for k in range(9) if n + k <= 8]
     word_pairs = [(n, k) for n, k in perm_pairs if n >= 1]  # the excedance word needs r = n >= 1
     restricted = oracle.count_lonesum_restricted
-    # (label, counter, sequence letter, formula, shapes), built per call so
-    # that a replaced counter or formula is the one checked
+    # (label, counter, sequence letter, shapes), built per call as _family is
     checks = (
-        ("lonesum({},{})", oracle.count_lonesum, "B", poly_bernoulli, matrix_pairs),
-        ("gamma({},{})", oracle.count_gamma_free, "B", poly_bernoulli, matrix_pairs),
-        ("orientations({},{})", oracle.count_acyclic_orientations, "B", poly_bernoulli, matrix_pairs),
-        ("restricted({},{},F,T)", lambda n, k: restricted(n, k, False, True), "C", c_relative, matrix_pairs),
-        ("restricted({},{},T,T)", lambda n, k: restricted(n, k, True, True), "D", ml_degree, matrix_pairs),
-        ("vesztergombi({},{})", oracle.count_vesztergombi, "B", poly_bernoulli, perm_pairs),
-        ("excedance({},{})", oracle.count_excedance_word, "C", c_relative, word_pairs),
+        ("lonesum({},{})", oracle.count_lonesum, "B", matrix_pairs),
+        ("gamma({},{})", oracle.count_gamma_free, "B", matrix_pairs),
+        ("orientations({},{})", oracle.count_acyclic_orientations, "B", matrix_pairs),
+        ("restricted({},{},F,T)", lambda n, k: restricted(n, k, False, True), "C", matrix_pairs),
+        ("restricted({},{},T,T)", lambda n, k: restricted(n, k, True, True), "D", matrix_pairs),
+        ("vesztergombi({},{})", oracle.count_vesztergombi, "B", perm_pairs),
+        ("excedance({},{})", oracle.count_excedance_word, "C", word_pairs),
     )
     failures: list[str] = []
-    for label, count, letter, formula, shapes in checks:
+    for label, count, letter, shapes in checks:
+        formula = _family()[letter][1]
         for n, k in shapes:
             got, want = count(n, k), formula(n, k)
             if got != want:
@@ -118,16 +129,13 @@ def criterion_saddle_layer() -> CriterionResult:
 
 def criterion_specialization() -> CriterionResult:
     """General smooth-point formula reproduces every closed-form estimator."""
+    family = _family().values()
     failures: list[str] = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", saddle.CompactnessWarning)
         for n in range(1, 31):
             for k in range(1, 31):
-                for label, shift, closed_form in (
-                    ("bivar", saddle.POLY_BERNOULLI_GF, saddle.bivar_asym_log),
-                    ("ml", saddle.ML_DEGREE_GF, saddle.ml_asym_log),
-                    ("excedance", (1, 0), saddle.excedance_asym_log),
-                ):
+                for label, _, closed_form, shift in family:
                     gap = abs(saddle.acsv_general_log(shift, n, k) - closed_form(n, k))
                     if not gap <= 1e-9:
                         failures.append(f"acsv vs {label} at ({n},{k}): {gap:.3e}")
@@ -162,14 +170,9 @@ def criterion_asymptotic_accuracy() -> CriterionResult:
             failures.append(f"order-1 ratio bound at k={k}: {ratios[k] - 1.0:.5f}")
     if not abs((ratios[50] - 1.0) * 50.0 - c_eff) <= 0.1 * abs(c_eff):
         failures.append(f"k=50 correction constant: {(ratios[50] - 1.0) * 50.0:.5f} vs {c_eff:.5f}")
-    for name, exact_fn, est_fn in (
-        ("bivar", poly_bernoulli, saddle.bivar_asym_log),
-        ("ml", ml_degree, saddle.ml_asym_log),
-    ):
-        errors = []
-        for t in (2, 4, 8, 16):
-            exact = log_of_count(exact_fn(2 * t, 3 * t))
-            errors.append(abs(math.exp(exact - est_fn(2 * t, 3 * t)) - 1.0))
+    for name, exact_fn, est_fn, _ in _family().values():
+        gaps = [log_of_count(exact_fn(2 * t, 3 * t)) - est_fn(2 * t, 3 * t) for t in (2, 4, 8, 16)]
+        errors = [abs(math.exp(gap) - 1.0) for gap in gaps]
         if not all(late < early for early, late in zip(errors, errors[1:])):
             failures.append(f"{name} errors not decreasing along (2t,3t): {errors}")
         if not errors[-1] <= 0.05:

@@ -167,6 +167,12 @@ def _rho_off_by_a_thousandth(original):
             "ml error at t=16 is 0.1085 > 0.05",
         ),
         (
+            "criterion_asymptotic_accuracy",
+            "saddle.excedance_asym_log",
+            _less_a_tenth,
+            "excedance errors not decreasing along (2t,3t): ",
+        ),
+        (
             "criterion_quadrature",
             "quad.residue_integral_b",
             _residue_off_by_a_thousandth,

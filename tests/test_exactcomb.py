@@ -1,14 +1,16 @@
 """Exact integer layer: closed-form counts, identities, and guards."""
 
+import ast
 import math
 import random
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from polybern import exactcomb, verify
+from polybern import exactcomb, lclt, saddle, verify
 from polybern.exactcomb import (
     GuardError,
     c_relative,
@@ -269,6 +271,30 @@ def test_table_guard_ignores_the_environment(monkeypatch):
     assert poly_bernoulli(150, 0) == 1
     with pytest.raises(GuardError, match="exceeds table bound 512"):
         poly_bernoulli(513, 0)
+
+
+def test_the_family_is_one_shift_table():
+    assert exactcomb.SHIFTS == {"B": (1, 1), "C": (1, 0), "D": (0, 0)}
+    assert exactcomb.POLY_BERNOULLI_GF is exactcomb.SHIFTS["B"]
+    assert exactcomb.ML_DEGREE_GF is exactcomb.SHIFTS["D"]
+    assert saddle.POLY_BERNOULLI_GF is exactcomb.POLY_BERNOULLI_GF
+    assert saddle.ML_DEGREE_GF is exactcomb.ML_DEGREE_GF
+
+
+@pytest.mark.parametrize("letter,fn", [("B", poly_bernoulli), ("C", c_relative), ("D", ml_degree)])
+def test_each_public_count_is_its_shift_pair(letter, fn):
+    # The wrappers keep their pairs as literals; the table must agree with them.
+    for n, k in ((0, 0), (0, 5), (5, 0), (3, 7), (7, 3), (12, 12)):
+        assert fn(n, k) == exactcomb._shifted_sum(n, k, *exactcomb.SHIFTS[letter])
+
+
+@pytest.mark.parametrize("module", [verify, lclt], ids=["verify", "lclt"])
+def test_only_exactcomb_spells_a_shift_pair(module):
+    # A two-element tuple of 0s and 1s restates a pair of SHIFTS.
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Tuple) and len(node.elts) == 2:
+            values = [getattr(elt, "value", None) for elt in node.elts]
+            assert not all(isinstance(v, int) and v in (0, 1) for v in values), node.lineno
 
 
 @pytest.mark.parametrize("dn,dk", [(1, 1), (1, 0), (0, 0)], ids=["B", "C", "D"])
