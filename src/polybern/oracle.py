@@ -192,13 +192,20 @@ def count_acyclic_orientations(n: int, k: int) -> Count:
 def _count_permutations(m: int, allowed: Callable[[int], range]) -> Count:
     # Permutations pi of {1,...,m} with pi(j) in allowed(j) for every
     # position j, placed in order without reusing a value; the values used
-    # so far fix the position, so the state is their mask.
+    # so far fix the position, so the state is their mask. A value unused
+    # by the last position allowing it can never be placed, so after
+    # position j + 1 the states lacking a value of due[j] are dropped.
     if m > PERMUTATION_GUARD:
         raise GuardError(f"permutation length {m} exceeds enumeration guard {PERMUTATION_GUARD}")
+    ranges = [allowed(j) for j in range(1, m + 1)]
+    last = {v: j for j, values in enumerate(ranges) for v in values}
+    due = [sum(1 << v for v, at in last.items() if at == j) for j in range(m)]
     layer: Mapping[Hashable, Count] = {0: 1}
-    for j in range(1, m + 1):
-        bits = [1 << v for v in allowed(j)]
+    for values, must in zip(ranges, due):
+        bits = [1 << v for v in values]
         layer = _tally(layer, lambda used: (used | b for b in bits if not used & b))
+        if must:
+            layer = {used: ways for used, ways in layer.items() if used & must == must}
     return sum(layer.values())
 
 

@@ -442,6 +442,17 @@ def test_permutation_sweep_matches_plain_enumeration(m):
         assert count_excedance_word(r, m - r) == word
 
 
+def test_the_permutation_sweep_drops_states_that_cannot_finish(monkeypatch):
+    # A state that has not used a value by the last position allowing it is
+    # dropped there, so (10, 4) expands 3366 states, not the 16277 of the
+    # unpruned sweep, and the count is unchanged.
+    expanded = []
+    tally = oracle._tally
+    monkeypatch.setattr(oracle, "_tally", lambda layer, move: expanded.append(len(layer)) or tally(layer, move))
+    assert count_vesztergombi(10, 4) == poly_bernoulli(10, 4)
+    assert sum(expanded) == 3366
+
+
 def test_thin_shapes_cost_states_not_matrices():
     # Every row of one column fits; a single row has nothing above it.
     assert count_lonesum(24, 1) == 2**24
