@@ -15,7 +15,7 @@ import sys
 from collections.abc import Sequence
 
 import polybern
-from polybern import GuardError, c_relative, log_of_count, ml_degree, poly_bernoulli
+from polybern import GuardError, exactcomb, log_of_count, poly_bernoulli
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -23,24 +23,15 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 
 
-# sequence -> (exact count, the name of its smooth-point estimator), for
-# `exact --seq` and `asym --target` alike. This table and _ORACLES hold the
-# names of saddle and oracle functions, read through the package root, which
-# loads each layer on first use: `exact` loads no layer but exactcomb.
-_FAMILY = {
-    "B": (poly_bernoulli, "bivar_asym_log"),
-    "C": (c_relative, "excedance_asym_log"),
-    "D": (ml_degree, "ml_asym_log"),
-}
-
-# oracle name -> (the name of its brute-force counter, the formula it
-# checks), for `oracle --which`.
+# oracle name -> (the name of its brute-force counter, the sequence it counts),
+# for `oracle --which`. Like exactcomb.FAMILY it names functions the package
+# root loads on first use, so `exact` loads no layer but exactcomb.
 _ORACLES = {
-    "lonesum": ("count_lonesum", poly_bernoulli),
-    "gamma": ("count_gamma_free", poly_bernoulli),
-    "orient": ("count_acyclic_orientations", poly_bernoulli),
-    "veszt": ("count_vesztergombi", poly_bernoulli),
-    "excedance": ("count_excedance_word", c_relative),
+    "lonesum": ("count_lonesum", "B"),
+    "gamma": ("count_gamma_free", "B"),
+    "orient": ("count_acyclic_orientations", "B"),
+    "veszt": ("count_vesztergombi", "B"),
+    "excedance": ("count_excedance_word", "C"),
 }
 
 # header, rows, and named trailer records (name -> field -> value)
@@ -70,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="file path; stdout when omitted")
 
     p_exact = sub.add_parser("exact", help="exact counts of one sequence over a grid")
-    p_exact.add_argument("--seq", choices=tuple(_FAMILY), required=True)
+    p_exact.add_argument("--seq", choices=tuple(exactcomb.FAMILY), required=True)
     p_exact.add_argument("--n", type=_span, required=True)
     p_exact.add_argument("--k", type=_span, required=True)
     add_output(p_exact)
@@ -84,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(run=_run_oracle)
 
     p_asym = sub.add_parser("asym", help="log-space estimates against exact counts")
-    p_asym.add_argument("--target", choices=tuple(_FAMILY), required=True)
+    p_asym.add_argument("--target", choices=tuple(exactcomb.FAMILY), required=True)
     p_asym.add_argument("--order", type=int, choices=(1, 2), default=1)
     p_asym.add_argument("--n", type=_span, required=True)
     p_asym.add_argument("--k", type=_span, required=True)
@@ -111,13 +102,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_exact(args: argparse.Namespace) -> _Table:
-    count = _FAMILY[args.seq][0]
+    count = exactcomb.FAMILY[args.seq][0]
     return ["n", "k", "value"], [[n, k, str(count(n, k))] for n in args.n for k in args.k], {}
 
 
 def _run_oracle(args: argparse.Namespace) -> _Table:
-    oracle_name, formula_fn = _ORACLES[args.which]
+    oracle_name, letter = _ORACLES[args.which]
     oracle_fn = getattr(polybern, oracle_name)
+    formula_fn = exactcomb.FAMILY[letter][0]
     rows: list[Sequence[object]] = []
     for n in args.n:
         for k in args.k:
@@ -128,7 +120,7 @@ def _run_oracle(args: argparse.Namespace) -> _Table:
 
 
 def _run_asym(args: argparse.Namespace) -> _Table:
-    count, estimator = _FAMILY[args.target]
+    count, estimator = exactcomb.FAMILY[args.target]
     estimate = getattr(polybern, estimator)
     rows: list[Sequence[object]] = []
     for n in args.n:

@@ -230,6 +230,14 @@ def ml_degree(n: int, k: int) -> Count:
     return _shifted_sum(n, k, 0, 0)
 
 
+# Letter -> (exact count, the name of its saddle estimator), for the CLI and verify.
+FAMILY = {
+    "B": (poly_bernoulli, "bivar_asym_log"),
+    "C": (c_relative, "excedance_asym_log"),
+    "D": (ml_degree, "ml_asym_log"),
+}
+
+
 def ml_degree_inclusion_exclusion(n: int, k: int) -> Count:
     """D(n,k) by double inclusion-exclusion over rows and columns of B.
 

@@ -209,9 +209,9 @@ def saddle_point(n: int, k: int) -> SaddlePoint:
     comes from the variety equation exp(-a) + exp(-b) = 1, which keeps the
     on-variety identity exact and makes swapping (n, k) swap (a, b) bit for
     bit. On the diagonal n == k both come out as the float log 2, the
-    exact solution a = b = log 2 rounded. Takes int
-    1 <= n, k <= MAX_ESTIMATE_SIZE, the estimators' domain; a bool reads
-    as its int.
+    exact solution a = b = log 2 rounded. Takes int 1 <= n, k <=
+    MAX_ESTIMATE_SIZE with 1/R <= n/k <= R (f_inverse's R, about 700), the
+    estimators' domain, and raises ValueError outside; a bool reads as its int.
     """
     a, b = _solve(n, k)
     return SaddlePoint(a=a, b=b, ratio=n / k)

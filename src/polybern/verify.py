@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import lclt, oracle, quad, saddle
 from .exactcomb import (
+    FAMILY,
     SHIFTS,
     _u_row,
     c_relative,
@@ -41,12 +42,12 @@ def _result(index: int, name: str, failures: list[str], detail_ok: str) -> Crite
 
 
 def _family() -> dict[str, tuple]:
-    # Letter -> (label, exact count, estimator, shift pair) in criterion 4's
-    # order, built per call so that a replaced function is the one checked.
+    # Letter -> (label, exact count, estimator, shift pair) from FAMILY and
+    # SHIFTS. Each function is read by name, per call, from this module's
+    # imports and saddle, so that a replaced function is the one checked.
     return {
-        "B": ("bivar", poly_bernoulli, saddle.bivar_asym_log, SHIFTS["B"]),
-        "D": ("ml", ml_degree, saddle.ml_asym_log, SHIFTS["D"]),
-        "C": ("excedance", c_relative, saddle.excedance_asym_log, SHIFTS["C"]),
+        letter: (name.removesuffix("_asym_log"), globals()[count.__name__], getattr(saddle, name), SHIFTS[letter])
+        for letter, (count, name) in FAMILY.items()
     }
 
 
@@ -66,11 +67,11 @@ def criterion_oracle_equivalence() -> CriterionResult:
         ("vesztergombi({},{})", oracle.count_vesztergombi, "B", perm_pairs),
         ("excedance({},{})", oracle.count_excedance_word, "C", word_pairs),
     )
+    family = _family()
     failures: list[str] = []
     for label, count, letter, shapes in checks:
-        formula = _family()[letter][1]
         for n, k in shapes:
-            got, want = count(n, k), formula(n, k)
+            got, want = count(n, k), family[letter][1](n, k)
             if got != want:
                 failures.append(f"{label.format(n, k)}={got} != {letter}={want}")
     shapes = f"{len(matrix_pairs)} matrix shapes, {len(perm_pairs)} permutation shapes"
@@ -105,9 +106,9 @@ def criterion_formula_identities() -> CriterionResult:
 def criterion_saddle_layer() -> CriterionResult:
     """Direction function, inverse, and critical equations at tolerance."""
     failures: list[str] = []
-    if not abs(saddle.f_dir(math.log(2.0)) - 1.0) <= 1e-12:
+    if not abs(saddle.f_dir(saddle.LOG2) - 1.0) <= 1e-12:
         failures.append("f(log 2) != 1")
-    if not abs(saddle.f_inverse(1.0) - math.log(2.0)) <= 1e-12:
+    if not abs(saddle.f_inverse(1.0) - saddle.LOG2) <= 1e-12:
         failures.append("f_inverse(1) != log 2")
     span = 20.0 / 0.05
     for i in range(200):
@@ -141,16 +142,15 @@ def criterion_specialization() -> CriterionResult:
                         failures.append(f"acsv vs {label} at ({n},{k}): {gap:.3e}")
         for k in range(1, 51):
             # The paper's diagonal form, B(k,k) ~ (k!)^2 sqrt(1/(k pi (1 - log 2)))
-            # (1/log 2)^(2k+1); D(k,k) is its quarter.
+            # (1/log 2)^(2k+1); C(k,k) is its half and D(k,k) its quarter.
             paper = (
                 2.0 * math.lgamma(k + 1)
                 - (2 * k + 1) * math.log(saddle.LOG2)
                 - 0.5 * math.log(k * math.pi * (1 - saddle.LOG2))
             )
-            if not abs(saddle.bivar_asym_log(k, k) - paper) <= 1e-10:
-                failures.append(f"bivar vs diagonal at k={k}")
-            if not abs(saddle.ml_asym_log(k, k) - (paper - math.log(4.0))) <= 1e-10:
-                failures.append(f"ml vs corrected diagonal at k={k}")
+            for label, _, closed_form, (dn, dk) in family:
+                if not abs(closed_form(k, k) - (paper - (2 - dn - dk) * saddle.LOG2)) <= 1e-10:
+                    failures.append(f"{label} vs diagonal at k={k}")
     return _result(4, "specialization", failures, "30x30 grid plus 50 diagonal reductions")
 
 

@@ -101,6 +101,11 @@ def _less_a_tenth(original):
     return lambda *args: original(*args) - 0.1
 
 
+def _plus_a_hundredth_on_the_diagonal_past_30(original):
+    # past criterion 4's 30x30 grid, so only its diagonal reductions see it
+    return lambda n, k: original(n, k) + 0.01 * (n == k > 30)
+
+
 def _order_ignored(original):
     return lambda k, order=1: original(k, 1)
 
@@ -148,6 +153,12 @@ def _rho_off_by_a_thousandth(original):
         ("criterion_saddle_layer", "saddle.f_inverse", _times_one_plus_a_billionth, "f_inverse(1) != log 2"),
         ("criterion_saddle_layer", "saddle.f_inverse", _plus_a_billionth_past_one, "variety identity at r="),
         ("criterion_specialization", "saddle.ml_asym_log", _ml_without_its_shift, "acsv vs ml at (1,1): "),
+        (
+            "criterion_specialization",
+            "saddle.excedance_asym_log",
+            _plus_a_hundredth_on_the_diagonal_past_30,
+            "excedance vs diagonal at k=31",
+        ),
         (
             "criterion_asymptotic_accuracy",
             "saddle.diag_asym_log",

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from polybern import exactcomb, lclt, saddle, verify
+from polybern import cli, exactcomb, lclt, saddle, verify
 from polybern.exactcomb import (
     GuardError,
     c_relative,
@@ -295,6 +295,32 @@ def test_only_exactcomb_spells_a_shift_pair(module):
         if isinstance(node, ast.Tuple) and len(node.elts) == 2:
             values = [getattr(elt, "value", None) for elt in node.elts]
             assert not all(isinstance(v, int) and v in (0, 1) for v in values), node.lineno
+
+
+def _names_spelled(module):
+    # (name, line) for every identifier and string a module's source writes:
+    # names, attributes, imported names and string constants
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+        elif isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+
+
+@pytest.mark.parametrize(
+    "module,counts", [(cli, {"c_relative", "ml_degree"}), (verify, set())], ids=["cli", "verify"]
+)
+def test_only_exactcomb_wires_a_sequence_to_its_estimator(module, counts):
+    # exactcomb.FAMILY pairs each letter with its exact count and the name of
+    # its estimator; the CLI and verify read the pairing there, and the CLI
+    # reaches C and D through it alone.
+    estimators = {"bivar_asym_log", "excedance_asym_log", "ml_asym_log"}
+    assert {name for _, name in exactcomb.FAMILY.values()} == estimators
+    assert [(name, line) for name, line in _names_spelled(module) if name in estimators | counts] == []
 
 
 @pytest.mark.parametrize("dn,dk", [(1, 1), (1, 0), (0, 0)], ids=["B", "C", "D"])
