@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_quad.set_defaults(run=_run_quad)
 
     p_lclt = sub.add_parser("lclt", help="figure data and discrepancy report for one row")
-    p_lclt.add_argument("--which", choices=("B", "D", "ML"), required=True)
+    p_lclt.add_argument("--which", choices=(*exactcomb.SHIFTS, "ML"), required=True)
     p_lclt.add_argument("--n", type=int, required=True)
     p_lclt.add_argument("--window", type=float, default=None, help="ML only; 2.0 when omitted")
     add_output(p_lclt)

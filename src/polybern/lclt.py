@@ -1,8 +1,8 @@
 """Gaussian limit densities and sup-norm discrepancy measurement.
 
-Scaled coefficient sequences of the B and D arrays are compared against
-their limiting Gaussian densities, and the near-diagonal ML sequence
-against its limit shape, over explicitly truncated windows.
+Scaled coefficient sequences of the B, C and D arrays are compared
+against their limiting Gaussian densities, and the near-diagonal ML
+sequence against its limit shape, over explicitly truncated windows.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class GaussianParams:
     rho is the exponential scaling rate, amplitude/mean_rate/variance_rate
     the density constants, prefactor the sequence's multiple of the
     density: exp(-(1 - dn) rho - (1 - dk)) for its shift pair (dn, dk), the
-    generating function's numerator at the pole (rho, 1). That is 1 for B
-    and exp(-1)(1 - exp(-1)) for D.
+    generating function's numerator at the pole (rho, 1). That is 1 for B,
+    exp(-1) for C and exp(-1)(1 - exp(-1)) for D.
     """
 
     rho: float
@@ -87,9 +87,10 @@ def _square_gap(k: float, centre: float) -> float:
 
 
 def gaussian_params(which: str) -> GaussianParams:
-    """Limit constants for sequence 'B' or 'D'; closed forms, no fitting."""
-    if which not in ("B", "D"):
-        raise ValueError(f"which must be 'B' or 'D', got {which!r}")
+    """Limit constants for a letter of exactcomb.SHIFTS; closed forms, no fitting."""
+    # a tuple, so that an unhashable which is refused here, not by TypeError
+    if which not in tuple(SHIFTS):
+        raise ValueError(f"which must be one of {', '.join(map(repr, SHIFTS))}, got {which!r}")
     log_em1 = math.log(math.e - 1.0)
     rho = 1.0 - log_em1
     amplitude = math.e / ((1.0 - log_em1) * (math.e - 1.0))
@@ -172,13 +173,13 @@ def _report(n: int, rows: list[Row]) -> DiscrepancyReport:
 def lclt_rows(n: int, which: str, window: float | None = None) -> tuple[list[Row], DiscrepancyReport]:
     """Figure rows (k, scaled, reference) of row n and their sup-norm report.
 
-    'B' and 'D' (2 <= n <= 200): rho^n B(n,k)/(n! k!) or rho^n D(n,k)/(n! k!),
-    from one row of exact counts, against the prefactor times nu_density for
-    k = 0..window_limit(n); a tail guard asserts the last row's gap is
-    negligible against the sup. 'ML' (2 <= n <= 120):
-    ml_scaled_coefficient against ml_limit_shape over ml_window(n, window),
-    with window 2.0 when None. Passing a window for 'B' or 'D' is a
-    ValueError.
+    'B', 'C' or 'D', a letter of exactcomb.SHIFTS (2 <= n <= 200):
+    rho^n X(n,k)/(n! k!) for that sequence X, from one row of exact counts,
+    against the prefactor times nu_density for k = 0..window_limit(n); a
+    tail guard asserts the last row's gap is negligible against the sup.
+    'ML' (2 <= n <= 120): ml_scaled_coefficient against ml_limit_shape over
+    ml_window(n, window), with window 2.0 when None. Passing a window for
+    'B', 'C' or 'D' is a ValueError.
     """
     if which == "ML":
         lo, hi = ml_window(n, 2.0 if window is None else window)
@@ -210,10 +211,11 @@ def lclt_rows(n: int, which: str, window: float | None = None) -> tuple[list[Row
 def lclt_discrepancy(n: int, which: str) -> DiscrepancyReport:
     """Sup-norm gap between the scaled sequence and its Gaussian limit.
 
-    The report of lclt_rows(n, which) for 'B' or 'D', 2 <= n <= 200.
+    The report of lclt_rows(n, which) for 'B', 'C' or 'D', 2 <= n <= 200.
     """
     if which == "ML":
-        raise ValueError("which must be 'B' or 'D', got 'ML'; use ml_limit_discrepancy")
+        letters = ", ".join(map(repr, SHIFTS))
+        raise ValueError(f"which must be one of {letters}, got 'ML'; use ml_limit_discrepancy")
     return lclt_rows(n, which)[1]
 
 

@@ -13,7 +13,7 @@ import warnings
 from bisect import bisect
 from dataclasses import dataclass
 
-# saddle uses neither pair; bench/worker.py and tests/test_saddle.py read them here.
+# saddle uses neither pair; bench/worker.py reads them here.
 from .exactcomb import LOG2, ML_DEGREE_GF, POLY_BERNOULLI_GF, LogEstimate, _check_ints
 
 # Second-order diagonal correction constant in closed form.

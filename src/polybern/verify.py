@@ -9,6 +9,7 @@ holds, as `not error <= tol`, so a NaN from the layer it checks fails it.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -80,6 +81,7 @@ def criterion_oracle_equivalence() -> CriterionResult:
 
 def criterion_formula_identities() -> CriterionResult:
     """Exact identities among the closed-form counts."""
+    family = _family()
     # (failure text, grid, left side, right side), built per call as in criterion 1
     identities = (
         ("B({},{}) asymmetric", [(n, k) for n in range(31) for k in range(n + 1, 31)],
@@ -88,8 +90,11 @@ def criterion_formula_identities() -> CriterionResult:
          ml_degree, ml_degree_inclusion_exclusion),
         ("S({},{}) mismatch", [(n, m) for n in range(41) for m in range(n + 1)],
          stirling2, stirling2_explicit),
-        ("diagonal square sum k={}", [(k,) for k in range(41)],
-         lambda k: sum(u * u for u in _u_row(k, 1)), lambda k: poly_bernoulli(k, k)),
+        # X(k, k) = sum_m u_dn(k)_m u_dk(k)_m for the shift pair (dn, dk) of X:
+        # a square sum for B and D, the product of C's two rows
+        ("{} diagonal square sum k={}", [(letter, k) for letter in family for k in range(41)],
+         lambda letter, k: sum(map(operator.mul, *(_u_row(k, delta) for delta in family[letter][3]))),
+         lambda letter, k: family[letter][1](k, k)),
         # Fermat analogues (Brewbaker 2008): B(p, k) = 2^k, C(p, k) = 1 and
         # D(p, k) = 1 mod a prime p for 1 <= k <= p, here on kept rows 130
         # and 132 and derived rows 129 and 131
@@ -212,7 +217,7 @@ def criterion_lclt() -> CriterionResult:
     for value, digits in printed:
         if not digits <= value * 1000.0 < digits + 1:
             failures.append(f"constant {value!r} does not truncate to {digits} thousandths")
-    for which in ("B", "D"):
+    for which in SHIFTS:
         reports = [lclt.lclt_discrepancy(n, which) for n in (10, 20, 40, 80)]
         sups = [r.sup for r in reports]
         scaled = [math.sqrt(r.n) * r.sup for r in reports]

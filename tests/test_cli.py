@@ -195,8 +195,8 @@ def test_nodes_follow_the_quadrature_rule(capsys):
 def test_guard_exit_code(capsys):
     code, _, err = run_cli(capsys, "oracle", "--which", "lonesum", "--n", "10", "--k", "10")
     assert code == 3 and "guard" in err.lower()
-    # n = 1 lies outside the B and D rows' domain 2..200
-    for which in ("B", "D"):
+    # n = 1 lies outside the B, C and D rows' domain 2..200
+    for which in ("B", "C", "D"):
         code, out, err = run_cli(capsys, "lclt", "--which", which, "--n", "1")
         assert code == 3 and out == "" and "2..200" in err
     code, out, err = run_cli(capsys, "quad", "--which", "laplace", "--k", "3", "--nodes", "1000000000")

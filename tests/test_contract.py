@@ -171,12 +171,13 @@ RAISES = {
         "nu_density(10**300 + 1, 1.0, B)", "ml_window(10**400, 1.0)", "window_limit(10**400, B)",
         "ml_limit_shape(10**400, 1.0)", "nu_density(10**400, 1.0, B)",
     ),
-    # the names are 'B', 'D' and 'ML' exactly, as the CLI offers them
-    (ValueError, "^which must be 'B' or 'D', got 'b'$"): ("lclt_rows(20, 'b')", "gaussian_params('b')"),
-    (ValueError, "^which must be 'B' or 'D', got 'd'$"): ("lclt_rows(20, 'd')",),
+    # the names are the letters of exactcomb.SHIFTS and 'ML' exactly, as the
+    # CLI offers them
+    (ValueError, "^which must be one of 'B', 'C', 'D', got 'b'$"): ("lclt_rows(20, 'b')", "gaussian_params('b')"),
+    (ValueError, "^which must be one of 'B', 'C', 'D', got 'd'$"): ("lclt_rows(20, 'd')",),
     # an unhashable name is refused by the same message, not by TypeError
-    (ValueError, r"^which must be 'B' or 'D', got \[\]$"): ("lclt_rows(20, [])", "gaussian_params([])"),
-    (ValueError, "^which must be 'B' or 'D', got 'ml'$"): (
+    (ValueError, r"^which must be one of 'B', 'C', 'D', got \[\]$"): ("lclt_rows(20, [])", "gaussian_params([])"),
+    (ValueError, "^which must be one of 'B', 'C', 'D', got 'ml'$"): (
         "lclt_rows(20, 'ml')", "lclt_discrepancy(20, 'ml')",
     ),
     # an int parameter refuses a float or NaN by name; a bool is an int

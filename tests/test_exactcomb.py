@@ -297,6 +297,22 @@ def test_only_exactcomb_spells_a_shift_pair(module):
             assert not all(isinstance(v, int) and v in (0, 1) for v in values), node.lineno
 
 
+def test_only_exactcomb_spells_a_family_subset():
+    # A tuple, list or set holding two or more letters of SHIFTS restates
+    # which sequences a layer takes; every other module reads SHIFTS.
+    letters = set(exactcomb.SHIFTS)
+    found = []
+    for path in sorted(Path(exactcomb.__file__).parent.glob("*.py")):
+        if path.name == "exactcomb.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                named = [elt for elt in node.elts if isinstance(elt, ast.Constant) and elt.value in letters]
+                if len(named) >= 2:
+                    found.append((path.name, node.lineno))
+    assert found == []
+
+
 def _names_spelled(module):
     # (name, line) for every identifier and string a module's source writes:
     # names, attributes, imported names and string constants

@@ -45,6 +45,7 @@ def test_gaussian_constants_printed_digits(field, digits):
 
 def test_prefactors():
     assert gaussian_params("B").prefactor == 1.0
+    assert gaussian_params("C").prefactor == math.exp(-1.0)
     assert gaussian_params("D").prefactor == math.exp(-1.0) * (1.0 - math.exp(-1.0))
 
 
@@ -99,10 +100,9 @@ def _per_k_rows(n, which):
     # Reference: one triangle sum per k, each scaled by the expression
     # lclt_rows uses, so the two must agree bit for bit.
     p = gaussian_params(which)
-    shift = 1 if which == "B" else 0
     rows = []
     for k in range(window_limit(n, p) + 1):
-        value = exactcomb._shifted_sum(n, k, shift, shift)
+        value = exactcomb._shifted_sum(n, k, *exactcomb.SHIFTS[which])
         scaled = 0.0
         if value != 0:
             scaled = math.exp(
@@ -112,7 +112,7 @@ def _per_k_rows(n, which):
     return rows
 
 
-@pytest.mark.parametrize("which", ["B", "D"])
+@pytest.mark.parametrize("which", ["B", "C", "D"])
 @pytest.mark.parametrize("n", [2, 57, 200])
 def test_rows_equal_the_per_k_path(n, which):
     assert lclt_rows(n, which)[0] == _per_k_rows(n, which)
@@ -155,7 +155,7 @@ def test_discrepancy_d_frozen(n, sup, argmax):
     assert report.argmax_k == argmax
 
 
-@pytest.mark.parametrize("which", ["B", "D"])
+@pytest.mark.parametrize("which", ["B", "C", "D"])
 def test_discrepancy_domain_is_2_to_200(which):
     # At n = 1 the window's edge gap is 6e-7 of the sup, above the tail
     # guard; the domain starts at 2 instead of raising ArithmeticError.
@@ -168,7 +168,9 @@ def test_discrepancy_domain_is_2_to_200(which):
         lclt_discrepancy(30, "ML")
 
 
-@pytest.mark.parametrize("which,n", [("B", 2), ("B", 57), ("D", 2), ("D", 200), ("ML", 2), ("ML", 57)])
+@pytest.mark.parametrize(
+    "which,n", [("B", 2), ("B", 57), ("C", 2), ("C", 200), ("D", 2), ("D", 200), ("ML", 2), ("ML", 57)]
+)
 def test_rows_carry_their_report(which, n):
     rows, report = lclt_rows(n, which)
     if which == "ML":
@@ -190,7 +192,7 @@ def test_discrepancy_peaks_near_the_mode():
     assert center - spread <= report.argmax_k <= center + spread
 
 
-@pytest.mark.parametrize("which", ["B", "D"])
+@pytest.mark.parametrize("which", ["B", "C", "D"])
 def test_discrepancy_decreases_raw_and_scaled(which):
     sups = [lclt_discrepancy(n, which).sup for n in (10, 20, 40, 80)]
     assert sups[0] > sups[1] > sups[2] > sups[3]
@@ -259,10 +261,10 @@ def test_empty_ml_window_is_value_error():
 
 
 def test_window_is_ml_only():
-    # ML reads 2.0 when no window is given; B and D take none.
+    # ML reads 2.0 when no window is given; B, C and D take none.
     assert lclt_rows(30, "ML") == lclt_rows(30, "ML", 2.0)
     assert ml_limit_discrepancy(30) == ml_limit_discrepancy(30, 2.0)
-    for which in ("B", "D"):
+    for which in exactcomb.SHIFTS:
         with pytest.raises(ValueError, match="window applies to 'ML' only"):
             lclt_rows(20, which, window=99)
         with pytest.raises(ValueError, match="window applies to 'ML' only"):

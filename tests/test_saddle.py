@@ -12,12 +12,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polybern import saddle
-from polybern.exactcomb import c_relative, log_of_count, ml_degree, poly_bernoulli
+from polybern.exactcomb import (
+    ML_DEGREE_GF,
+    POLY_BERNOULLI_GF,
+    SHIFTS,
+    c_relative,
+    log_of_count,
+    ml_degree,
+    poly_bernoulli,
+)
 from polybern.saddle import (
     DIAG_RATIO_C,
     F_T_MAX,
-    ML_DEGREE_GF,
-    POLY_BERNOULLI_GF,
     SECOND_ORDER_C,
     CompactnessWarning,
     SaddlePoint,
@@ -350,7 +356,7 @@ def test_estimators_outside_representable_cone_raise_value_error():
 
 
 def test_acsv_cancellation_is_value_error_on_both_sides():
-    for shift in (POLY_BERNOULLI_GF, ML_DEGREE_GF, (1, 0)):
+    for shift in (POLY_BERNOULLI_GF, ML_DEGREE_GF, SHIFTS["C"]):
         for n, k in ((260, 1), (1, 260)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CompactnessWarning)
@@ -499,7 +505,7 @@ def test_acsv_reproduces_closed_forms():
                     acsv_general_log(ML_DEGREE_GF, n, k) - ml_asym_log(n, k)
                 ) <= 1e-9
                 assert abs(
-                    acsv_general_log((1, 0), n, k) - excedance_asym_log(n, k)
+                    acsv_general_log(SHIFTS["C"], n, k) - excedance_asym_log(n, k)
                 ) <= 1e-9
 
 
