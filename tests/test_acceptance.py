@@ -114,14 +114,6 @@ def _residue_off_by_a_thousandth(original):
     return lambda n, k, spec: original(n, k, spec) + 1e-3
 
 
-def _c_rows_read_with_the_d_pair(original):
-    def mutant(n, top, dn, dk):
-        pair = exactcomb.SHIFTS["D"] if (dn, dk) == exactcomb.SHIFTS["C"] else (dn, dk)
-        return original(n, top, *pair)
-
-    return mutant
-
-
 def _rho_off_by_a_thousandth(original):
     def mutant(which):
         params = original(which)
@@ -202,14 +194,6 @@ def _rho_off_by_a_thousandth(original):
             "lclt.gaussian_params",
             _rho_off_by_a_thousandth,
             "does not truncate to 458 thousandths",
-        ),
-        # C's rows are D's rows times about e: raw sups still fall with n,
-        # but sqrt(n) sup rises 0.1970 -> 0.1992
-        (
-            "criterion_lclt",
-            "lclt._shifted_row",
-            _c_rows_read_with_the_d_pair,
-            "C scaled discrepancy not decreasing: ",
         ),
     ],
 )

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from polybern import verify
+from polybern import exactcomb, verify
 from polybern.cli import main
 from polybern.quad import QuadratureSpec, laplace_integral_diag
 from polybern.saddle import (
@@ -196,7 +196,7 @@ def test_guard_exit_code(capsys):
     code, _, err = run_cli(capsys, "oracle", "--which", "lonesum", "--n", "10", "--k", "10")
     assert code == 3 and "guard" in err.lower()
     # n = 1 lies outside the B, C and D rows' domain 2..200
-    for which in ("B", "C", "D"):
+    for which in exactcomb.SHIFTS:
         code, out, err = run_cli(capsys, "lclt", "--which", which, "--n", "1")
         assert code == 3 and out == "" and "2..200" in err
     code, out, err = run_cli(capsys, "quad", "--which", "laplace", "--k", "3", "--nodes", "1000000000")
