@@ -157,6 +157,7 @@ def ml_window(n: int, window: float) -> tuple[int, int]:
 
 def ml_scaled_coefficient(n: int, k: int) -> float:
     """Exact side of the limit-shape comparison: (2 log 2)^n/n! ML(n-k,k)."""
+    _check_ints("indices must be ints", n, k)
     if not 2 <= n <= ML_SHAPE_N_GUARD:
         raise GuardError(f"n={n} outside 2..{ML_SHAPE_N_GUARD}")
     if not 0 <= k <= n:

@@ -122,6 +122,18 @@ def _rho_off_by_a_thousandth(original):
     return mutant
 
 
+def _prefactor_times(which, factor):
+    # one sequence's Gaussian prefactor scaled by factor
+    def mutant(original):
+        def params(letter):
+            p = original(letter)
+            return dataclasses.replace(p, prefactor=p.prefactor * factor) if letter == which else p
+
+        return params
+
+    return mutant
+
+
 @pytest.mark.parametrize(
     ("criterion", "target", "mutant", "first"),
     [
@@ -195,6 +207,9 @@ def _rho_off_by_a_thousandth(original):
             _rho_off_by_a_thousandth,
             "does not truncate to 458 thousandths",
         ),
+        # n * sup rises at n = 80 for each
+        ("criterion_lclt", "lclt.gaussian_params", _prefactor_times("B", 1.01), "B discrepancy not decreasing: "),
+        ("criterion_lclt", "lclt.gaussian_params", _prefactor_times("D", 0.99), "D discrepancy not decreasing: "),
     ],
 )
 def test_a_wrong_value_fails_its_criterion(monkeypatch, criterion, target, mutant, first):
@@ -228,6 +243,15 @@ def test_a_nan_fails_its_criterion(monkeypatch, criterion, target, first):
 
 def test_criterion_2_formula_identities():
     _report(verify.criterion_formula_identities())
+
+
+def test_criterion_2_builds_each_u_row_once(monkeypatch):
+    # the diagonal sums read the rows k = 0..40 at shifts 0 and 1
+    calls = []
+    u_row = verify._u_row
+    monkeypatch.setattr(verify, "_u_row", lambda k, d: calls.append((k, d)) or u_row(k, d))
+    _report(verify.criterion_formula_identities())
+    assert sorted(calls) == [(k, d) for k in range(41) for d in (0, 1)]
 
 
 def test_criterion_2_catches_a_wrong_weight(monkeypatch):

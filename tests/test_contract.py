@@ -218,6 +218,8 @@ RAISES = {
         "count_lonesum(-1, 2)", "count_gamma_free(2, -1)", "count_acyclic_orientations(-1, 0)",
         "count_lonesum_restricted(-1, 2, False, True)",
     ),
+    (ValueError, r"^indices must be ints, got 10, 2\.5$"): ("ml_scaled_coefficient(10, 2.5)",),
+    (ValueError, r"^indices must be ints, got 10, 10\.5$"): ("ml_scaled_coefficient(10, 10.5)",),
     (ValueError, r"^k=11 outside 0\.\.10$"): ("ml_scaled_coefficient(10, 11)",),
     (ValueError, r"^k=-1 outside 0\.\.10$"): ("ml_scaled_coefficient(10, -1)",),
     (GuardError, "^k=21 exceeds parseval guard 20$"): ("parseval_b(21, QuadratureSpec(64))",),

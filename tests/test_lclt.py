@@ -155,6 +155,21 @@ def test_discrepancy_d_frozen(n, sup, argmax):
     assert report.argmax_k == argmax
 
 
+@pytest.mark.parametrize(
+    "n,sup,argmax",
+    [
+        (10, 0.02424772049537878, 10),
+        (20, 0.011933156790355226, 21),
+        (40, 0.006002774231898031, 45),
+        (80, 0.0030098924991464188, 94),
+    ],
+)
+def test_discrepancy_c_frozen(n, sup, argmax):
+    report = lclt_discrepancy(n, "C")
+    assert report.sup == pytest.approx(sup, rel=1e-12)
+    assert report.argmax_k == argmax
+
+
 @pytest.mark.parametrize("which", ["B", "C", "D"])
 def test_discrepancy_domain_is_2_to_200(which):
     # At n = 1 the window's edge gap is 6e-7 of the sup, above the tail
