@@ -81,8 +81,9 @@ def criterion_oracle_equivalence() -> CriterionResult:
 def criterion_formula_identities() -> CriterionResult:
     """Exact identities among the closed-form counts."""
     family = _family()
-    # each u-row the diagonal sums read, once: every shift of SHIFTS at k <= 40
-    u_rows = {(k, d): _u_row(k, d) for k in range(41) for d in {d for pair in SHIFTS.values() for d in pair}}
+    # each u-row the diagonal sums read, built once: k <= 40 at every shift of SHIFTS
+    shifts = {d for pair in SHIFTS.values() for d in pair}
+    u_rows = {(k, d): _u_row(k, d) for k in range(41) for d in shifts}
     # (failure text, grid, left side, right side), built per call as in criterion 1
     identities = (
         ("B({},{}) asymmetric", [(n, k) for n in range(31) for k in range(n + 1, 31)],
@@ -218,8 +219,8 @@ def criterion_lclt() -> CriterionResult:
     for value, digits in printed:
         if not digits <= value * 1000.0 < digits + 1:
             failures.append(f"constant {value!r} does not truncate to {digits} thousandths")
-    # A quasi-powers row law's discrepancy falls like 1/n, so n * sup must fall. C's
-    # n * sup is flat near 0.24, and bench/tracing.py keeps rows for B, D and ML only.
+    # A quasi-powers row law's discrepancy falls like 1/n, so n * sup must fall. C is left
+    # out: its n * sup is flat near 0.24, and bench/tracing.py keeps rows for B, D and ML only.
     laws = {which: [lclt.lclt_discrepancy(n, which) for n in (10, 20, 40, 80)] for which in SHIFTS if which != "C"}
     laws["ml"] = [lclt.ml_limit_discrepancy(n, 2.0) for n in (30, 60, 120)]
     for law, reports in laws.items():

@@ -207,7 +207,7 @@ def _prefactor_times(which, factor):
             _rho_off_by_a_thousandth,
             "does not truncate to 458 thousandths",
         ),
-        # n * sup rises at n = 80 for each
+        # n * sup rises at n = 80 for B and at n = 40 for D
         ("criterion_lclt", "lclt.gaussian_params", _prefactor_times("B", 1.01), "B discrepancy not decreasing: "),
         ("criterion_lclt", "lclt.gaussian_params", _prefactor_times("D", 0.99), "D discrepancy not decreasing: "),
     ],
