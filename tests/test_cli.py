@@ -352,6 +352,10 @@ def test_the_cli_loads_only_what_its_command_uses(argv, modules):
     # defines a dataclass: exactcomb and oracle define none
     defines_one = {"polybern.saddle", "polybern.quad", "polybern.lclt", "polybern.verify"}
     assert [m for m in loaded if m in ("json", "dataclasses")] == (["dataclasses"] if defines_one & {*modules} else [])
+    # fractions, and the decimal it imports, only for ml_window's window,
+    # which verify reads and `lclt --which B` does not
+    if argv != "verify":
+        assert [m for m in loaded if m in ("decimal", "fractions")] == []
 
 
 def test_console_script_entry_point():

@@ -1,13 +1,17 @@
 """Gaussian limit profiles and sup-norm discrepancy measurements."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polybern import exactcomb
 from polybern.exactcomb import GuardError, log_of_count
 from polybern.lclt import (
+    ML_SHAPE_K_MAX,
     ML_SHAPE_N_GUARD,
     gaussian_params,
     lclt_discrepancy,
@@ -303,6 +307,35 @@ def test_ml_window_reads_the_window_as_printed():
     # as are both edges of |k - 225/2| <= 4.1 sqrt(225) = 61.5.
     assert ml_window(25, 0.3) == (11, 14)
     assert ml_window(225, 4.1) == (51, 174)
+
+
+@settings(max_examples=500)
+@given(
+    st.integers(min_value=1, max_value=10**18),
+    st.floats(min_value=0.0, max_value=ML_SHAPE_K_MAX, exclude_min=True),
+)
+@example(225, 4.1)
+@example(3, 0.05)
+@example(10**18, 5e-324)
+def test_ml_window_is_the_exact_window_of_the_printed_decimal(n, window):
+    # the window read from its repr by decimal, not by fractions.Fraction,
+    # which ml_window uses
+    p, q = Decimal(repr(window)).as_integer_ratio()
+
+    def inside(k):
+        return (2 * k - n) ** 2 * q * q <= 4 * p * p * n
+
+    try:
+        lo, hi = ml_window(n, window)
+    except ValueError:
+        # the window is an interval about n/2, so it is empty when neither
+        # integer next to n/2 lies in it
+        assert not inside(n // 2) and not inside((n + 1) // 2)
+        return
+    assert 0 <= lo <= hi <= n
+    assert inside(lo) and inside(hi)
+    assert lo == 0 or not inside(lo - 1)
+    assert hi == n or not inside(hi + 1)
 
 
 @pytest.mark.parametrize("k", [1e200, -1e200, 1.7e308])
