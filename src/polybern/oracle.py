@@ -6,9 +6,10 @@ objects: one forward tally keeps, per state, the number of paths reaching
 it. A matrix grows one row at a time, a row kept only if it fits the
 rows above it; each test reads those rows only as a set, which is the
 state. Each property is closed under transpose, so rows are swept at
-width min(n, k). A permutation is placed one position at a time, each
-from its own range, and the state is the mask of values used (the bitmask
-permanent recurrence). Each sweep checks its own size guard first.
+width min(n, k). A permutation is counted through its inverse: each value
+in turn takes a free position that its oracle's predicate admits, and the
+state is the mask of positions used (the bitmask permanent recurrence).
+Each sweep checks its own size guard first.
 
 The matrix counters share one sweep per row test and width, kept in one
 table. It grows a row at a time as taller shapes ask for it, and every
@@ -189,20 +190,20 @@ def count_acyclic_orientations(n: int, k: int) -> Count:
     return sum(_swept(n, k, _acyclic_with).values())
 
 
-def _count_permutations(m: int, allowed: Callable[[int], range]) -> Count:
-    # Permutations pi of {1,...,m} with pi(j) in allowed(j) for every
-    # position j, placed in order without reusing a value; the values used
-    # so far fix the position, so the state is their mask. A value unused
-    # by the last position allowing it can never be placed, so after
-    # position j + 1 the states lacking a value of due[j] are dropped.
+def _count_permutations(m: int, fits: Callable[[int, int], bool]) -> Count:
+    # Permutations pi of {1,...,m} with fits(j, pi(j)) at every position j,
+    # counted through their inverses: each value in turn takes a free
+    # position that fits it, so the state is the mask of positions used. A
+    # position left free by the last value fitting it can never be filled,
+    # so once value v + 1 is placed the states lacking a position of due[v] go.
     if m > PERMUTATION_GUARD:
         raise GuardError(f"permutation length {m} exceeds enumeration guard {PERMUTATION_GUARD}")
-    ranges = [allowed(j) for j in range(1, m + 1)]
-    last = {v: j for j, values in enumerate(ranges) for v in values}
-    due = [sum(1 << v for v, at in last.items() if at == j) for j in range(m)]
+    places = [[j for j in range(1, m + 1) if fits(j, v)] for v in range(1, m + 1)]
+    last = {j: v for v, at in enumerate(places) for j in at}
+    due = [sum(1 << j for j, at in last.items() if at == v) for v in range(m)]
     layer: Mapping[Hashable, Count] = {0: 1}
-    for values, must in zip(ranges, due):
-        bits = [1 << v for v in values]
+    for at, must in zip(places, due):
+        bits = [1 << j for j in at]
         layer = _tally(layer, lambda used: (used | b for b in bits if not used & b))
         if must:
             layer = {used: ways for used, ways in layer.items() if used & must == must}
@@ -214,8 +215,7 @@ def count_vesztergombi(n: int, k: int) -> Count:
     _check_ints("dimensions must be ints", n, k)
     if n < 0 or k < 0:
         raise ValueError("dimensions must be nonnegative")
-    m = n + k
-    return _count_permutations(m, lambda i: range(max(1, i - k), min(m, i + n) + 1))
+    return _count_permutations(n + k, lambda i, v: -k <= v - i <= n)
 
 
 def count_excedance_word(r: int, s: int) -> Count:
@@ -228,5 +228,5 @@ def count_excedance_word(r: int, s: int) -> Count:
     if r < 1 or s < 0:
         raise ValueError("need r >= 1 and s >= 0")
     m = r + s
-    # At j = m the non-excedance range 1..j is every value: the last position is free.
-    return _count_permutations(m, lambda j: range(j + 1, m + 1) if j < r else range(1, j + 1))
+    # Position m fits every value, but a non-excedance position j falls due at value j.
+    return _count_permutations(m, lambda j, v: j == m or (v > j if j < r else v <= j))

@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,35 @@ def test_inclusion_exclusion_sees_a_wrong_row(monkeypatch, fresh_b_rows):
     for n in range(8):
         for k in range(1, 8):
             assert ml_degree_inclusion_exclusion(n, k) != ml_degree(n, k), (n, k)
+
+
+def _math_with_comb(fake):
+    # exactcomb's math module with comb replaced by fake(m, j, comb).
+    return types.SimpleNamespace(**{**vars(math), "comb": lambda m, j: fake(m, j, math.comb)})
+
+
+@pytest.mark.parametrize(
+    "comb, message",
+    [
+        (lambda m, j, comb: -comb(m, j) if j == 0 else comb(m, j), "alternating sum for S(5,3) came out negative"),
+        (lambda m, j, comb: comb(m, j) + (j == 1), "alternating sum for S(5,3) not divisible by 3!"),
+    ],
+)
+def test_a_wrong_alternating_sum_raises(monkeypatch, comb, message):
+    monkeypatch.setattr(exactcomb, "math", _math_with_comb(comb))
+    with pytest.raises(ArithmeticError) as error:
+        stirling2_explicit(5, 3)
+    assert type(error.value) is ArithmeticError
+    assert str(error.value).startswith(message)
+
+
+def test_a_negative_inclusion_exclusion_raises(monkeypatch):
+    b_row = exactcomb._b_row
+    monkeypatch.setattr(exactcomb, "_b_row", lambda n: tuple(-b for b in b_row(n)) if n == 2 else b_row(n))
+    with pytest.raises(ArithmeticError) as error:
+        ml_degree_inclusion_exclusion(2, 2)
+    assert type(error.value) is ArithmeticError
+    assert str(error.value).startswith("inclusion-exclusion for D(2,2) came out negative")
 
 
 def test_row_inclusion_exclusion_ties_c_to_d():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polybern import exactcomb
+from polybern import exactcomb, lclt
 from polybern.exactcomb import GuardError, log_of_count
 from polybern.lclt import (
     ML_SHAPE_K_MAX,
@@ -126,6 +126,15 @@ def test_window_limit_covers_the_mass():
     p = gaussian_params("B")
     assert window_limit(10, p) == 49
     assert window_limit(300, p) == 400
+
+
+def test_a_window_that_cuts_the_mass_raises(monkeypatch):
+    # a window ending at the mean leaves an edge term near the sup
+    monkeypatch.setattr(lclt, "window_limit", lambda n, p: round(n * p.mean_rate))
+    with pytest.raises(ArithmeticError) as error:
+        lclt_rows(50, "B")
+    assert type(error.value) is ArithmeticError
+    assert str(error.value).startswith("window truncation unsafe at n=50")
 
 
 @pytest.mark.parametrize(

@@ -443,7 +443,7 @@ def test_permutation_sweep_matches_plain_enumeration(m):
 
 
 def test_the_permutation_sweep_drops_states_that_cannot_finish(monkeypatch):
-    # A state that has not used a value by the last position allowing it is
+    # A state that leaves a position free once no later value fits it is
     # dropped there, so (10, 4) expands 3366 states, not the 16277 of the
     # unpruned sweep, and the count is unchanged.
     expanded = []
@@ -451,6 +451,17 @@ def test_the_permutation_sweep_drops_states_that_cannot_finish(monkeypatch):
     monkeypatch.setattr(oracle, "_tally", lambda layer, move: expanded.append(len(layer)) or tally(layer, move))
     assert count_vesztergombi(10, 4) == poly_bernoulli(10, 4)
     assert sum(expanded) == 3366
+
+
+def test_the_excedance_sweep_drops_states_before_its_last_value(monkeypatch):
+    # A non-excedance position j takes a value of at most j, so states fall
+    # due from value r on, not only once the free last position is: (7, 7)
+    # expands 6434 states, not the 14002 of a sweep pruned at the end alone.
+    expanded = []
+    tally = oracle._tally
+    monkeypatch.setattr(oracle, "_tally", lambda layer, move: expanded.append(len(layer)) or tally(layer, move))
+    assert count_excedance_word(7, 7) == c_relative(7, 7)
+    assert sum(expanded) == 6434
 
 
 def test_thin_shapes_cost_states_not_matrices():

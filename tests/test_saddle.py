@@ -364,6 +364,22 @@ def test_acsv_cancellation_is_value_error_on_both_sides():
                     acsv_general_log(shift, n, k)
 
 
+@pytest.mark.parametrize(
+    "point, estimate, message",
+    [
+        ((3.0, 3.0), lambda: bivar_asym_log(5, 5), "variance bracket -"),
+        ((0.01, -5.0), lambda: acsv_general_log((1, 1), 5, 5), "radicand -"),
+    ],
+)
+def test_a_point_off_the_variety_raises(monkeypatch, point, estimate, message):
+    # a wrong saddle point makes a quantity that is positive on the variety <= 0
+    monkeypatch.setattr(saddle, "_solve", lambda n, k: point)
+    with pytest.raises(ArithmeticError) as error:
+        estimate()
+    assert type(error.value) is ArithmeticError
+    assert str(error.value).startswith(message)
+
+
 def test_saddle_point_swap_swaps_components():
     sp = saddle_point(5, 9)
     sq = saddle_point(9, 5)
