@@ -20,6 +20,12 @@ LogEstimate = float
 
 LOG2 = math.log(2.0)
 
+# Largest n or k the float formulas take: saddle's estimators and lclt's
+# limit densities. lgamma(n + 1) leaves the float range from n of about
+# 2.5e305; below 10**300 every sum the estimators form, and n times lclt's
+# rate constants, stays finite.
+MAX_ESTIMATE_SIZE = 10**300
+
 # Largest n or k a caller may pass to the exact tables. B(n, k) and C(n, k)
 # read row n + 1, so the triangle reaches at most row TABLE_GUARD + 1.
 TABLE_GUARD = 512
@@ -202,7 +208,7 @@ def _shifted_row(n: int, top: int, dn: int, dk: int) -> list[Count]:
 @lru_cache(maxsize=IE_GUARD + 1)
 def _b_row(n: int) -> tuple[Count, ...]:
     # B(n, 0..IE_GUARD) from the one-row form, a tuple since callers share it.
-    return tuple(_shifted_row(n, IE_GUARD, 1, 1))
+    return tuple(_shifted_row(n, IE_GUARD, *SHIFTS["B"]))
 
 
 def poly_bernoulli(n: int, k: int) -> Count:
@@ -210,7 +216,7 @@ def poly_bernoulli(n: int, k: int) -> Count:
 
     B(n,k) = sum_m (m!)^2 S(n+1,m+1) S(k+1,m+1); symmetric in (n,k).
     """
-    return _shifted_sum(n, k, 1, 1)
+    return _shifted_sum(n, k, *SHIFTS["B"])
 
 
 def c_relative(n: int, k: int) -> Count:
@@ -218,7 +224,7 @@ def c_relative(n: int, k: int) -> Count:
 
     C(n,k) = sum_m (m!)^2 S(n+1,m+1) S(k,m); not symmetric in general.
     """
-    return _shifted_sum(n, k, 1, 0)
+    return _shifted_sum(n, k, *SHIFTS["C"])
 
 
 def ml_degree(n: int, k: int) -> Count:
@@ -227,7 +233,7 @@ def ml_degree(n: int, k: int) -> Count:
     Equals the maximum likelihood degree of the n x k missing-data
     multinomial model; D(n,k) = sum_m (m!)^2 S(n,m) S(k,m), symmetric.
     """
-    return _shifted_sum(n, k, 0, 0)
+    return _shifted_sum(n, k, *SHIFTS["D"])
 
 
 # Letter -> (exact count, the name of its saddle estimator), for the CLI and verify.

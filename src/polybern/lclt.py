@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .exactcomb import (
     LOG2,
+    MAX_ESTIMATE_SIZE,
     SHIFTS,
     GuardError,
     _check_ints,
@@ -28,10 +29,6 @@ ML_SHAPE_K_MAX = 5.0
 # Window edge must sit this far below the running sup before truncation
 # is accepted.
 _TAIL_RATIO = 1e-8
-
-# Largest row n the float formulas take: n times the rate constants
-# stays finite below it.
-_MAX_ROW = 10**300
 
 # The sequences a refused `which` is told it may name.
 _LETTERS = ", ".join(map(repr, SHIFTS))
@@ -72,7 +69,7 @@ def _check_row(n: int) -> None:
     _check_ints("n must be an int", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > _MAX_ROW:
+    if n > MAX_ESTIMATE_SIZE:
         raise ValueError("n must be <= 10**300; n times the rate constants leaves the float range")
 
 

@@ -163,8 +163,11 @@ def count_lonesum(n: int, k: int) -> Count:
 def count_lonesum_restricted(n: int, k: int, forbid_zero_rows: bool, forbid_zero_cols: bool) -> Count:
     """Lonesum count with all-zero rows and/or columns excluded (n*k, n, k <= 30).
 
-    (False, True) matches c_relative(n, k), (True, False) matches
-    c_relative(k, n) and (True, True) matches ml_degree(n, k).
+    The flags are (1 - dn, 1 - dk) for a letter's pair (dn, dk) in
+    exactcomb.SHIFTS, so a shift of 0 forbids all-zero lines on that side:
+    rows for dn, columns for dk. (False, True) matches c_relative(n, k),
+    (True, False) matches c_relative(k, n) and (True, True) matches
+    ml_degree(n, k).
     """
     flags = forbid_zero_rows, forbid_zero_cols  # a bool, or 0 or 1 read as one
     if not all(isinstance(flag, int) and flag in (0, 1) for flag in flags):

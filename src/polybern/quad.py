@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from .exactcomb import GuardError, LogEstimate, _check_ints, _u_row
 from .saddle import _solve
 
-TWO_PI = 2.0 * math.pi
-
 PARSEVAL_GUARD = 20
 LAPLACE_GUARD = 300
 RESIDUE_GUARD = 40
@@ -96,13 +94,13 @@ def _laplace_log(phi: float) -> float:
 @functools.lru_cache(maxsize=4)
 def _laplace_logs(nodes: int) -> tuple[float, ...]:
     # _laplace_log at the N/2 midpoint nodes in (0, pi)
-    return tuple(_laplace_log((j + 0.5) * TWO_PI / nodes) for j in range(nodes // 2))
+    return tuple(_laplace_log((j + 0.5) * math.tau / nodes) for j in range(nodes // 2))
 
 
 @functools.lru_cache(maxsize=8)
 def _half_circle(nodes: int) -> tuple[complex, ...]:
     # exp(2 pi i j / N) for j = 0..N/2
-    return tuple(cmath.exp(1j * TWO_PI * j / nodes) for j in range(nodes // 2 + 1))
+    return tuple(cmath.exp(1j * math.tau * j / nodes) for j in range(nodes // 2 + 1))
 
 
 def laplace_integral_diag(k: int, spec: QuadratureSpec) -> LogEstimate:

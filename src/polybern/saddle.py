@@ -13,8 +13,7 @@ import warnings
 from bisect import bisect
 from dataclasses import dataclass
 
-# saddle uses neither pair; bench/worker.py reads them here.
-from .exactcomb import LOG2, ML_DEGREE_GF, POLY_BERNOULLI_GF, LogEstimate, _check_ints
+from .exactcomb import LOG2, MAX_ESTIMATE_SIZE, ML_DEGREE_GF, POLY_BERNOULLI_GF, SHIFTS, LogEstimate, _check_ints
 
 # Second-order diagonal correction constant in closed form.
 SECOND_ORDER_C = (2 * LOG2**3 + 3 * LOG2**2 - 12 * LOG2 + 6) / (16 * (1 - LOG2) ** 2)
@@ -28,11 +27,6 @@ DIAG_RATIO_C = SECOND_ORDER_C - 0.5
 # Largest t the stable evaluation of f supports; beyond it exp(-t)
 # degrades into subnormals and the quotient loses all precision.
 F_T_MAX = 700.0
-
-# Largest n or k saddle_point, and so every estimator, takes. lgamma(n + 1)
-# leaves the float range from n of about 2.5e305; below 10**300 every sum
-# the estimators form stays finite.
-MAX_ESTIMATE_SIZE = 10**300
 
 # Smallest normal float: the smooth-point variance must not fall below it.
 _FLOAT_MIN = sys.float_info.min
@@ -234,7 +228,7 @@ def _smooth_log(n: int, k: int, dn: int, dk: int) -> LogEstimate:
     bracket = beb + aea - a * b
     if bracket <= 0:
         raise ArithmeticError(f"variance bracket {bracket} <= 0 at direction ({n},{k})")
-    variance = 2.0 * math.pi * aea * bracket
+    variance = math.tau * aea * bracket
     if variance < _FLOAT_MIN:
         raise ValueError(
             f"direction n/k = {ratio:.6g} outside the representable cone, about "
@@ -252,7 +246,7 @@ def _smooth_log(n: int, k: int, dn: int, dk: int) -> LogEstimate:
 
 def bivar_asym_log(n: int, k: int) -> LogEstimate:
     """Log of the leading-order bivariate estimate of B(n,k)."""
-    return _smooth_log(n, k, 1, 1)
+    return _smooth_log(n, k, *POLY_BERNOULLI_GF)
 
 
 def diag_asym_log(k: int, order: int = 1) -> LogEstimate:
@@ -265,7 +259,7 @@ def diag_asym_log(k: int, order: int = 1) -> LogEstimate:
     _check_ints("order must be an int", order)
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    value = _smooth_log(k, k, 1, 1)
+    value = bivar_asym_log(k, k)
     if order == 1:
         return value
     return value + math.log1p(SECOND_ORDER_C / k) - 0.5 * math.log1p(1.0 / k)
@@ -276,7 +270,7 @@ def ml_asym_log(n: int, k: int) -> LogEstimate:
 
     Exactly bivar_asym_log(n,k) - a - b at the shared saddle point.
     """
-    return _smooth_log(n, k, 0, 0)
+    return _smooth_log(n, k, *ML_DEGREE_GF)
 
 
 def excedance_asym_log(r: int, s: int) -> LogEstimate:
@@ -284,7 +278,7 @@ def excedance_asym_log(r: int, s: int) -> LogEstimate:
 
     Exactly bivar_asym_log(r,s) - b at the shared saddle point.
     """
-    return _smooth_log(r, s, 1, 0)
+    return _smooth_log(r, s, *SHIFTS["C"])
 
 
 def acsv_general_log(shift: tuple[int, int], n: int, k: int) -> LogEstimate:
@@ -335,7 +329,7 @@ def acsv_general_log(shift: tuple[int, int], n: int, k: int) -> LogEstimate:
         math.lgamma(n + 1)
         + math.lgamma(k + 1)
         + g_log
-        - 0.5 * math.log(2.0 * math.pi)
+        - 0.5 * math.log(math.tau)
         - n * math.log(x)
         - k * math.log(y)
         + 0.5 * math.log(inner)

@@ -309,18 +309,50 @@ def test_the_family_is_one_shift_table():
 
 @pytest.mark.parametrize("letter,fn", [("B", poly_bernoulli), ("C", c_relative), ("D", ml_degree)])
 def test_each_public_count_is_its_shift_pair(letter, fn):
-    # The wrappers keep their pairs as literals; the table must agree with them.
+    # The wrappers read their pairs from SHIFTS; pin the letter each one reads.
     for n, k in ((0, 0), (0, 5), (5, 0), (3, 7), (7, 3), (12, 12)):
         assert fn(n, k) == exactcomb._shifted_sum(n, k, *exactcomb.SHIFTS[letter])
 
 
-@pytest.mark.parametrize("module", [verify, lclt], ids=["verify", "lclt"])
-def test_only_exactcomb_spells_a_shift_pair(module):
-    # A two-element tuple of 0s and 1s restates a pair of SHIFTS.
-    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
-        if isinstance(node, ast.Tuple) and len(node.elts) == 2:
-            values = [getattr(elt, "value", None) for elt in node.elts]
-            assert not all(isinstance(v, int) and v in (0, 1) for v in values), node.lineno
+def _pairs_spelled(source):
+    # Lines where source spells a shift pair: a two-element tuple or list of
+    # the int literals 0 and 1, or a call whose last two positional arguments
+    # are such literals. The values of the SHIFTS dict and the right side of
+    # a membership test, as in `d in (0, 1)`, are not pairs.
+    tree = ast.parse(source)
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+            if any(getattr(target, "id", None) == "SHIFTS" for target in node.targets):
+                exempt.update(map(id, node.value.values))
+        elif isinstance(node, ast.Compare):
+            ops = zip(node.ops, node.comparators)
+            exempt.update(id(right) for op, right in ops if isinstance(op, (ast.In, ast.NotIn)))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Tuple, ast.List)) and len(node.elts) == 2 and id(node) not in exempt:
+            pair = node.elts
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            pair = node.args[-2:]
+        else:
+            continue
+        if all(isinstance(elt, ast.Constant) and type(elt.value) is int and elt.value in (0, 1) for elt in pair):
+            found.append(node.lineno)
+    return found
+
+
+def test_the_pair_pin_sees_each_spelling():
+    source = 'f(n, k, 1, 0)\nx = [0, 1]\ny = (1, 1)\nSHIFTS = {"D": (0, 0)}\nd in (0, 1)\ng(n, False, True)\n'
+    assert _pairs_spelled(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(exactcomb.__file__).parent.glob("*.py")), ids=lambda path: path.stem
+)
+def test_only_exactcomb_spells_a_shift_pair(path):
+    # Every B, C or D computation reads its pair from exactcomb.SHIFTS; a
+    # pair spelled anywhere else states the family a second time.
+    assert _pairs_spelled(path.read_text()) == []
 
 
 def test_only_exactcomb_spells_a_family_subset():
