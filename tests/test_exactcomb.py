@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from polybern import cli, exactcomb, lclt, saddle, verify
+from polybern import cli, exactcomb, saddle, verify
 from polybern.exactcomb import (
     GuardError,
     c_relative,
