@@ -23,7 +23,8 @@ LOG2 = math.log(2.0)
 # Largest n or k the float formulas take: saddle's estimators and lclt's
 # limit densities. lgamma(n + 1) leaves the float range from n of about
 # 2.5e305; below 10**300 every sum the estimators form, and n times lclt's
-# rate constants, stays finite.
+# rate constants, stays finite. A power of ten: the messages that state it
+# print it as 10**e.
 MAX_ESTIMATE_SIZE = 10**300
 
 # Largest n or k a caller may pass to the exact tables. B(n, k) and C(n, k)
@@ -45,7 +46,7 @@ IE_GUARD = 64
 
 
 class GuardError(ValueError):
-    """A size guard was exceeded (table bound or enumeration bound)."""
+    """A size past its guard, as "n=513 exceeds table bound 512" or "n=1 outside row guard 2..200"."""
 
 
 # The Stirling triangle, read and grown by _stirling_row alone.
@@ -61,15 +62,19 @@ def _check_ints(what: str, *values: int) -> None:
             raise ValueError(f"{what}, got {', '.join(map(repr, values))}")
 
 
-def _check_table_guard(n: int, k: int) -> None:
-    # The caller's own indices, on every call: rows already cached do not
-    # lift the bound.
-    _check_ints("indices must be ints", n, k)
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    if n > TABLE_GUARD or k > TABLE_GUARD:
-        name, value = ("n", n) if n > TABLE_GUARD else ("k", k)
-        raise GuardError(f"{name}={value} exceeds table bound {TABLE_GUARD}")
+def _check_sizes(what: str, names: str, lo: int, hi: int, guard: str, *sizes: int) -> None:
+    # The library's one size rule: the int rule, with `what` its phrase; then
+    # a negative size, a ValueError; then the first size outside its guard's
+    # window lo..hi, a GuardError. `names` names the sizes, space-separated.
+    # Callers read each guard at call time, so cached rows do not lift it.
+    # The refusal is built only once a size fails the one test on the hot path.
+    for size in sizes:
+        if not (isinstance(size, int) and lo <= size <= hi):
+            _check_ints(what, *sizes)
+            if min(sizes) < 0:
+                raise ValueError(f"{what.partition(' must ')[0]} must be nonnegative")
+            name, size = next(pair for pair in zip(names.split(), sizes) if not lo <= pair[1] <= hi)
+            raise GuardError(f"{name}={size} " + (f"outside {guard} {lo}..{hi}" if lo else f"exceeds {guard} {hi}"))
 
 
 def _step(prev: list[Count], width: int) -> list[Count]:
@@ -120,7 +125,7 @@ def _stirling_row(r: int, width: int) -> list[Count]:
 
 def stirling2(n: int, m: int) -> Count:
     """Stirling number of the second kind: partitions of an n-set into m blocks."""
-    _check_table_guard(n, m)
+    _check_sizes("indices must be ints", "n k", 0, TABLE_GUARD, "table bound", n, m)
     if m > n:
         return 0
     return _stirling_row(n, m + 1)[m]
@@ -133,7 +138,7 @@ def stirling2_explicit(n: int, m: int) -> Count:
     Exists as a cross-check oracle for the recurrence rows; never used by
     the other formulas. Has the exact tables' size guard.
     """
-    _check_table_guard(n, m)
+    _check_sizes("indices must be ints", "n k", 0, TABLE_GUARD, "table bound", n, m)
     if m > n:
         raise ValueError("explicit form requires m <= n")
     total = 0
@@ -155,12 +160,13 @@ POLY_BERNOULLI_GF = SHIFTS["B"]
 ML_DEGREE_GF = SHIFTS["D"]
 
 
-def _shifted_sum(n: int, k: int, dn: int, dk: int) -> Count:
-    # sum_m (m!)^2 S(n+dn, m+dn) S(k+dk, m+dk): B, C and D are the shift
-    # pairs of SHIFTS (Kaneko 1997). Nested from the top term
+def _shifted_sum(n: int, k: int, shift: tuple[int, int]) -> Count:
+    # sum_m (m!)^2 S(n+dn, m+dn) S(k+dk, m+dk) for shift = (dn, dk): B, C and
+    # D are the pairs of SHIFTS (Kaneko 1997). Nested from the top term
     # down, sum_m (m!)^2 t_m = t_0 + 1^2 (t_1 + 2^2 (t_2 + ...)), so the
     # weight is a small multiplier and each term costs one big product.
-    _check_table_guard(n, k)
+    _check_sizes("indices must be ints", "n k", 0, TABLE_GUARD, "table bound", n, k)
+    dn, dk = shift
     low = min(n, k)
     top = _stirling_row(n + dn, low + 1 + dn)
     # On a diagonal such as B(k, k) both sides read one row, and dn >= dk,
@@ -184,8 +190,8 @@ def _u_row(n: int, delta: int) -> list[Count]:
     return row
 
 
-def _shifted_row(n: int, top: int, dn: int, dk: int) -> list[Count]:
-    # _shifted_sum(n, k, dn, dk) for k = 0..top from the single Stirling
+def _shifted_row(n: int, top: int, shift: tuple[int, int]) -> list[Count]:
+    # _shifted_sum(n, k, shift) for k = 0..top from the single Stirling
     # row n+1-dn: sum_j (-1)^(n-j) u_{1-dn}(n)_j (j+dk)^k, Kaneko's
     # one-row form of B at (1,1). Step k -> k+1 multiplies term j by the
     # small int j+dk. A whole row costs as much as 45-70 triangle sums at
@@ -193,7 +199,8 @@ def _shifted_row(n: int, top: int, dn: int, dk: int) -> list[Count]:
     # = 64 and 256, and n = 500 with top = 512; Python 3.11, x86-64): so
     # lclt and the inclusion-exclusion, which need every k, read rows, and
     # a single value keeps the triangle sum.
-    _check_table_guard(n, top)
+    _check_sizes("indices must be ints", "n k", 0, TABLE_GUARD, "table bound", n, top)
+    dn, dk = shift
     terms = [-u if (n - j) % 2 else u for j, u in enumerate(_u_row(n, 1 - dn))]
     bases = range(dk, n + 1 + dk)
     row = [sum(terms)]
@@ -208,7 +215,7 @@ def _shifted_row(n: int, top: int, dn: int, dk: int) -> list[Count]:
 @lru_cache(maxsize=IE_GUARD + 1)
 def _b_row(n: int) -> tuple[Count, ...]:
     # B(n, 0..IE_GUARD) from the one-row form, a tuple since callers share it.
-    return tuple(_shifted_row(n, IE_GUARD, *SHIFTS["B"]))
+    return tuple(_shifted_row(n, IE_GUARD, SHIFTS["B"]))
 
 
 def poly_bernoulli(n: int, k: int) -> Count:
@@ -216,7 +223,7 @@ def poly_bernoulli(n: int, k: int) -> Count:
 
     B(n,k) = sum_m (m!)^2 S(n+1,m+1) S(k+1,m+1); symmetric in (n,k).
     """
-    return _shifted_sum(n, k, *SHIFTS["B"])
+    return _shifted_sum(n, k, SHIFTS["B"])
 
 
 def c_relative(n: int, k: int) -> Count:
@@ -224,7 +231,7 @@ def c_relative(n: int, k: int) -> Count:
 
     C(n,k) = sum_m (m!)^2 S(n+1,m+1) S(k,m); not symmetric in general.
     """
-    return _shifted_sum(n, k, *SHIFTS["C"])
+    return _shifted_sum(n, k, SHIFTS["C"])
 
 
 def ml_degree(n: int, k: int) -> Count:
@@ -233,7 +240,7 @@ def ml_degree(n: int, k: int) -> Count:
     Equals the maximum likelihood degree of the n x k missing-data
     multinomial model; D(n,k) = sum_m (m!)^2 S(n,m) S(k,m), symmetric.
     """
-    return _shifted_sum(n, k, *SHIFTS["D"])
+    return _shifted_sum(n, k, SHIFTS["D"])
 
 
 # Letter -> (exact count, the name of its saddle estimator), for the CLI and verify.
@@ -253,9 +260,7 @@ def ml_degree_inclusion_exclusion(n: int, k: int) -> Count:
     catches a wrong weight there. The signed intermediate is asserted
     nonnegative to catch index-shift bugs. Takes n, k <= IE_GUARD.
     """
-    _check_table_guard(n, k)
-    if n > IE_GUARD or k > IE_GUARD:
-        raise GuardError(f"(n,k)=({n},{k}) exceeds inclusion-exclusion guard {IE_GUARD}")
+    _check_sizes("indices must be ints", "n k", 0, IE_GUARD, "inclusion-exclusion guard", n, k)
     # signs[l] = (-1)^l C(k,l), read against B(n-m, k-l)
     signs = [-math.comb(k, ell) if ell % 2 else math.comb(k, ell) for ell in range(k + 1)]
     total = 0

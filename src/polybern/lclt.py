@@ -14,8 +14,8 @@ from .exactcomb import (
     LOG2,
     MAX_ESTIMATE_SIZE,
     SHIFTS,
-    GuardError,
     _check_ints,
+    _check_sizes,
     _shifted_row,
     log_of_count,
     ml_degree,
@@ -70,7 +70,8 @@ def _check_row(n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > MAX_ESTIMATE_SIZE:
-        raise ValueError("n must be <= 10**300; n times the rate constants leaves the float range")
+        power = len(str(MAX_ESTIMATE_SIZE)) - 1
+        raise ValueError(f"n must be <= 10**{power}; n times the rate constants leaves the float range")
 
 
 def _square_gap(k: float, centre: float) -> float:
@@ -154,8 +155,7 @@ def ml_window(n: int, window: float) -> tuple[int, int]:
 def ml_scaled_coefficient(n: int, k: int) -> float:
     """Exact side of the limit-shape comparison: (2 log 2)^n/n! ML(n-k,k)."""
     _check_ints("indices must be ints", n, k)
-    if not 2 <= n <= ML_SHAPE_N_GUARD:
-        raise GuardError(f"n={n} outside 2..{ML_SHAPE_N_GUARD}")
+    _check_sizes("n must be an int", "n", 2, ML_SHAPE_N_GUARD, "shape guard", n)
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside 0..{n}")
     count = ml_degree(n - k, k)
@@ -189,10 +189,9 @@ def lclt_rows(n: int, which: str, window: float | None = None) -> tuple[list[Row
         raise ValueError(f"window applies to 'ML' only, got {window} for {which!r}")
     # n = 1 is left out: its window ends at k = 13, where the gap is still
     # 6e-7 against a sup of 0.5, far above the tail guard.
-    if not 2 <= n <= SCALED_N_GUARD:
-        raise GuardError(f"n={n} outside 2..{SCALED_N_GUARD}")
+    _check_sizes("n must be an int", "n", 2, SCALED_N_GUARD, "row guard", n)
     p = gaussian_params(which)
-    counts = _shifted_row(n, window_limit(n, p), *SHIFTS[which])
+    counts = _shifted_row(n, window_limit(n, p), SHIFTS[which])
     log_rate, log_n_factorial = n * math.log(p.rho), math.lgamma(n + 1)
     rows = []
     for k, count in enumerate(counts):

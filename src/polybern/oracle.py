@@ -27,7 +27,7 @@ from functools import reduce
 from operator import ge, or_
 from types import MappingProxyType
 
-from .exactcomb import Count, GuardError, _check_ints
+from .exactcomb import Count, GuardError, _check_ints, _check_sizes
 
 # One guard per sweep: the set sweep of matrices, the mask sweep of permutations.
 MATRIX_GUARD = 30
@@ -80,11 +80,9 @@ def _swept(n: int, k: int, fits: RowTest) -> Census:
     # for n < k the census's flags are the transpose's, (no zero column, no
     # zero row). `fits` must read the rows above only as a set, which is the
     # state.
-    _check_ints("dimensions must be ints", n, k)
-    if n < 0 or k < 0:
-        raise ValueError("matrix dimensions must be nonnegative")
-    if max(n, k, n * k) > MATRIX_GUARD:
-        raise GuardError(f"{n}x{k} exceeds enumeration guard {MATRIX_GUARD} on n*k or a side")
+    _check_sizes("dimensions must be ints", "n k", 0, MATRIX_GUARD, "enumeration guard", n, k)
+    if n * k > MATRIX_GUARD:
+        raise GuardError(f"{n}x{k} exceeds enumeration guard {MATRIX_GUARD} on n*k")
     width, height = min(n, k), max(n, k)
     rows = range(1 << width)
     with _sweeps_lock:
@@ -215,9 +213,7 @@ def _count_permutations(m: int, fits: Callable[[int, int], bool]) -> Count:
 
 def count_vesztergombi(n: int, k: int) -> Count:
     """Permutations pi of {1,...,n+k} with -k <= pi(i)-i <= n (n+k <= 14)."""
-    _check_ints("dimensions must be ints", n, k)
-    if n < 0 or k < 0:
-        raise ValueError("dimensions must be nonnegative")
+    _check_sizes("dimensions must be ints", "n k", 0, PERMUTATION_GUARD, "enumeration guard", n, k)
     return _count_permutations(n + k, lambda i, v: -k <= v - i <= n)
 
 

@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .exactcomb import GuardError, LogEstimate, _check_ints, _u_row
+from .exactcomb import GuardError, LogEstimate, _check_sizes, _u_row
 from .saddle import _solve
 
 PARSEVAL_GUARD = 20
@@ -36,19 +36,9 @@ class QuadratureSpec:
     nodes: int
 
     def __post_init__(self):
-        _check_ints("nodes must be an int", self.nodes)
+        _check_sizes("nodes must be an int", "nodes", 0, NODES_GUARD, "node guard", self.nodes)
         if self.nodes < 8 or self.nodes % 2:
             raise ValueError(f"nodes must be even and >= 8, got {self.nodes}")
-        if self.nodes > NODES_GUARD:
-            raise GuardError(f"nodes={self.nodes} exceeds node guard {NODES_GUARD}")
-
-
-def _check_k(k: int, guard: int, rule: str) -> None:
-    _check_ints("k must be an int", k)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > guard:
-        raise GuardError(f"k={k} exceeds {rule} guard {guard}")
 
 
 def _horner(coeffs: list[complex] | list[float], y: complex) -> complex:
@@ -71,7 +61,7 @@ def parseval_b(k: int, spec: QuadratureSpec) -> float:
     The integrand is a trigonometric polynomial of degree k, so any node
     count >= 2k+2 is exact up to rounding; the guard demands 2k+4.
     """
-    _check_k(k, PARSEVAL_GUARD, "parseval")
+    _check_sizes("k must be an int", "k", 0, PARSEVAL_GUARD, "parseval guard", k)
     if spec.nodes < 2 * k + 4:
         raise GuardError(f"nodes={spec.nodes} below exactness bound {2 * k + 4}")
     # complex coefficients, so that Horner adds no float-to-complex promotion
@@ -105,7 +95,7 @@ def _half_circle(nodes: int) -> tuple[complex, ...]:
 
 def laplace_integral_diag(k: int, spec: QuadratureSpec) -> LogEstimate:
     """Natural log of the trapezoid value of the diagonal contour integral."""
-    _check_k(k, LAPLACE_GUARD, "laplace")
+    _check_sizes("k must be an int", "k", 0, LAPLACE_GUARD, "laplace guard", k)
     # Midpoint-offset nodes keep the rule away from the phi = +-pi
     # singularity; terms are combined in log space since the peak value
     # grows like (1/log 2)^(2k+2). The exponent is even in phi, and no node
@@ -130,9 +120,7 @@ def residue_integral_b(n: int, k: int, spec: QuadratureSpec) -> LogEstimate:
     (T_0 + T_N/2 + 2 sum Re T_j)/N.
     Raises ValueError naming the radius where the rule breaks down on it.
     """
-    _check_ints("indices must be ints", n, k)
-    if not (1 <= n <= RESIDUE_GUARD and 1 <= k <= RESIDUE_GUARD):
-        raise GuardError(f"(n,k)=({n},{k}) outside residue guard 1..{RESIDUE_GUARD}")
+    _check_sizes("indices must be ints", "n k", 1, RESIDUE_GUARD, "residue guard", n, k)
     radius = _solve(n, k)[0]
     # the operands each node would promote to complex, promoted once
     scale, minus_n, k1, one = complex(radius), complex(-n), complex(k + 1), complex(1.0)

@@ -191,7 +191,7 @@ def _solve(n: int, k: int) -> tuple[float, float]:
     # saddle_point's (a, b), without building the dataclass
     _check_ints("indices must be ints", n, k)
     if not (1 <= n <= MAX_ESTIMATE_SIZE and 1 <= k <= MAX_ESTIMATE_SIZE):
-        raise ValueError("saddle_point needs 1 <= n, k <= 10**300")
+        raise ValueError(f"saddle_point needs 1 <= n, k <= 10**{len(str(MAX_ESTIMATE_SIZE)) - 1}")
     big, small = _root(n / k if n > k else k / n)
     return (big, small) if n > k else (small, big)
 
@@ -211,9 +211,9 @@ def saddle_point(n: int, k: int) -> SaddlePoint:
     return SaddlePoint(a=a, b=b, ratio=n / k)
 
 
-def _smooth_log(n: int, k: int, dn: int, dk: int) -> LogEstimate:
+def _smooth_log(n: int, k: int, shift: tuple[int, int]) -> LogEstimate:
     # Leading-order smooth-point estimate of the coefficient n! k! [x^n y^k]
-    # of exp(-(1-dn) x - (1-dk) y) / (exp(-x) + exp(-y) - 1).
+    # of exp(-(1-dn) x - (1-dk) y) / (exp(-x) + exp(-y) - 1), shift = (dn, dk).
     a, b = _solve(n, k)
     ratio = n / k
     if not 0.1 <= ratio <= 10.0:
@@ -241,12 +241,13 @@ def _smooth_log(n: int, k: int, dn: int, dk: int) -> LogEstimate:
         - k * math.log(b)
         - 0.5 * math.log(k * variance)
     )
+    dn, dk = shift
     return value - (1 - dn) * a - (1 - dk) * b
 
 
 def bivar_asym_log(n: int, k: int) -> LogEstimate:
     """Log of the leading-order bivariate estimate of B(n,k)."""
-    return _smooth_log(n, k, *POLY_BERNOULLI_GF)
+    return _smooth_log(n, k, POLY_BERNOULLI_GF)
 
 
 def diag_asym_log(k: int, order: int = 1) -> LogEstimate:
@@ -270,7 +271,7 @@ def ml_asym_log(n: int, k: int) -> LogEstimate:
 
     Exactly bivar_asym_log(n,k) - a - b at the shared saddle point.
     """
-    return _smooth_log(n, k, *ML_DEGREE_GF)
+    return _smooth_log(n, k, ML_DEGREE_GF)
 
 
 def excedance_asym_log(r: int, s: int) -> LogEstimate:
@@ -278,7 +279,7 @@ def excedance_asym_log(r: int, s: int) -> LogEstimate:
 
     Exactly bivar_asym_log(r,s) - b at the shared saddle point.
     """
-    return _smooth_log(r, s, *SHIFTS["C"])
+    return _smooth_log(r, s, SHIFTS["C"])
 
 
 def acsv_general_log(shift: tuple[int, int], n: int, k: int) -> LogEstimate:

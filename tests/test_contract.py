@@ -50,9 +50,10 @@ def _strategy(hint):
     if hint is bool:  # 0 and 1 read as bools; any other flag must be refused
         return st.booleans() | st.integers(-1, 2) | st.floats() | st.none()
     if hint is int:  # small ints reach inside the domains the bounds close, and
-        # any two in 0..5 inside the matrix oracles' n*k <= 30; a float, NaN or
-        # bool in an int's place must be refused or read as its int
-        return st.integers(0, 5) | st.sampled_from(INTS) | st.integers(0, 40) | st.floats() | st.booleans()
+        # any two in 0..5 inside the matrix oracles' n*k <= 30; a float, NaN,
+        # None or str in an int's place must be refused, and a bool read as its int
+        ints = st.integers(0, 5) | st.sampled_from(INTS) | st.integers(0, 40)
+        return ints | st.floats() | st.booleans() | st.none() | st.sampled_from(["3", ""])
     if hint is float:
         return st.sampled_from(FLOATS) | st.floats()
     if hint is str:
@@ -126,18 +127,18 @@ NAMESPACE.update(B=lclt.gaussian_params("B"), inf=math.inf, nan=math.nan)
 RAISES = {
     (ValueError, "^indices must be nonnegative$"): (
         "poly_bernoulli(-1, 2)", "poly_bernoulli(2, -1)", "ml_degree(-1, 2)", "ml_degree(2, -1)",
-        "c_relative(-1, 2)", "c_relative(2, -1)", "_shifted_row(-1, 2, 1, 1)", "_shifted_row(2, -1, 1, 1)",
-        "stirling2_explicit(-1, 2)",
+        "c_relative(-1, 2)", "c_relative(2, -1)", "_shifted_row(-1, 2, (1, 1))", "_shifted_row(2, -1, (1, 1))",
+        "stirling2_explicit(-1, 2)", "poly_bernoulli(513, -1)", "residue_integral_b(41, -1, QuadratureSpec(64))",
     ),
     (ValueError, "^indices must be ints, got nan, 0$"): ("stirling2_explicit(nan, 0)",),
     (GuardError, "^n=513 exceeds table bound 512$"): (
-        "poly_bernoulli(513, 0)", "_shifted_row(513, 0, 1, 1)", "stirling2_explicit(513, 2)",
+        "poly_bernoulli(513, 0)", "_shifted_row(513, 0, (1, 1))", "stirling2_explicit(513, 2)",
         "stirling2_explicit(513, 513)",
     ),
     (GuardError, "^k=513 exceeds table bound 512$"): (
-        "poly_bernoulli(0, 513)", "_shifted_row(0, 513, 1, 1)", "stirling2_explicit(40, 513)",
+        "poly_bernoulli(0, 513)", "_shifted_row(0, 513, (1, 1))", "stirling2_explicit(40, 513)",
     ),
-    (GuardError, r"^\(n,k\)=\(65,0\) exceeds inclusion-exclusion guard 64$"): (
+    (GuardError, "^n=65 exceeds inclusion-exclusion guard 64$"): (
         "ml_degree_inclusion_exclusion(65, 0)",
     ),
     (ValueError, "^count must be positive to take its log$"): ("log_of_count(0)",),
@@ -190,10 +191,14 @@ RAISES = {
     (ValueError, "^indices must be ints, got 2.0, 2.0$"): ("diag_asym_log(2.0)",),
     (ValueError, "^k must be an int, got 2.5$"): ("parseval_b(2.5, QuadratureSpec(64))",),
     (ValueError, "^k must be an int, got nan$"): ("laplace_integral_diag(nan, QuadratureSpec(8))",),
+    # the B, C and D rows apply the int rule before their window
     (ValueError, "^n must be an int, got nan$"): (
         "ml_limit_shape(nan, 1.0)", "nu_density(nan, 1.0, B)", "window_limit(nan, B)", "ml_window(nan, 1.0)",
+        "lclt_discrepancy(nan, 'B')",
     ),
     (ValueError, "^n must be an int, got 2.0$"): ("lclt_discrepancy(2.0, 'B')", "ml_limit_discrepancy(2.0)"),
+    (ValueError, "^n must be an int, got None$"): ("lclt_discrepancy(None, 'B')",),
+    (ValueError, "^n must be an int, got '3'$"): ("lclt_rows('3', 'B')",),
     (ValueError, r"^dimensions must be ints, got 2\.5, 2$"): (
         "count_lonesum(2.5, 2)", "count_gamma_free(2.5, 2)", "count_acyclic_orientations(2.5, 2)",
         "count_lonesum_restricted(2.5, 2, True, True)", "count_vesztergombi(2.5, 2)", "count_excedance_word(2.5, 2)",
@@ -213,10 +218,9 @@ RAISES = {
     (ValueError, "^k must be nonnegative$"): (
         "parseval_b(-1, QuadratureSpec(64))", "laplace_integral_diag(-1, QuadratureSpec(8))",
     ),
-    (ValueError, "^dimensions must be nonnegative$"): ("count_vesztergombi(-1, 2)",),
-    (ValueError, "^matrix dimensions must be nonnegative$"): (
-        "count_lonesum(-1, 2)", "count_gamma_free(2, -1)", "count_acyclic_orientations(-1, 0)",
-        "count_lonesum_restricted(-1, 2, False, True)",
+    (ValueError, "^dimensions must be nonnegative$"): (
+        "count_vesztergombi(-1, 2)", "count_lonesum(-1, 2)", "count_gamma_free(2, -1)",
+        "count_acyclic_orientations(-1, 0)", "count_lonesum_restricted(-1, 2, False, True)",
     ),
     (ValueError, r"^indices must be ints, got 10, 2\.5$"): ("ml_scaled_coefficient(10, 2.5)",),
     (ValueError, r"^indices must be ints, got 10, 10\.5$"): ("ml_scaled_coefficient(10, 10.5)",),
@@ -227,6 +231,9 @@ RAISES = {
     (GuardError, r"outside residue guard 1\.\.40$"): (
         "residue_integral_b(41, 5, QuadratureSpec(2048))", "residue_integral_b(0, 5, QuadratureSpec(2048))",
     ),
+    # the size rule reads every size for the int rule, then for the sign, then the window
+    (ValueError, "^indices must be ints, got -1, None$"): ("poly_bernoulli(-1, None)",),
+    (ValueError, "^dimensions must be ints, got 31, 2.5$"): ("count_lonesum(31, 2.5)",),
 }
 
 # claims that hold at the domains' edges
@@ -263,3 +270,65 @@ def test_pinned_raise(call, error):
 @pytest.mark.parametrize("claim", HOLDS)
 def test_pinned_claim(claim):
     assert eval(claim, NAMESPACE)
+
+
+# Each entry point of exactcomb._check_sizes: the call, with {} where the
+# size under test goes; the int rule's phrase; the subject a negative size is
+# refused by; the size's name; and its guard's window lo..hi and name.
+INDICES, DIMENSIONS, K = "indices must be ints", "dimensions must be ints", "k must be an int"
+TABLE, IE = exactcomb.TABLE_GUARD, exactcomb.IE_GUARD
+MATRIX, PERMUTATION = oracle.MATRIX_GUARD, oracle.PERMUTATION_GUARD
+SIZE_RULE = (
+    ("stirling2({}, 0)", INDICES, "indices", "n", 0, TABLE, "table bound"),
+    ("stirling2_explicit({}, 0)", INDICES, "indices", "n", 0, TABLE, "table bound"),
+    ("poly_bernoulli({}, 0)", INDICES, "indices", "n", 0, TABLE, "table bound"),
+    ("c_relative(0, {})", INDICES, "indices", "k", 0, TABLE, "table bound"),
+    ("ml_degree({}, 0)", INDICES, "indices", "n", 0, TABLE, "table bound"),
+    ("_shifted_row(0, {}, (1, 1))", INDICES, "indices", "k", 0, TABLE, "table bound"),
+    ("ml_degree_inclusion_exclusion({}, 0)", INDICES, "indices", "n", 0, IE, "inclusion-exclusion guard"),
+    ("count_lonesum({}, 0)", DIMENSIONS, "dimensions", "n", 0, MATRIX, "enumeration guard"),
+    ("count_lonesum_restricted(0, {}, True, True)", DIMENSIONS, "dimensions", "k", 0, MATRIX, "enumeration guard"),
+    ("count_gamma_free({}, 0)", DIMENSIONS, "dimensions", "n", 0, MATRIX, "enumeration guard"),
+    ("count_acyclic_orientations(0, {})", DIMENSIONS, "dimensions", "k", 0, MATRIX, "enumeration guard"),
+    ("count_vesztergombi({}, 0)", DIMENSIONS, "dimensions", "n", 0, PERMUTATION, "enumeration guard"),
+    ("QuadratureSpec({})", "nodes must be an int", "nodes", "nodes", 0, quad.NODES_GUARD, "node guard"),
+    ("parseval_b({}, QuadratureSpec(64))", K, "k", "k", 0, quad.PARSEVAL_GUARD, "parseval guard"),
+    ("laplace_integral_diag({}, QuadratureSpec(8))", K, "k", "k", 0, quad.LAPLACE_GUARD, "laplace guard"),
+    ("residue_integral_b({}, 1, QuadratureSpec(64))", INDICES, "indices", "n", 1, quad.RESIDUE_GUARD, "residue guard"),
+    ("lclt_discrepancy({}, 'B')", "n must be an int", "n", "n", 2, lclt.SCALED_N_GUARD, "row guard"),
+    ("lclt_rows({}, 'D')", "n must be an int", "n", "n", 2, lclt.SCALED_N_GUARD, "row guard"),
+    ("ml_scaled_coefficient({}, 0)", INDICES, "n", "n", 2, lclt.ML_SHAPE_N_GUARD, "shape guard"),
+)
+
+
+def _size_rule_cases():
+    for call, phrase, subject, name, lo, hi, guard in SIZE_RULE:
+        window = rf"outside {guard} {lo}\.\.{hi}$" if lo else f"exceeds {guard} {hi}$"
+        sign = (ValueError, f"^{subject} must be nonnegative$")
+        cases = {
+            "None": (ValueError, f"^{phrase}, got .*None"),
+            "nan": (ValueError, f"^{phrase}, got .*nan"),
+            str(lo - 1): (GuardError, f"^{name}={lo - 1} {window}"),  # at lo = 0 the next line replaces it
+            "-1": sign,
+            str(hi + 1): (GuardError, f"^{name}={hi + 1} {window}"),
+        }
+        for value, error in cases.items():
+            yield pytest.param(call.format(value), error, id=call.format(value))
+
+
+@pytest.mark.parametrize("call,error", _size_rule_cases())
+def test_the_size_rule_refuses_int_then_sign_then_window(call, error):
+    # the exact type: a negative size is a plain ValueError, never a GuardError
+    with pytest.raises(ValueError, match=error[1]) as refused:
+        eval(call, NAMESPACE)
+    assert type(refused.value) is error[0]
+
+
+def test_the_estimate_bound_is_read_when_refused(monkeypatch):
+    # the messages state MAX_ESTIMATE_SIZE as it is when they are built
+    for module in (saddle, lclt):
+        monkeypatch.setattr(module, "MAX_ESTIMATE_SIZE", 10**200)
+    with pytest.raises(ValueError, match=r"^saddle_point needs 1 <= n, k <= 10\*\*200$"):
+        saddle.saddle_point(10**250, 10**250)
+    with pytest.raises(ValueError, match=r"^n must be <= 10\*\*200; "):
+        lclt.window_limit(10**250, lclt.gaussian_params("B"))

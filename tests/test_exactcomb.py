@@ -111,7 +111,8 @@ def test_inclusion_exclusion_agrees():
 def mutant_shifted_sum(weight=lambda m: (m + 1) * (m + 1), slip=lambda m: 0):
     # A stand-in for exactcomb._shifted_sum: its nested sum, with weight(m)
     # in place of the (m+1)^2 per step and slip(m) added to term m.
-    def shifted_sum(n, k, dn, dk):
+    def shifted_sum(n, k, shift):
+        dn, dk = shift
         low = min(n, k)
         top = exactcomb._stirling_row(n + dn, low + 1 + dn)
         side = exactcomb._stirling_row(k + dk, low + 1 + dk)
@@ -155,7 +156,7 @@ def test_criterion_2_builds_each_row_once(monkeypatch, fresh_b_rows):
 
     monkeypatch.setattr(exactcomb, "_shifted_row", counted)
     assert verify.criterion_formula_identities().passed
-    assert sorted(calls) == [(j, exactcomb.IE_GUARD, 1, 1) for j in range(16)]
+    assert sorted(calls) == [(j, exactcomb.IE_GUARD, (1, 1)) for j in range(16)]
 
 
 def test_b_row_is_a_shared_tuple(fresh_b_rows):
@@ -167,7 +168,7 @@ def test_b_row_is_a_shared_tuple(fresh_b_rows):
 def test_inclusion_exclusion_sees_a_wrong_row(monkeypatch, fresh_b_rows):
     # Each row read one index too far down: B(j+1, .) in place of B(j, .).
     shifted_row = exactcomb._shifted_row
-    monkeypatch.setattr(exactcomb, "_shifted_row", lambda n, top, dn, dk: shifted_row(n + 1, top, dn, dk))
+    monkeypatch.setattr(exactcomb, "_shifted_row", lambda n, top, shift: shifted_row(n + 1, top, shift))
     for n in range(8):
         for k in range(1, 8):
             assert ml_degree_inclusion_exclusion(n, k) != ml_degree(n, k), (n, k)
@@ -311,7 +312,7 @@ def test_the_family_is_one_shift_table():
 def test_each_public_count_is_its_shift_pair(letter, fn):
     # The wrappers read their pairs from SHIFTS; pin the letter each one reads.
     for n, k in ((0, 0), (0, 5), (5, 0), (3, 7), (7, 3), (12, 12)):
-        assert fn(n, k) == exactcomb._shifted_sum(n, k, *exactcomb.SHIFTS[letter])
+        assert fn(n, k) == exactcomb._shifted_sum(n, k, exactcomb.SHIFTS[letter])
 
 
 def _pairs_spelled(source):
@@ -397,17 +398,17 @@ def test_only_exactcomb_wires_a_sequence_to_its_estimator(module, counts):
     assert [(name, line) for name, line in _names_spelled(module) if name in estimators | counts] == []
 
 
-@pytest.mark.parametrize("dn,dk", [(1, 1), (1, 0), (0, 0)], ids=["B", "C", "D"])
-def test_shifted_row_equals_shifted_sum(dn, dk):
+@pytest.mark.parametrize("shift", [(1, 1), (1, 0), (0, 0)], ids=["B", "C", "D"])
+def test_shifted_row_equals_shifted_sum(shift):
     for n in range(41):
-        expected = [exactcomb._shifted_sum(n, k, dn, dk) for k in range(61)]
-        assert exactcomb._shifted_row(n, 60, dn, dk) == expected
+        expected = [exactcomb._shifted_sum(n, k, shift) for k in range(61)]
+        assert exactcomb._shifted_row(n, 60, shift) == expected
 
 
-@pytest.mark.parametrize("fn,shift", [(poly_bernoulli, 1), (ml_degree, 0)], ids=["B", "D"])
+@pytest.mark.parametrize("fn,shift", [(poly_bernoulli, (1, 1)), (ml_degree, (0, 0))], ids=["B", "D"])
 def test_shifted_row_at_the_lclt_corner(fn, shift):
     # lclt_rows reads rows up to n = 200 with k up to 400.
-    row = exactcomb._shifted_row(200, 400, shift, shift)
+    row = exactcomb._shifted_row(200, 400, shift)
     assert len(row) == 401
     for k in (0, 1, 199, 200, 201, 399, 400):
         assert row[k] == fn(200, k)
@@ -421,7 +422,7 @@ def test_shifted_row_b_has_kanekos_coefficients(n):
         (-1) ** (n + j) * math.factorial(j) * stirling2_explicit(n, j) for j in range(n + 1)
     ]
     expected = [sum(c * (j + 1) ** k for j, c in enumerate(coefficients)) for k in range(n + 1)]
-    assert exactcomb._shifted_row(n, n, 1, 1) == expected
+    assert exactcomb._shifted_row(n, n, (1, 1)) == expected
 
 
 @pytest.mark.parametrize("delta", [0, 1])
@@ -438,11 +439,12 @@ def test_u_row_reaches_the_top_of_the_triangle():
     assert row[-1] == math.factorial(512)
 
 
-def _forward_shifted_sum(n, k, dn, dk):
+def _forward_shifted_sum(n, k, shift):
     # The sum term by term from m = 0 up, carrying the weight (m!)^2. The
     # rows come through the triangle's accessor, which derives every row
     # the stride does not keep, from row 129 up; stirling2 cannot stand in,
     # as row 513 is past its guard.
+    dn, dk = shift
     width = min(n, k) + 1
     top = exactcomb._stirling_row(n + dn, width + dn)
     side = exactcomb._stirling_row(k + dk, width + dk)
@@ -454,10 +456,10 @@ def _forward_shifted_sum(n, k, dn, dk):
     return total
 
 
-@pytest.mark.parametrize("dn,dk", [(1, 1), (1, 0), (0, 0)], ids=["B", "C", "D"])
+@pytest.mark.parametrize("shift", [(1, 1), (1, 0), (0, 0)], ids=["B", "C", "D"])
 @pytest.mark.parametrize("n,k", [(512, 512), (512, 0), (0, 512), (511, 256), (300, 511), (1, 1)])
-def test_nested_sum_equals_the_forward_sum(n, k, dn, dk):
-    assert exactcomb._shifted_sum(n, k, dn, dk) == _forward_shifted_sum(n, k, dn, dk)
+def test_nested_sum_equals_the_forward_sum(n, k, shift):
+    assert exactcomb._shifted_sum(n, k, shift) == _forward_shifted_sum(n, k, shift)
 
 
 def _plain_rows(top):
@@ -552,7 +554,7 @@ def test_a_diagonal_sum_reads_its_one_row_once(monkeypatch):
     steps = _logged_steps(monkeypatch)
     value = poly_bernoulli(510, 510)
     assert steps == [(509, 512), (510, 512), (511, 512)]
-    assert value == _forward_shifted_sum(510, 510, 1, 1)
+    assert value == _forward_shifted_sum(510, 510, (1, 1))
 
 
 def test_growth_computes_each_row_once(monkeypatch):
@@ -585,8 +587,8 @@ def _alternating_sum(top):
     return sum((-1) ** ell * poly_bernoulli(top - ell, ell) for ell in range(top + 1))
 
 
-def _one_too_large_above_40(n, k, dn, dk, shifted_sum=exactcomb._shifted_sum):
-    return shifted_sum(n, k, dn, dk) + (min(n, k) > 40)
+def _one_too_large_above_40(n, k, shift, shifted_sum=exactcomb._shifted_sum):
+    return shifted_sum(n, k, shift) + (min(n, k) > 40)
 
 
 # B, C and D one too large wherever min(n, k) > 40, or each term of the sum

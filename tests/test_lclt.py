@@ -106,7 +106,7 @@ def _per_k_rows(n, which):
     p = gaussian_params(which)
     rows = []
     for k in range(window_limit(n, p) + 1):
-        value = exactcomb._shifted_sum(n, k, *exactcomb.SHIFTS[which])
+        value = exactcomb._shifted_sum(n, k, exactcomb.SHIFTS[which])
         scaled = 0.0
         if value != 0:
             scaled = math.exp(

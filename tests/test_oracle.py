@@ -292,7 +292,7 @@ def test_vesztergombi_guard():
     with pytest.raises(GuardError):
         count_vesztergombi(7, 8)
     # The guard is checked before any position's range is built.
-    with pytest.raises(GuardError, match="permutation length 1000000000000 exceeds"):
+    with pytest.raises(GuardError, match="^n=1000000000000 exceeds enumeration guard 14$"):
         count_vesztergombi(10**12, 0)
 
 
@@ -475,7 +475,7 @@ def test_thin_shapes_cost_states_not_matrices():
 
 def test_oracle_takes_only_count_and_guard_from_exactcomb():
     # The oracles must decide membership independently of the formula layer;
-    # the shared int check computes no count.
+    # the shared int and size checks compute no count.
     taken = set()
     for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
@@ -485,4 +485,4 @@ def test_oracle_takes_only_count_and_guard_from_exactcomb():
                 taken.update(alias.name for alias in node.names if alias.name == "exactcomb")
         elif isinstance(node, ast.Import):
             taken.update(alias.name for alias in node.names if alias.name.endswith("exactcomb"))
-    assert taken == {"Count", "GuardError", "_check_ints"}
+    assert taken == {"Count", "GuardError", "_check_ints", "_check_sizes"}

@@ -79,11 +79,11 @@ row_points = st.tuples(
 @settings(deadline=None)
 @given(row_points)
 def test_shifted_row_matches_the_triangle_sum(point):
-    n, (top, k), (dn, dk) = point
-    row = exactcomb._shifted_row(n, top, dn, dk)
+    n, (top, k), shift = point
+    row = exactcomb._shifted_row(n, top, shift)
     assert len(row) == top + 1
-    assert row[k] == exactcomb._shifted_sum(n, k, dn, dk)
-    assert row[top] == exactcomb._shifted_sum(n, top, dn, dk)
+    assert row[k] == exactcomb._shifted_sum(n, k, shift)
+    assert row[top] == exactcomb._shifted_sum(n, top, shift)
 
 
 @settings(deadline=None)
@@ -102,7 +102,7 @@ def test_shifted_sum_matches_the_explicit_stirling_sum(n, k, shift):
         * stirling2_explicit(k + dk, m + dk)
         for m in range(min(n, k) + 1)
     )
-    assert exactcomb._shifted_sum(n, k, dn, dk) == expected
+    assert exactcomb._shifted_sum(n, k, shift) == expected
 
 
 @settings(deadline=None)

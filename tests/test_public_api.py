@@ -126,6 +126,29 @@ def test_the_int_check_is_spelled_once():
     assert spelled == []
 
 
+def test_the_size_rule_is_the_one_guard_raise():
+    # exactcomb._check_sizes refuses every size outside its guard; the only
+    # other GuardError is a bound on a quantity derived from two arguments:
+    # n*k in the matrix sweep, n+k in the permutation sweep and parseval's
+    # node floor 2k+4
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # each node's innermost function: ast.walk visits outer ones first
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and getattr(getattr(node.exc, "func", None), "id", None) == "GuardError":
+                sites.append((path.stem, owner.get(node)))
+    assert sorted(sites) == [
+        ("exactcomb", "_check_sizes"),
+        ("oracle", "_count_permutations"),
+        ("oracle", "_swept"),
+        ("quad", "parseval_b"),
+    ]
+
+
 def test_the_stirling_triangle_has_one_owner():
     # exactcomb._stirling_row alone grows, stores and reads _rows, so the
     # rule of which rows it keeps lives in one function; the module-level
