@@ -20,11 +20,10 @@ LogEstimate = float
 
 LOG2 = math.log(2.0)
 
-# Largest n or k the float formulas take: saddle's estimators and lclt's
-# limit densities. lgamma(n + 1) leaves the float range from n of about
-# 2.5e305; below 10**300 every sum the estimators form, and n times lclt's
-# rate constants, stays finite. A power of ten: the messages that state it
-# print it as 10**e.
+# Largest n or k the float formulas take, checked by _check_estimate_sizes:
+# lgamma(n + 1) leaves the float range from n of about 2.5e305; below 10**300
+# every sum saddle's estimators form, and n times lclt's rate constants, stays
+# finite. A power of ten, so the refusal prints it as 10**e.
 MAX_ESTIMATE_SIZE = 10**300
 
 # Largest n or k a caller may pass to the exact tables. B(n, k) and C(n, k)
@@ -46,7 +45,7 @@ IE_GUARD = 64
 
 
 class GuardError(ValueError):
-    """A size past its guard, as "n=513 exceeds table bound 512" or "n=1 outside row guard 2..200"."""
+    """A size past its guard, as "n*k=36 exceeds enumeration guard 30" or "n=1 outside row guard 2..200"."""
 
 
 # The Stirling triangle, read and grown by _stirling_row alone.
@@ -75,6 +74,17 @@ def _check_sizes(what: str, names: str, lo: int, hi: int, guard: str, *sizes: in
                 raise ValueError(f"{what.partition(' must ')[0]} must be nonnegative")
             name, size = next(pair for pair in zip(names.split(), sizes) if not lo <= pair[1] <= hi)
             raise GuardError(f"{name}={size} " + (f"outside {guard} {lo}..{hi}" if lo else f"exceeds {guard} {hi}"))
+
+
+def _check_estimate_sizes(what: str, *sizes: int) -> None:
+    # The float formulas' one size check: the int rule, with `what` its phrase,
+    # then each size in 1..MAX_ESTIMATE_SIZE as read at call time. The float
+    # range is no guard: past it is a ValueError, built only once a size fails.
+    for size in sizes:
+        if not (isinstance(size, int) and 1 <= size <= MAX_ESTIMATE_SIZE):
+            _check_ints(what, *sizes)
+            bound = f"1..10**{len(str(MAX_ESTIMATE_SIZE)) - 1}"
+            raise ValueError(f"{what.partition(' must ')[0]} must lie in {bound}, got {', '.join(map(repr, sizes))}")
 
 
 def _step(prev: list[Count], width: int) -> list[Count]:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .exactcomb import (
     LOG2,
-    MAX_ESTIMATE_SIZE,
     SHIFTS,
+    _check_estimate_sizes,
     _check_ints,
     _check_sizes,
     _shifted_row,
@@ -65,15 +65,6 @@ class DiscrepancyReport:
 Row = tuple[int, float, float]
 
 
-def _check_row(n: int) -> None:
-    _check_ints("n must be an int", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > MAX_ESTIMATE_SIZE:
-        power = len(str(MAX_ESTIMATE_SIZE)) - 1
-        raise ValueError(f"n must be <= 10**{power}; n times the rate constants leaves the float range")
-
-
 def _square_gap(k: float, centre: float) -> float:
     # (k - centre) ** 2 for a finite k, or inf where that overflows (from
     # |k - centre| >= 2^512, or for an int k past the float range). For
@@ -110,7 +101,7 @@ def gaussian_params(which: str) -> GaussianParams:
 
 def nu_density(n: int, k: float, p: GaussianParams) -> float:
     """Gaussian density value at index k for row n (prefactor not applied)."""
-    _check_row(n)
+    _check_estimate_sizes("n must be an int", n)
     spread = 2.0 * p.variance_rate * n
     return p.amplitude / math.sqrt(math.pi * spread) * math.exp(-_square_gap(k, n * p.mean_rate) / spread)
 
@@ -121,13 +112,13 @@ def window_limit(n: int, p: GaussianParams) -> int:
     ceil(n omega + 12 sqrt(n sigma)), capped at SCALED_K_GUARD = 400; both
     sides of the comparison are below 1e-9 of the peak beyond the cap.
     """
-    _check_row(n)
+    _check_estimate_sizes("n must be an int", n)
     return min(math.ceil(n * p.mean_rate + 12.0 * math.sqrt(n * p.variance_rate)), SCALED_K_GUARD)
 
 
 def ml_limit_shape(n: int, k: float) -> float:
     """Limit-shape value 2^(-2(k - n/2)^2/(n(1 - log 2))) / ((4 log 2) sqrt(1 - log 2))."""
-    _check_row(n)
+    _check_estimate_sizes("n must be an int", n)
     exponent = -2.0 * _square_gap(k, n / 2.0) / (n * (1.0 - LOG2)) * LOG2
     return math.exp(exponent) / ((4.0 * LOG2) * math.sqrt(1.0 - LOG2))
 
@@ -139,7 +130,7 @@ def ml_window(n: int, window: float) -> tuple[int, int]:
     the decimal it prints as (0.3 is 3/10). Raises ValueError when no
     integer k lies in it.
     """
-    _check_row(n)
+    _check_estimate_sizes("n must be an int", n)
     if not 0 < window <= ML_SHAPE_K_MAX:
         raise ValueError(f"window must lie in (0, {ML_SHAPE_K_MAX}], got {window}")
     from fractions import Fraction  # only here: it imports decimal, which only ml_window needs

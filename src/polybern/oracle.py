@@ -9,7 +9,7 @@ state. Each property is closed under transpose, so rows are swept at
 width min(n, k). A permutation is counted through its inverse: each value
 in turn takes a free position that its oracle's predicate admits, and the
 state is the mask of positions used (the bitmask permanent recurrence).
-Each sweep checks its own size guard first.
+Each counter checks its sides and then n*k, n+k or r+s by exactcomb's rule.
 
 The matrix counters share one sweep per row test and width, kept in one
 table. It grows a row at a time as taller shapes ask for it, and every
@@ -27,7 +27,7 @@ from functools import reduce
 from operator import ge, or_
 from types import MappingProxyType
 
-from .exactcomb import Count, GuardError, _check_ints, _check_sizes
+from .exactcomb import Count, _check_ints, _check_sizes
 
 # One guard per sweep: the set sweep of matrices, the mask sweep of permutations.
 MATRIX_GUARD = 30
@@ -81,8 +81,7 @@ def _swept(n: int, k: int, fits: RowTest) -> Census:
     # zero row). `fits` must read the rows above only as a set, which is the
     # state.
     _check_sizes("dimensions must be ints", "n k", 0, MATRIX_GUARD, "enumeration guard", n, k)
-    if n * k > MATRIX_GUARD:
-        raise GuardError(f"{n}x{k} exceeds enumeration guard {MATRIX_GUARD} on n*k")
+    _check_sizes("dimensions must be ints", "n*k", 0, MATRIX_GUARD, "enumeration guard", n * k)
     width, height = min(n, k), max(n, k)
     rows = range(1 << width)
     with _sweeps_lock:
@@ -197,8 +196,7 @@ def _count_permutations(m: int, fits: Callable[[int, int], bool]) -> Count:
     # position that fits it, so the state is the mask of positions used. A
     # position left free by the last value fitting it can never be filled,
     # so once value v + 1 is placed the states lacking a position of due[v] go.
-    if m > PERMUTATION_GUARD:
-        raise GuardError(f"permutation length {m} exceeds enumeration guard {PERMUTATION_GUARD}")
+    # Its callers check m against PERMUTATION_GUARD.
     places = [[j for j in range(1, m + 1) if fits(j, v)] for v in range(1, m + 1)]
     last = {j: v for v, at in enumerate(places) for j in at}
     due = [sum(1 << j for j, at in last.items() if at == v) for v in range(m)]
@@ -214,18 +212,20 @@ def _count_permutations(m: int, fits: Callable[[int, int], bool]) -> Count:
 def count_vesztergombi(n: int, k: int) -> Count:
     """Permutations pi of {1,...,n+k} with -k <= pi(i)-i <= n (n+k <= 14)."""
     _check_sizes("dimensions must be ints", "n k", 0, PERMUTATION_GUARD, "enumeration guard", n, k)
+    _check_sizes("dimensions must be ints", "n+k", 0, PERMUTATION_GUARD, "enumeration guard", n + k)
     return _count_permutations(n + k, lambda i, v: -k <= v - i <= n)
 
 
 def count_excedance_word(r: int, s: int) -> Count:
     """Permutations of {1,...,r+s} whose first r-1 positions are excedances
-    and positions r through r+s-1 are not (r+s <= 14).
+    and positions r through r+s-1 are not (r >= 1, r+s <= 14).
 
     A position j is an excedance when pi(j) > j; the last position is free.
     """
-    _check_ints("dimensions must be ints", r, s)
-    if r < 1 or s < 0:
-        raise ValueError("need r >= 1 and s >= 0")
+    _check_sizes("dimensions must be ints", "r s", 0, PERMUTATION_GUARD, "enumeration guard", r, s)
+    if r < 1:
+        raise ValueError("need r >= 1")
     m = r + s
+    _check_sizes("dimensions must be ints", "r+s", 0, PERMUTATION_GUARD, "enumeration guard", m)
     # Position m fits every value, but a non-excedance position j falls due at value j.
     return _count_permutations(m, lambda j, v: j == m or (v > j if j < r else v <= j))

@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .exactcomb import GuardError, LogEstimate, _check_sizes, _u_row
+from .exactcomb import LogEstimate, _check_sizes, _u_row
 from .saddle import _solve
 
 PARSEVAL_GUARD = 20
@@ -62,8 +62,7 @@ def parseval_b(k: int, spec: QuadratureSpec) -> float:
     count >= 2k+2 is exact up to rounding; the guard demands 2k+4.
     """
     _check_sizes("k must be an int", "k", 0, PARSEVAL_GUARD, "parseval guard", k)
-    if spec.nodes < 2 * k + 4:
-        raise GuardError(f"nodes={spec.nodes} below exactness bound {2 * k + 4}")
+    _check_sizes("nodes must be an int", "nodes", 2 * k + 4, NODES_GUARD, "exactness bound", spec.nodes)
     # complex coefficients, so that Horner adds no float-to-complex promotion
     coeffs = [complex(u) for u in _u_row(k, 1)]
     # |u| is even in phi (real coefficients)

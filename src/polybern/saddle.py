@@ -13,7 +13,7 @@ import warnings
 from bisect import bisect
 from dataclasses import dataclass
 
-from .exactcomb import LOG2, MAX_ESTIMATE_SIZE, ML_DEGREE_GF, POLY_BERNOULLI_GF, SHIFTS, LogEstimate, _check_ints
+from .exactcomb import LOG2, ML_DEGREE_GF, POLY_BERNOULLI_GF, SHIFTS, LogEstimate, _check_estimate_sizes, _check_ints
 
 # Second-order diagonal correction constant in closed form.
 SECOND_ORDER_C = (2 * LOG2**3 + 3 * LOG2**2 - 12 * LOG2 + 6) / (16 * (1 - LOG2) ** 2)
@@ -189,9 +189,7 @@ def f_inverse(r: float) -> float:
 
 def _solve(n: int, k: int) -> tuple[float, float]:
     # saddle_point's (a, b), without building the dataclass
-    _check_ints("indices must be ints", n, k)
-    if not (1 <= n <= MAX_ESTIMATE_SIZE and 1 <= k <= MAX_ESTIMATE_SIZE):
-        raise ValueError(f"saddle_point needs 1 <= n, k <= 10**{len(str(MAX_ESTIMATE_SIZE)) - 1}")
+    _check_estimate_sizes("indices must be ints", n, k)
     big, small = _root(n / k if n > k else k / n)
     return (big, small) if n > k else (small, big)
 

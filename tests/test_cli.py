@@ -203,6 +203,25 @@ def test_guard_exit_code(capsys):
     assert code == 3 and out == "" and "node guard 65536" in err
 
 
+REFUSED_SIZES = [
+    ("oracle --which lonesum --n 6 --k 6", 3, "guard violation: n*k=36 exceeds enumeration guard 30"),
+    ("oracle --which veszt --n 7 --k 8", 3, "guard violation: n+k=15 exceeds enumeration guard 14"),
+    ("oracle --which excedance --n 8 --k 7", 3, "guard violation: r+s=15 exceeds enumeration guard 14"),
+    ("oracle --which excedance --n 0 --k 20", 3, "guard violation: s=20 exceeds enumeration guard 14"),
+    ("oracle --which excedance --n 0..2 --k 0..2", 2, "config error: need r >= 1"),
+    ("quad --which parseval --k 10 --nodes 16", 3, "guard violation: nodes=16 outside exactness bound 24..65536"),
+    ("asym --target B --n 0 --k 1", 2, "config error: indices must lie in 1..10**300, got 0, 1"),
+    ("lclt --which ML --n 0", 2, "config error: n must lie in 1..10**300, got 0"),
+]
+
+
+@pytest.mark.parametrize("command,code,line", REFUSED_SIZES, ids=[case[0] for case in REFUSED_SIZES])
+def test_a_refused_size_exits_with_its_code_and_one_line(capsys, command, code, line):
+    # exactcomb words each refusal; the CLI prints it as one stderr line and
+    # exits 3 past a guard, 2 on any other ValueError
+    assert run_cli(capsys, *command.split()) == (code, "", line + "\n")
+
+
 def test_empty_ml_window_is_config_error(capsys):
     code, out, err = run_cli(capsys, "lclt", "--which", "ML", "--n", "3", "--window", "0.05")
     assert code == 2 and out == ""

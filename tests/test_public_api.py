@@ -127,10 +127,9 @@ def test_the_int_check_is_spelled_once():
 
 
 def test_the_size_rule_is_the_one_guard_raise():
-    # exactcomb._check_sizes refuses every size outside its guard; the only
-    # other GuardError is a bound on a quantity derived from two arguments:
-    # n*k in the matrix sweep, n+k in the permutation sweep and parseval's
-    # node floor 2k+4
+    # exactcomb._check_sizes refuses every size outside its guard, the derived
+    # ones too: n*k in the matrix sweep, n+k and r+s in the permutation sweep
+    # and parseval's node window 2k+4..NODES_GUARD
     sites = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -141,12 +140,20 @@ def test_the_size_rule_is_the_one_guard_raise():
         for node in ast.walk(tree):
             if isinstance(node, ast.Raise) and getattr(getattr(node.exc, "func", None), "id", None) == "GuardError":
                 sites.append((path.stem, owner.get(node)))
-    assert sorted(sites) == [
-        ("exactcomb", "_check_sizes"),
-        ("oracle", "_count_permutations"),
-        ("oracle", "_swept"),
-        ("quad", "parseval_b"),
-    ]
+    assert sites == [("exactcomb", "_check_sizes")]
+
+
+def test_only_exactcomb_names_the_estimate_bound():
+    # exactcomb._check_estimate_sizes checks and words MAX_ESTIMATE_SIZE for
+    # every float formula, so no other module reads or imports the bound
+    named = []
+    for path in SOURCES:
+        if path.stem != "exactcomb":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+                if "MAX_ESTIMATE_SIZE" in names:  # a Name, an Attribute or an imported alias
+                    named.append(f"{path.name}:{node.lineno}")
+    assert sorted(set(named)) == []
 
 
 def test_the_stirling_triangle_has_one_owner():
