@@ -52,13 +52,18 @@ class GuardError(ValueError):
 _rows: list[list[Count] | None] = [[1]]
 
 
+def _shown(value: object) -> str:
+    # A value as a refusal prints it: by repr, but an int past str()'s 4300-digit limit by its bit length.
+    return f"<{value.bit_length()}-bit int>" if isinstance(value, int) and value.bit_length() > 14000 else repr(value)
+
+
 def _check_ints(what: str, *values: int) -> None:
     # The library's one int check: a float, NaN or None in an int's place
     # is refused by name, and a bool reads as its int. `what` is the whole
     # phrase, as "k must be an int".
     for value in values:
         if not isinstance(value, int):
-            raise ValueError(f"{what}, got {', '.join(map(repr, values))}")
+            raise ValueError(f"{what}, got {', '.join(map(_shown, values))}")
 
 
 def _check_sizes(what: str, names: str, lo: int, hi: int, guard: str, *sizes: int) -> None:
@@ -73,7 +78,8 @@ def _check_sizes(what: str, names: str, lo: int, hi: int, guard: str, *sizes: in
             if min(sizes) < 0:
                 raise ValueError(f"{what.partition(' must ')[0]} must be nonnegative")
             name, size = next(pair for pair in zip(names.split(), sizes) if not lo <= pair[1] <= hi)
-            raise GuardError(f"{name}={size} " + (f"outside {guard} {lo}..{hi}" if lo else f"exceeds {guard} {hi}"))
+            window = f"outside {guard} {lo}..{hi}" if lo else f"exceeds {guard} {hi}"
+            raise GuardError(f"{name}={_shown(size)} {window}")
 
 
 def _check_estimate_sizes(what: str, *sizes: int) -> None:
@@ -84,7 +90,7 @@ def _check_estimate_sizes(what: str, *sizes: int) -> None:
         if not (isinstance(size, int) and 1 <= size <= MAX_ESTIMATE_SIZE):
             _check_ints(what, *sizes)
             bound = f"1..10**{len(str(MAX_ESTIMATE_SIZE)) - 1}"
-            raise ValueError(f"{what.partition(' must ')[0]} must lie in {bound}, got {', '.join(map(repr, sizes))}")
+            raise ValueError(f"{what.partition(' must ')[0]} must lie in {bound}, got {', '.join(map(_shown, sizes))}")
 
 
 def _step(prev: list[Count], width: int) -> list[Count]:

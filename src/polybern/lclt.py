@@ -11,14 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .exactcomb import (
-    LOG2,
-    SHIFTS,
-    _check_estimate_sizes,
-    _check_ints,
-    _check_sizes,
-    _shifted_row,
-    log_of_count,
-    ml_degree,
+    LOG2, SHIFTS, _check_estimate_sizes, _check_ints, _check_sizes, _shifted_row, log_of_count, ml_degree
 )
 
 SCALED_N_GUARD = 200

@@ -247,6 +247,10 @@ RAISES = (
     (GuardError, "^r=1000000000000 exceeds enumeration guard 14$", ("count_excedance_word(10**12, 0)",)),
     # a side past the guard is refused before the domain floor r >= 1
     (GuardError, "^s=20 exceeds enumeration guard 14$", ("count_excedance_word(0, 20)",)),
+    # an int past str()'s 4300-digit limit is printed by its bit length, so each refusal is still built
+    (GuardError, "^n=<16610-bit int> exceeds enumeration guard 30$", ("count_lonesum(10**5000, 0)",)),
+    (ValueError, r"^indices must be ints, got <16610-bit int>, 2\.5$", ("poly_bernoulli(10**5000, 2.5)",)),
+    (ValueError, r"^indices must lie in 1\.\.10\*\*300, got <16610-bit int>, 1$", ("saddle_point(10**5000, 1)",)),
     (GuardError, r"outside residue guard 1\.\.40$", (
         "residue_integral_b(41, 5, QuadratureSpec(2048))", "residue_integral_b(0, 5, QuadratureSpec(2048))",
     )),
