@@ -53,8 +53,14 @@ _rows: list[list[Count] | None] = [[1]]
 
 
 def _shown(value: object) -> str:
-    # A value as a refusal prints it: by repr, but an int past str()'s 4300-digit limit by its bit length.
-    return f"<{value.bit_length()}-bit int>" if isinstance(value, int) and value.bit_length() > 14000 else repr(value)
+    # A value as every refusal prints it: by repr, a tuple or list entry by entry, and
+    # an int past str()'s 4300-digit limit by its sign and bit length.
+    if isinstance(value, (tuple, list)):
+        entries = ", ".join(map(_shown, value))
+        return f"[{entries}]" if isinstance(value, list) else f"({entries}{',' * (len(value) == 1)})"
+    if isinstance(value, int) and value.bit_length() > 14000:
+        return f"{'-' * (value < 0)}<{value.bit_length()}-bit int>"
+    return repr(value)
 
 
 def _check_ints(what: str, *values: int) -> None:
@@ -106,18 +112,16 @@ def _stirling_row(r: int, width: int) -> list[Count]:
     # A row whose first `width` entries are S(r, 0..width-1), read by
     # stirling2 and the sums. _rows[r] is the row S(r, 0..r), returned as
     # it is, or None where the stride rule at _DENSE_ROWS does not keep it.
-    # Any other read walks down once to the nearest kept row: inside the
-    # table it derives row r from there in r % s recurrence steps `width`
-    # wide, local to the call; past the top it grows the table from there.
-    # A step costs about r^2 and the sum that reads the row about r^3, so a
-    # stride that grows with r keeps the derived row's share of a read
-    # level. One step takes about 14 us at row 129, 35 us at 257 and 0.11 ms
-    # at 513; a single B or D value costs about 11% more on rows 129..255
-    # and 17% more on 257..511 than with every row kept. Growth computes
-    # each row above that kept row once, extends a copy and rebinds the name
-    # instead of mutating the list, so a reader holding the old list keeps
-    # a valid triangle and no lock is needed. A read that grows the table
-    # returns the top row it has just computed, whole.
+    # Any other read walks down once to the nearest kept row and steps up to
+    # row r in one loop: for a row inside the table r % s steps `width` wide,
+    # local to the call; for one past its top whole rows, r + 1 wide, which
+    # the table keeps by its stride. A step costs about r^2 and the sum
+    # reading the row about r^3, so a stride growing with r keeps the derived
+    # row's share of a read level: a step takes about 14 us at row 129, 35 us
+    # at 257 and 0.11 ms at 513, and a B or D value 11% more on rows 129..255
+    # and 17% more on 257..511 than with every row kept. Growth rebinds the
+    # name to an extended copy, so a reader of the old list keeps a valid
+    # triangle and needs no lock.
     global _rows
     rows = _rows
     row = rows[r] if r < len(rows) else None
@@ -125,17 +129,12 @@ def _stirling_row(r: int, width: int) -> list[Count]:
         known = min(r, len(rows) - 1)
         while rows[known] is None:
             known -= 1
-        row = rows[known]
-        if r < len(rows):
-            for _ in range(r - known):
-                row = _step(row, width)
-        else:
-            rows = rows[: known + 1]
-            for size in range(known + 1, r + 1):
-                row = _step(row, size + 1)
-                stride = 1 << ((size - 1) // _DENSE_ROWS).bit_length()
-                rows.append(None if size % stride else row)
-            _rows = rows
+        row, table = rows[known], rows[: known + 1]
+        for size in range(known + 1, r + 1):
+            row = _step(row, width if r < len(rows) else r + 1)
+            table.append(None if size % (1 << ((size - 1) // _DENSE_ROWS).bit_length()) else row)
+        if len(table) > len(rows):
+            _rows = table
     return row
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .exactcomb import (
-    LOG2, SHIFTS, _check_estimate_sizes, _check_ints, _check_sizes, _shifted_row, log_of_count, ml_degree
+    LOG2, SHIFTS, _check_estimate_sizes, _check_ints, _check_sizes, _shifted_row, _shown, log_of_count, ml_degree
 )
 
 SCALED_N_GUARD = 200
@@ -75,7 +75,7 @@ def gaussian_params(which: str) -> GaussianParams:
     """Limit constants for a letter of exactcomb.SHIFTS; closed forms, no fitting."""
     # a tuple, so that an unhashable which is refused here, not by TypeError
     if which not in tuple(SHIFTS):
-        raise ValueError(f"which must be one of {_LETTERS}, got {which!r}")
+        raise ValueError(f"which must be one of {_LETTERS}, got {_shown(which)}")
     log_em1 = math.log(math.e - 1.0)
     rho = 1.0 - log_em1
     amplitude = math.e / ((1.0 - log_em1) * (math.e - 1.0))
@@ -125,7 +125,7 @@ def ml_window(n: int, window: float) -> tuple[int, int]:
     """
     _check_estimate_sizes("n must be an int", n)
     if not 0 < window <= ML_SHAPE_K_MAX:
-        raise ValueError(f"window must lie in (0, {ML_SHAPE_K_MAX}], got {window}")
+        raise ValueError(f"window must lie in (0, {ML_SHAPE_K_MAX}], got {_shown(window)}")
     from fractions import Fraction  # only here: it imports decimal, which only ml_window needs
 
     w = Fraction(repr(float(window)))
@@ -141,7 +141,7 @@ def ml_scaled_coefficient(n: int, k: int) -> float:
     _check_ints("indices must be ints", n, k)
     _check_sizes("n must be an int", "n", 2, ML_SHAPE_N_GUARD, "shape guard", n)
     if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside 0..{n}")
+        raise ValueError(f"k={_shown(k)} outside 0..{n}")
     count = ml_degree(n - k, k)
     if count == 0:
         return 0.0
@@ -170,7 +170,7 @@ def lclt_rows(n: int, which: str, window: float | None = None) -> tuple[list[Row
         rows = [(k, ml_scaled_coefficient(n, k), ml_limit_shape(n, k)) for k in range(lo, hi + 1)]
         return rows, _report(n, rows)
     if window is not None:
-        raise ValueError(f"window applies to 'ML' only, got {window} for {which!r}")
+        raise ValueError(f"window applies to 'ML' only, got {_shown(window)} for {_shown(which)}")
     # n = 1 is left out: its window ends at k = 13, where the gap is still
     # 6e-7 against a sup of 0.5, far above the tail guard.
     _check_sizes("n must be an int", "n", 2, SCALED_N_GUARD, "row guard", n)

@@ -27,7 +27,7 @@ from functools import reduce
 from operator import ge, or_
 from types import MappingProxyType
 
-from .exactcomb import Count, _check_ints, _check_sizes
+from .exactcomb import Count, _check_ints, _check_sizes, _shown
 
 # One guard per sweep: the set sweep of matrices, the mask sweep of permutations.
 MATRIX_GUARD = 30
@@ -116,7 +116,7 @@ def is_lonesum(rows: Iterable[int]) -> bool:
     _check_ints("rows must be ints", *rows)
     rows = [int(r) for r in rows]  # a bool reads as its int; ~ on a bool is deprecated
     if any(r < 0 for r in rows):
-        raise ValueError(f"rows must be nonnegative bitmasks, got {', '.join(map(repr, rows))}")
+        raise ValueError(f"rows must be nonnegative bitmasks, got {', '.join(map(_shown, rows))}")
     return all(_comparable(rows[:i], rows[i]) for i in range(len(rows)))
 
 
@@ -168,7 +168,7 @@ def count_lonesum_restricted(n: int, k: int, forbid_zero_rows: bool, forbid_zero
     """
     flags = forbid_zero_rows, forbid_zero_cols  # a bool, or 0 or 1 read as one
     if not all(isinstance(flag, int) and flag in (0, 1) for flag in flags):
-        raise ValueError(f"flags must be bools, got {', '.join(map(repr, flags))}")
+        raise ValueError(f"flags must be bools, got {', '.join(map(_shown, flags))}")
     census = _swept(n, k, _comparable)
     forbid = flags if n >= k else flags[::-1]
     return sum(count for found, count in census.items() if all(map(ge, found, forbid)))

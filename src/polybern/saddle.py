@@ -13,7 +13,8 @@ import warnings
 from bisect import bisect
 from dataclasses import dataclass
 
-from .exactcomb import LOG2, ML_DEGREE_GF, POLY_BERNOULLI_GF, SHIFTS, LogEstimate, _check_estimate_sizes, _check_ints
+from .exactcomb import LOG2, ML_DEGREE_GF, POLY_BERNOULLI_GF, SHIFTS, LogEstimate
+from .exactcomb import _check_estimate_sizes, _check_ints, _shown
 
 # Second-order diagonal correction constant in closed form.
 SECOND_ORDER_C = (2 * LOG2**3 + 3 * LOG2**2 - 12 * LOG2 + 6) / (16 * (1 - LOG2) ** 2)
@@ -66,7 +67,7 @@ def f_dir(t: float) -> float:
     if not t > 0:
         raise ValueError("f is defined for t > 0")
     if t >= F_T_MAX:
-        raise ValueError(f"t={t} overflows the stable form (limit {F_T_MAX})")
+        raise ValueError(f"t={_shown(t)} overflows the stable form (limit {F_T_MAX})")
     # _log1mexp takes e^-t again; the solve never evaluates f, so no hot path pays
     return t * math.exp(-t) / (-math.expm1(-t) * -_log1mexp(t))
 
@@ -118,7 +119,7 @@ _F_CAP = f_dir(F_T_MAX * (1 - 2**-20))
 
 
 def _out_of_range(r: float) -> ValueError:
-    return ValueError(f"r={r} outside the stable range of f, about [1/700, 700]")
+    return ValueError(f"r={_shown(r)} outside the stable range of f, about [1/700, 700]")
 
 
 # Holds verify's 960 distinct ratios; an entry (the float key in a 1-tuple,
@@ -300,7 +301,7 @@ def acsv_general_log(shift: tuple[int, int], n: int, k: int) -> LogEstimate:
         and len(shift) == 2
         and all(isinstance(d, int) and d in (0, 1) for d in shift)
     ):
-        raise ValueError(f"shift must be a pair from {{0, 1}}, got {shift}")
+        raise ValueError(f"shift must be a pair from {{0, 1}}, got {_shown(shift)}")
     dn, dk = shift
     x, y = _solve(n, k)
     g_log = -(1 - dn) * x - (1 - dk) * y

@@ -34,14 +34,15 @@ NOT_DRAWN = {
 FUNCTIONS = sorted(set(polybern.__all__) - NOT_DRAWN)
 
 # Each size guard and domain bound and one either side of it, where the
-# domains start, and an int past the float range.
+# domains start, an int past the float range, and ints either side of zero
+# past str()'s 4300-digit limit.
 BOUNDS = {
     value
     for module in (exactcomb, lclt, oracle, quad, saddle)
     for name, value in vars(module).items()
     if "GUARD" in name or "MAX" in name
 }
-INTS = sorted({int(b) + d for b in BOUNDS for d in (-1, 0, 1)} | {-1, 0, 1, 2, 10**400})
+INTS = sorted({int(b) + d for b in BOUNDS for d in (-1, 0, 1)} | {-1, 0, 1, 2, 10**400, 10**5000, -(10**5000)})
 FLOATS = INTS + [float(v) for v in INTS if abs(v) < 1e308] + [math.nan, math.inf, -math.inf]
 
 
@@ -109,12 +110,22 @@ def _finite(value) -> bool:
 @example(("ml_limit_shape", (1, 10**400)))
 @example(("ml_degree_inclusion_exclusion", (511, 512)))
 @example(("count_lonesum_restricted", (2, 2, None, True)))
+@example(("count_lonesum_restricted", (2, 2, 10**5000, 0)))
+@example(("f_inverse", (10**5000,)))
+@example(("f_dir", (10**5000,)))
+@example(("gaussian_params", (10**5000,)))
+@example(("ml_limit_discrepancy", (10, 10**5000)))  # ml_window's refusal, which the root does not export
+@example(("is_lonesum", ([-(10**5000)],)))
+@example(("acsv_general_log", ((10**5000, 0), 2, 2)))
 def test_every_public_function_is_finite_or_value_error(call):
     # An ArithmeticError signals an internal bug, so no input may raise one.
+    # A refusal keeps its own reason: Python's digit-limit ValueError in its
+    # place means a value past 4300 digits was printed by str() or repr().
     name, args = call
     try:
         value = _call(getattr(polybern, name), args)
-    except ValueError:
+    except ValueError as refused:
+        assert "integer string conversion" not in str(refused), name
         return
     assert _finite(value), value
 
@@ -247,10 +258,31 @@ RAISES = (
     (GuardError, "^r=1000000000000 exceeds enumeration guard 14$", ("count_excedance_word(10**12, 0)",)),
     # a side past the guard is refused before the domain floor r >= 1
     (GuardError, "^s=20 exceeds enumeration guard 14$", ("count_excedance_word(0, 20)",)),
-    # an int past str()'s 4300-digit limit is printed by its bit length, so each refusal is still built
+    # an int past str()'s 4300-digit limit is printed by its sign and bit length, in every layer and inside a
+    # tuple or list too, so each refusal is still built
     (GuardError, "^n=<16610-bit int> exceeds enumeration guard 30$", ("count_lonesum(10**5000, 0)",)),
     (ValueError, r"^indices must be ints, got <16610-bit int>, 2\.5$", ("poly_bernoulli(10**5000, 2.5)",)),
     (ValueError, r"^indices must lie in 1\.\.10\*\*300, got <16610-bit int>, 1$", ("saddle_point(10**5000, 1)",)),
+    (ValueError, r"^indices must lie in 1\.\.10\*\*300, got -<16610-bit int>, 1$", ("saddle_point(-10**5000, 1)",)),
+    (ValueError, "^which must be one of 'B', 'C', 'D', got <16610-bit int>$", (
+        "gaussian_params(10**5000)", "lclt_rows(10, 10**5000)", "lclt_discrepancy(10, 10**5000)",
+    )),
+    (ValueError, "^window applies to 'ML' only, got <16610-bit int> for 'B'$", ("lclt_rows(10, 'B', 10**5000)",)),
+    (ValueError, r"^window must lie in \(0, 5\.0\], got <16610-bit int>$", (
+        "lclt_rows(10, 'ML', 10**5000)", "ml_window(10, 10**5000)", "ml_limit_discrepancy(10, 10**5000)",
+    )),
+    (ValueError, r"^k=<16610-bit int> outside 0\.\.10$", ("ml_scaled_coefficient(10, 10**5000)",)),
+    (ValueError, "^rows must be nonnegative bitmasks, got -<16610-bit int>$", ("is_lonesum([-10**5000])",)),
+    (ValueError, "^flags must be bools, got <16610-bit int>, 0$", ("count_lonesum_restricted(2, 2, 10**5000, 0)",)),
+    (ValueError, r"^r=<16610-bit int> outside the stable range of f", ("f_inverse(10**5000)",)),
+    (ValueError, r"^t=<16610-bit int> overflows the stable form", ("f_dir(10**5000)",)),
+    (ValueError, r"^shift must be a pair from \{0, 1\}, got \(<16610-bit int>, 0\)$", (
+        "acsv_general_log((10**5000, 0), 2, 2)",
+    )),
+    # any other value prints by repr, a tuple or list as repr writes it
+    (ValueError, "^window applies to 'ML' only, got '3' for 'B'$", ("lclt_rows(10, 'B', '3')",)),
+    (ValueError, r"^shift must be a pair from \{0, 1\}, got \(1,\)$", ("acsv_general_log((1,), 3, 4)",)),
+    (ValueError, r"^shift must be a pair from \{0, 1\}, got \[1, 2\]$", ("acsv_general_log([1, 2], 3, 4)",)),
     (GuardError, r"outside residue guard 1\.\.40$", (
         "residue_integral_b(41, 5, QuadratureSpec(2048))", "residue_integral_b(0, 5, QuadratureSpec(2048))",
     )),

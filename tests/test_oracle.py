@@ -476,7 +476,7 @@ def test_thin_shapes_cost_states_not_matrices():
 
 def test_oracle_takes_only_count_and_guard_from_exactcomb():
     # The oracles must decide membership independently of the formula layer;
-    # the shared int and size checks compute no count.
+    # the shared int and size checks and the refusals' renderer compute no count.
     taken = set()
     for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
@@ -486,4 +486,4 @@ def test_oracle_takes_only_count_and_guard_from_exactcomb():
                 taken.update(alias.name for alias in node.names if alias.name == "exactcomb")
         elif isinstance(node, ast.Import):
             taken.update(alias.name for alias in node.names if alias.name.endswith("exactcomb"))
-    assert taken == {"Count", "_check_ints", "_check_sizes"}
+    assert taken == {"Count", "_check_ints", "_check_sizes", "_shown"}

@@ -171,3 +171,18 @@ def test_the_stirling_triangle_has_one_owner():
             ):
                 owners.add(f"{path.stem}.{node.name}")
     assert owners == {"exactcomb._stirling_row"}
+
+
+def test_the_stirling_triangle_is_stepped_on_one_path():
+    # _stirling_row derives a row it does not keep and grows the table in one
+    # loop, the recurrence step's one call site in the library
+    loops, steps = None, []
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                calls = [c for c in ast.walk(fn) if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_step"]
+                steps += [f"{path.stem}.{fn.name}"] * len(calls)
+                if fn.name == "_stirling_row":
+                    loops = sum(isinstance(c, ast.For) for c in ast.walk(fn))
+    assert loops == 1
+    assert steps == ["exactcomb._stirling_row"]
