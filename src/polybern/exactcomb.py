@@ -53,10 +53,10 @@ _rows: list[list[Count] | None] = [[1]]
 
 
 def _shown(value: object) -> str:
-    # A value as every refusal prints it: by repr, a tuple or list entry by entry, and
-    # an int past str()'s 4300-digit limit by its sign and bit length.
+    # A value as every refusal prints it: by repr, a tuple or list entry by entry (nested ones by repr, so
+    # a list that holds itself ends), and an int past str()'s 4300-digit limit by its sign and bit length.
     if isinstance(value, (tuple, list)):
-        entries = ", ".join(map(_shown, value))
+        entries = ", ".join(repr(entry) if isinstance(entry, (tuple, list)) else _shown(entry) for entry in value)
         return f"[{entries}]" if isinstance(value, list) else f"({entries}{',' * (len(value) == 1)})"
     if isinstance(value, int) and value.bit_length() > 14000:
         return f"{'-' * (value < 0)}<{value.bit_length()}-bit int>"

@@ -283,6 +283,10 @@ RAISES = (
     (ValueError, "^window applies to 'ML' only, got '3' for 'B'$", ("lclt_rows(10, 'B', '3')",)),
     (ValueError, r"^shift must be a pair from \{0, 1\}, got \(1,\)$", ("acsv_general_log((1,), 3, 4)",)),
     (ValueError, r"^shift must be a pair from \{0, 1\}, got \[1, 2\]$", ("acsv_general_log([1, 2], 3, 4)",)),
+    # a list that holds itself is shown, not recursed into
+    (ValueError, r"^shift must be a pair from \{0, 1\}, got \[\[\[\.\.\.\]\]\]$", (
+        "(lambda shift: shift.append(shift) or acsv_general_log(shift, 3, 4))([])",
+    )),
     (GuardError, r"outside residue guard 1\.\.40$", (
         "residue_integral_b(41, 5, QuadratureSpec(2048))", "residue_integral_b(0, 5, QuadratureSpec(2048))",
     )),
